@@ -15,6 +15,7 @@ Run this before trusting any frozen constant in tests/: the printed values
 are the ones embedded there.
 """
 
+import functools
 import itertools
 import math
 
@@ -71,8 +72,13 @@ def circumsphere(pts):
     return tuple(center), dist(center, p0)
 
 
+@functools.lru_cache(maxsize=None)
 def meb_bruteforce(pts):
-    """Exhaustive MEB: try every support subset of size <= d+1."""
+    """Exhaustive MEB: try every support subset of size <= d+1.
+
+    pts is a tuple of points; the result is memoized on it, because the
+    grid cross-check asks for the same few components thousands of times.
+    """
     d = len(pts[0])
     best = None
     for size in range(1, min(len(pts), d + 1) + 1):
@@ -113,7 +119,7 @@ def components(pts, eps):
 def k_anon_at(pts, eps, k):
     comps = components(pts, eps)
     for c in comps:
-        if len(c) < k or meb_bruteforce([pts[i] for i in c]) > eps:
+        if len(c) < k or meb_bruteforce(tuple(pts[i] for i in c)) > eps:
             return None
     return comps
 
@@ -142,7 +148,7 @@ def regimes(pts, k):
     for lo, hi, comps in partition_intervals(pts):
         if any(len(c) < k for c in comps):
             continue
-        need = max(meb_bruteforce([pts[i] for i in c]) for c in comps)
+        need = max(meb_bruteforce(tuple(pts[i] for i in c)) for c in comps)
         start = max(lo, need)
         if start < hi:
             out.append((start, hi, [[i + 1 for i in c] for c in comps]))
@@ -237,7 +243,7 @@ def reference_grouping_argument():
 def birth(pts, simplex):
     """MEB radius, made monotone over faces so 1-ulp float noise cannot
     put a triangle before one of its edges."""
-    b = meb_bruteforce([pts[i] for i in simplex])
+    b = meb_bruteforce(tuple(pts[i] for i in simplex))
     if len(simplex) > 2:
         for f in itertools.combinations(simplex, len(simplex) - 1):
             b = max(b, birth(pts, f))
@@ -291,7 +297,7 @@ def main():
     print("\ncomponent partition change points [lo, hi), classes, largest "
           "component MEB:")
     for lo, hi, comps in partition_intervals(pts):
-        need = max(meb_bruteforce([pts[i] for i in c]) for c in comps)
+        need = max(meb_bruteforce(tuple(pts[i] for i in c)) for c in comps)
         hi_s = "inf" if math.isinf(hi) else f"{hi:.17g}"
         classes = [[i + 1 for i in c] for c in comps]
         print(f"  [{lo:.17g}, {hi_s})  classes={classes}  meb={need:.17g}")
@@ -343,12 +349,12 @@ def main():
     print("\ncomponents at eps=0.3:",
           [[i + 1 for i in c] for c in components(pts, 0.3)])
     print("MEB of {1,2,3,7,8,9}:",
-          f"{meb_bruteforce([pts[i] for i in (0, 1, 2, 6, 7, 8)]):.17g}")
+          f"{meb_bruteforce(tuple(pts[i] for i in (0, 1, 2, 6, 7, 8))):.17g}")
     print("MEB of all 9 points:",
-          f"{meb_bruteforce(pts):.17g}")
+          f"{meb_bruteforce(tuple(pts)):.17g}")
     for cls in ((0, 1, 2), (3, 4, 5), (6, 7, 8)):
         print(f"MEB of {[i + 1 for i in cls]}:",
-              f"{meb_bruteforce([pts[i] for i in cls]):.17g}")
+              f"{meb_bruteforce(tuple(pts[i] for i in cls)):.17g}")
 
     reference_grouping_argument()
 

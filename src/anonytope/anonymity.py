@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ContractViolation, InfeasibleError
-from .geometry import NormalizedDataset, NumericTable, _dist, \
-    min_enclosing_ball
+from .geometry import NormalizedDataset, NumericTable
 
 FAIL_TOO_SMALL = "component_too_small"
 FAIL_NOT_SIMPLEX = "component_not_simplex"
@@ -67,31 +65,11 @@ class GeneralizedTable:
     qi_names: tuple[str, ...]
     rows: tuple[tuple[tuple[float, float], ...], ...]
     class_ids: tuple[int, ...]
-    passthrough: tuple[dict, ...] | None = None
 
 
-def _components(data: NormalizedDataset, eps: float):
-    ids = list(data.row_ids)
-    adj = {i: [] for i in ids}
-    for a, b in combinations(ids, 2):
-        if _dist(data.point(a), data.point(b)) <= 2.0 * eps:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen, comps = set(), []
-    for start in ids:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
+def _failed(kind: str, component: tuple[int, ...]) -> AnonymityVerdict:
+    return AnonymityVerdict(achieved=False, classes=None,
+                            failure_reason=FailureReason(kind, component))
 
 
 def check_k_anonymity(data: NormalizedDataset, eps: float,
@@ -101,69 +79,46 @@ def check_k_anonymity(data: NormalizedDataset, eps: float,
     if eps < 0:
         raise ContractViolation(f"eps must be nonnegative, got {eps}")
     if k > data.n_points:
-        return AnonymityVerdict(
-            achieved=False, classes=None,
-            failure_reason=FailureReason(FAIL_TOO_SMALL, data.row_ids))
-    comps = _components(data, eps)
+        return _failed(FAIL_TOO_SMALL, data.row_ids)
+    tree = data.merge_tree
+    comps = tree.components(tree.cut(eps))
     for comp in comps:
         if len(comp) < k:
-            return AnonymityVerdict(
-                achieved=False, classes=None,
-                failure_reason=FailureReason(FAIL_TOO_SMALL, comp))
+            return _failed(FAIL_TOO_SMALL, tree.row_ids(comp))
     for comp in comps:
-        if min_enclosing_ball(data.subset(comp)).radius > eps:
-            return AnonymityVerdict(
-                achieved=False, classes=None,
-                failure_reason=FailureReason(FAIL_NOT_SIMPLEX, comp))
-    return AnonymityVerdict(achieved=True, classes=tuple(comps),
+        if tree.radius(comp) > eps:
+            return _failed(FAIL_NOT_SIMPLEX, tree.row_ids(comp))
+    return AnonymityVerdict(achieved=True,
+                            classes=tuple(map(tree.row_ids, comps)),
                             failure_reason=None)
-
-
-def _partition_intervals(data: NormalizedDataset):
-    """Maximal eps intervals of constant component partition, as
-    (lo, hi_or_inf, components) with hi exclusive."""
-    halves = sorted({
-        _dist(data.point(a), data.point(b)) / 2.0
-        for a, b in combinations(data.row_ids, 2)})
-    change = [0.0]
-    prev = _components(data, 0.0)
-    partitions = [prev]
-    for h in halves:
-        cur = _components(data, h)
-        if cur != prev:
-            change.append(h)
-            partitions.append(cur)
-            prev = cur
-    out = []
-    for i, lo in enumerate(change):
-        hi = change[i + 1] if i + 1 < len(change) else math.inf
-        out.append((lo, hi, partitions[i]))
-    return out
 
 
 def compute_regimes(data: NormalizedDataset, k: int) -> list[Regime]:
     """Every maximal interval on which k-anonymity holds.
 
     Within an interval of constant partition, the verdict flips at most
-    once, at the largest component MEB radius; so the sweep only needs
-    the pairwise half-distances plus those component radii.
+    once, at the largest component MEB radius; so one pass over the
+    merge tree's partitions, with one MEB per component, finds them all.
+    A merge never shrinks the smallest component, so the pass runs from
+    the coarsest partition and stops at the first one too fine for k.
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
     if k > data.n_points:
         return []
+    tree = data.merge_tree
     regimes = []
-    for lo, hi, comps in _partition_intervals(data):
+    for lo, hi, merges in reversed(tree.intervals()):
+        comps = tree.components(merges)
         if any(len(c) < k for c in comps):
-            continue
-        need = max(min_enclosing_ball(data.subset(c)).radius for c in comps)
-        start = max(lo, need)
+            break
+        start = max(lo, max(map(tree.radius, comps)))
         if start < hi:
             regimes.append(Regime(
                 eps_lo=start,
                 eps_hi=None if math.isinf(hi) else hi,
-                classes=tuple(comps)))
-    return regimes
+                classes=tuple(map(tree.row_ids, comps))))
+    return regimes[::-1]
 
 
 def minimal_epsilon(data: NormalizedDataset, k: int,

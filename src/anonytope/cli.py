@@ -10,10 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +24,8 @@ from .categorical import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
                           lattice_search, load_trees, lower_chain,
                           upper_chain)
 from .complexes import build_filtration
-from .errors import (ContractViolation, IngestionError, InfeasibleError,
-                     TreeDefinitionError)
+from .errors import (ContractViolation, FiltrationSizeError, IngestionError,
+                     InfeasibleError, TreeDefinitionError)
 from .geometry import (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE, Column,
                        NumericTable, normalize_dataset)
 from .homology import (barcode, barcode_json, boundary_matrix, reduce_matrix,
@@ -70,26 +67,23 @@ class RunConfig:
             raise IngestionError(f"unknown objective {self.objective!r}")
 
 
-def max_workers() -> int:
-    cap = os.environ.get("ANONYTOPE_THREADS")
-    if cap:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
-
-
 def ingest_csv(path, config: RunConfig):
     """Parse the CSV into a typed table (numeric mode) or a list of
     string tuples over the quasi columns (categorical mode)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise IngestionError(f"{path}: empty file, no header row")
-            header = [h.strip() for h in reader.fieldnames]
-            raw_rows = [dict(zip(header, (v.strip() for v in row.values())))
-                        for row in reader]
+            records = [r for r in csv.reader(fh) if r]  # blank lines skipped
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None
+    if not records:
+        raise IngestionError(f"{path}: empty file, no header row")
+    header = [h.strip() for h in records[0]]
+    raw_rows = []
+    for i, record in enumerate(records[1:], start=1):
+        if len(record) != len(header):
+            raise IngestionError(f"row {i} has {len(record)} fields, "
+                                 f"header has {len(header)}")
+        raw_rows.append(dict(zip(header, (v.strip() for v in record))))
     if not raw_rows:
         raise IngestionError(f"{path}: no data rows")
     for name in config.quasi + config.identifiers + config.sensitive:
@@ -162,13 +156,8 @@ def cmd_sweep(config: RunConfig) -> int:
     data = normalize_dataset(table)
     out_dir = Path(config.out)
 
-    def one_k(k: int):
-        if config.grid is not None:
-            return k, _grid_regimes(data, k, config.grid)
-        return k, compute_regimes(data, k)
-
-    with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        results = list(pool.map(one_k, config.k))
+    results = [(k, compute_regimes(data, k) if config.grid is None
+                else _grid_regimes(data, k, config.grid)) for k in config.k]
 
     weighted = weighted_h0_barcode(data)
     filt = build_filtration(data, config.dim_cap)
@@ -370,7 +359,7 @@ def main(argv=None) -> int:
         config = build_config(args)
         return _COMMANDS[args.command](config)
     except (IngestionError, ContractViolation, TreeDefinitionError,
-            OSError) as exc:
+            FiltrationSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -68,12 +68,6 @@ class Filtration:
     def critical_values(self) -> list[float]:
         return sorted({b for b, _ in self.entries})
 
-    def index_of(self, simplex: Simplex) -> int:
-        for i, (_, s) in enumerate(self.entries):
-            if s == simplex:
-                return i
-        raise KeyError(simplex)
-
     def to_text(self) -> str:
         lines = [f"{b!r} " + " ".join(str(v) for v in s)
                  for b, s in self.entries]
@@ -102,7 +96,7 @@ def _check_budget(n: int, dim_cap: int, budget: int) -> None:
     if total > budget:
         raise FiltrationSizeError(
             f"{total} simplices for N={n}, dim_cap={dim_cap} exceeds the "
-            f"budget of {budget}; lower dim_cap or raise the budget")
+            f"budget of {budget}; lower --dim-cap")
 
 
 def build_filtration(data: NormalizedDataset, dim_cap: int,

@@ -1,16 +1,21 @@
-"""Point geometry: table normalization and minimum enclosing balls.
+"""Point geometry: table normalization, minimum enclosing balls and the
+merge tree of the rows.
 
 The one geometric primitive everything else rests on is the minimum
 enclosing ball (MEB): the closed eps-balls around a point set share a
 common point exactly when the set's MEB radius is at most eps, so every
 "do these balls intersect" question reduces to one MEB computation.
+Every "which rows share a component at eps" question is answered by one
+merge tree (single linkage), built once per dataset.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +118,11 @@ class NormalizedDataset:
     def subset(self, row_ids) -> np.ndarray:
         return np.array([self.point(r) for r in row_ids])
 
+    @cached_property
+    def merge_tree(self) -> "MergeTree":
+        """Single linkage of the rows, built on first use and kept."""
+        return MergeTree(self.points, self.row_ids)
+
     def denormalize(self, point) -> np.ndarray:
         point = np.asarray(point, float)
         out = np.empty_like(point)
@@ -157,7 +167,20 @@ def normalize_dataset(table: NumericTable) -> NormalizedDataset:
 
 
 def _dist(a, b) -> float:
-    return float(np.linalg.norm(a - b))
+    diff = a - b
+    return float(np.sqrt(np.vecdot(diff, diff)))
+
+
+def _pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """Distances of all pairs i < j in row order, by the kernel of _dist.
+
+    Built one row block at a time, so no N^2 x d array is held.
+    """
+    blocks = [np.empty(0)]
+    for i in range(len(points) - 1):
+        diff = points[i] - points[i + 1:]
+        blocks.append(np.sqrt(np.vecdot(diff, diff)))
+    return np.concatenate(blocks)
 
 
 def _ball_from_boundary(boundary: list[np.ndarray]):
@@ -228,3 +251,87 @@ def balls_intersect(points, eps: float) -> bool:
     if eps < 0:
         raise ContractViolation(f"eps must be nonnegative, got {eps}")
     return min_enclosing_ball(points).radius <= eps
+
+
+def _sorted_pairs(points: np.ndarray):
+    """(i, j, distance) for all pairs i < j, by one stable sort of the
+    distances (ties in row order), handed out N pairs at a time."""
+    n = len(points)
+    dist = _pairwise_distances(points)
+    order = np.argsort(dist, kind="stable")
+    first, second = np.triu_indices(n, 1)
+    for start in range(0, len(order), n):
+        block = order[start:start + n]
+        yield from zip(first[block].tolist(), second[block].tolist(),
+                       dist[block].tolist())
+
+
+class MergeTree:
+    """Single linkage of a point set: its 0-dimensional persistence.
+
+    One stable sort of the pairwise distances (ties in row order), then
+    one union-find pass.  Rows are addressed by position; a component is
+    rooted at its first row, and merge j joins the component rooted at
+    dying[j] into the elder one rooted at survivor[j] < dying[j], at
+    pairwise distance height[j].  Two rows share a component at radius
+    eps exactly when they are joined by merges of height <= 2 eps.
+    """
+
+    def __init__(self, points: np.ndarray, row_ids: tuple[int, ...]):
+        self.points = points
+        self.ids = np.asarray(row_ids)
+        n = len(points)
+        root = list(range(n))
+
+        def find(x):
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        self.height, survivor, dying = [], [], []
+        for a, b, d in _sorted_pairs(points):
+            if len(dying) == n - 1:
+                break
+            ra, rb = sorted((find(a), find(b)))
+            if ra != rb:
+                root[rb] = ra
+                self.height.append(d)
+                survivor.append(ra)
+                dying.append(rb)
+        self.survivor = np.array(survivor, dtype=np.intp)
+        self.dying = np.array(dying, dtype=np.intp)
+        self._radius: dict[tuple[int, int], float] = {}
+
+    def cut(self, eps: float) -> int:
+        """How many merges have happened at radius eps (closed balls)."""
+        return bisect_right(self.height, 2.0 * eps)
+
+    def intervals(self) -> list[tuple[float, float, int]]:
+        """Maximal eps intervals [lo, hi) of constant partition, as
+        (lo, hi, merges so far); hi is inf for the last one."""
+        starts = sorted({0.0} | {d / 2.0 for d in self.height})
+        return [(lo, hi, self.cut(lo))
+                for lo, hi in zip(starts, starts[1:] + [math.inf])]
+
+    def components(self, merges: int) -> list[np.ndarray]:
+        """The components after the given number of merges, as ascending
+        row positions, ordered by their first row."""
+        root = np.arange(len(self.points))
+        root[self.dying[:merges]] = self.survivor[:merges]
+        while not np.array_equal(up := root[root], root):
+            root = up
+        order = np.argsort(root, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+
+    def row_ids(self, component: np.ndarray) -> tuple[int, ...]:
+        return tuple(self.ids[component].tolist())
+
+    def radius(self, component: np.ndarray) -> float:
+        """MEB radius of a component, computed once per component."""
+        # a root's component grows with every merge into it, so its first
+        # row and its size name it
+        key = (int(component[0]), len(component))
+        if key not in self._radius:
+            self._radius[key] = min_enclosing_ball(
+                self.points[component]).radius
+        return self._radius[key]

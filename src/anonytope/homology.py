@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .complexes import Filtration, SimplicialComplex, simplex_dim
 from .errors import ContractViolation
-from .geometry import NormalizedDataset, _dist, min_enclosing_ball
+from .geometry import NormalizedDataset
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ class WeightedBar:
 @dataclass(frozen=True)
 class WeightedBarcode:
     h0_bars: tuple[WeightedBar, ...]
-    # component partition recorded at birth and after every merge event
-    snapshots: tuple[tuple[float, tuple[tuple[int, ...], ...]], ...]
     n_points: int
 
     def live_bars(self, eps: float) -> list[WeightedBar]:
@@ -142,70 +140,24 @@ def barcode(pairs: PersistencePairs, filt: Filtration) -> Barcode:
     return Barcode(bars=tuple(bars))
 
 
-class _UnionFind:
-    def __init__(self, ids):
-        self.parent = {i: i for i in ids}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        # elder rule: the component whose oldest member has the smaller
-        # row id survives
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra, rb
-
-
 def weighted_h0_barcode(data: NormalizedDataset) -> WeightedBarcode:
-    """Union-find sweep over edges by birth; merges follow the elder rule
-    and the surviving bar absorbs the dying bar's weight."""
-    ids = list(data.row_ids)
-    n = len(ids)
-    edges = []
-    for a, b in combinations(ids, 2):
-        edges.append((_dist(data.point(a), data.point(b)) / 2.0, a, b))
-    edges.sort()
-
-    uf = _UnionFind(ids)
-    members = {i: [i] for i in ids}
-    steps = {i: [(0.0, 1)] for i in ids}
-    deaths: dict[int, float] = {}
-    snapshots = [(0.0, tuple((i,) for i in ids))]
-
-    for eps, a, b in edges:
-        merged = uf.union(a, b)
-        if merged is None:
-            continue
-        survivor, dying = merged
+    """The H0 bars of the dataset's merge tree: each merge kills the
+    younger component's bar and the survivor absorbs its weight."""
+    tree = data.merge_tree
+    n = data.n_points
+    steps = [[(0.0, 1)] for _ in range(n)]
+    deaths: list[float | None] = [None] * n
+    for d, survivor, dying in zip(tree.height, tree.survivor.tolist(),
+                                  tree.dying.tolist()):
+        eps = d / 2.0
         deaths[dying] = eps
-        members[survivor] = sorted(members[survivor] + members[dying])
-        steps[survivor].append((eps, len(members[survivor])))
-        del members[dying]
-        parts = tuple(sorted(tuple(m) for m in members.values()))
-        snapshots.append((eps, parts))
-
-    bars = []
-    for i in ids:
-        if i in deaths or i in members:
-            bar_steps = steps[i]
-            bars.append(WeightedBar(
-                birth=0.0,
-                death=deaths.get(i),
-                weight_steps=tuple(bar_steps)))
-    bars.sort(key=lambda b: (float("inf") if b.death is None else b.death,
-                             b.weight_steps[0]))
-    return WeightedBarcode(h0_bars=tuple(bars),
-                           snapshots=tuple(snapshots), n_points=n)
+        steps[survivor].append((eps, steps[survivor][-1][1]
+                                + steps[dying][-1][1]))
+    bars = sorted((WeightedBar(birth=0.0, death=deaths[i],
+                               weight_steps=tuple(steps[i]))
+                   for i in range(n)),
+                  key=lambda b: float("inf") if b.death is None else b.death)
+    return WeightedBarcode(h0_bars=tuple(bars), n_points=n)
 
 
 def _gf2_rank(columns: list[int]) -> int:
@@ -242,22 +194,13 @@ def homology_dims_at(complex_: SimplicialComplex) -> list[int]:
     return [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(cap)]
 
 
-def barcode_json(bars: Barcode, weighted: WeightedBarcode | None,
+def barcode_json(bars: Barcode, weighted: WeightedBarcode,
                  n_points: int) -> dict:
-    """The on-disk JSON shape: H0 bars carry their weight steps, higher
-    dimensions carry null."""
-    weight_by_key: dict[tuple, list] = {}
-    if weighted is not None:
-        for wb in weighted.h0_bars:
-            weight_by_key.setdefault((wb.birth, wb.death), []).append(
-                [[e, w] for e, w in wb.weight_steps])
-    out = []
-    for b in bars.bars:
-        entry = {"dim": b.dim, "birth": b.birth, "death": b.death,
-                 "weight_steps": None}
-        if b.dim == 0:
-            queue = weight_by_key.get((b.birth, b.death))
-            if queue:
-                entry["weight_steps"] = queue.pop(0)
-        out.append(entry)
+    """The on-disk JSON shape: H0 bars come from the merge tree with their
+    weight steps, higher dimensions from the reduction with null."""
+    out = [{"dim": 0, "birth": b.birth, "death": b.death,
+            "weight_steps": [list(step) for step in b.weight_steps]}
+           for b in weighted.h0_bars]
+    out += [{"dim": b.dim, "birth": b.birth, "death": b.death,
+             "weight_steps": None} for b in bars.bars if b.dim > 0]
     return {"bars": out, "n_points": n_points}

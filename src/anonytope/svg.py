@@ -18,7 +18,7 @@ def _x(eps: float, eps_max: float) -> float:
     return _MARGIN + (_W - 2 * _MARGIN) * min(eps, eps_max) / eps_max
 
 
-def render_barcode_svg(bars: Barcode, weighted: WeightedBarcode | None,
+def render_barcode_svg(bars: Barcode, weighted: WeightedBarcode,
                        regimes, k: int | None) -> str:
     display = bars.display_bars()
     dims = sorted({b.dim for b in display}) or [0]
@@ -45,13 +45,10 @@ def render_barcode_svg(bars: Barcode, weighted: WeightedBarcode | None,
             f'{k}-anonymity: green = achievable</text>')
         y += 30
 
-    weights = {}
-    if weighted is not None:
-        for wb in weighted.h0_bars:
-            weights[(wb.birth, wb.death)] = wb.weight_steps[-1][1]
-
     for dim in dims:
-        dim_bars = [b for b in display if b.dim == dim]
+        # H0 bars and their weights come from the merge tree
+        dim_bars = [b for b in weighted.h0_bars if b.death != b.birth] \
+            if dim == 0 else [b for b in display if b.dim == dim]
         parts.append(
             f'<text x="{_MARGIN}" y="{y + 12}" font-size="12" '
             f'font-weight="bold">H{dim}</text>')
@@ -63,10 +60,10 @@ def render_barcode_svg(bars: Barcode, weighted: WeightedBarcode | None,
             parts.append(
                 f'<line x1="{x0:.2f}" y1="{y}" x2="{x1:.2f}" y2="{y}" '
                 f'stroke="{color}" stroke-width="4"/>')
-            if dim == 0 and (b.birth, b.death) in weights:
+            if dim == 0:
                 parts.append(
                     f'<text x="{x1 + 4:.2f}" y="{y + 4}" font-size="10">'
-                    f'w={weights[(b.birth, b.death)]}</text>')
+                    f'w={b.weight_steps[-1][1]}</text>')
             y += _ROW
         y += _PANEL_H // 2
 

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from anonytope.complexes import build_anonymity_complex
 from anonytope.errors import InfeasibleError
 from anonytope.homology import homology_dims_at
 
-from oracles import dataset, k_anonymity_bruteforce
+from oracles import dataset, dist, k_anonymity_bruteforce, meb_bruteforce
 
 # Values frozen from scripts/sample_oracle.py (exhaustive MEB + BFS):
 # under per-column min-max scaling the 9-row sample admits, for k = 2..4,
@@ -107,6 +108,37 @@ class TestRegimes:
                 want = check_k_anonymity(data, eps, k).achieved
                 got = any(r.contains(eps) for r in regimes)
                 assert got == want
+
+    def test_regime_starts_are_exact_thresholds(self):
+        # check_k_anonymity holds at every eps_lo; where eps_lo is not a
+        # partition change point it is the largest class MEB radius, and
+        # one ulp below it the verdict fails.  Odd trials sit on a
+        # half-integer grid, so many distances tie.
+        rng = random.Random(41)
+        below_checked = 0
+        for trial in range(40):
+            n = rng.randint(2, 8)
+            pts = [(rng.randint(0, 3) / 2, rng.randint(0, 3) / 2)
+                   if trial % 2 else (rng.random(), rng.random())
+                   for _ in range(n)]
+            data = dataset(pts)
+            changes = {0.0} | {dist(p, q) / 2
+                               for p, q in combinations(pts, 2)}
+            for k in (1, 2, 3):
+                for r in compute_regimes(data, k):
+                    at = check_k_anonymity(data, r.eps_lo, k)
+                    assert at.achieved and at.classes == r.classes
+                    if r.eps_lo in changes:
+                        continue
+                    meb = max(meb_bruteforce([pts[i - 1] for i in c])
+                              for c in r.classes)
+                    assert r.eps_lo == pytest.approx(meb, rel=1e-9)
+                    below = check_k_anonymity(
+                        data, math.nextafter(r.eps_lo, 0), k)
+                    assert not below.achieved
+                    assert below.failure_reason.kind == FAIL_NOT_SIMPLEX
+                    below_checked += 1
+        assert below_checked > 20
 
 
 class TestMinimalEpsilon:

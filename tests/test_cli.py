@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import yaml
 
+import anonytope
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
                            RunConfig, ingest_csv, main)
 from anonytope.errors import IngestionError
@@ -58,6 +63,54 @@ class TestIngest:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+class TestExitPaths:
+    def check_on(self, path, *quasi):
+        return run_cli("check", "--input", str(path), "--quasi", *quasi,
+                       "--k", "1", "--eps", "0.1")
+
+    def test_short_row_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        assert self.check_on(path, "a", "b") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            "error: row 2 has 1 fields, header has 2\n"
+
+    def test_long_row_is_input_error(self, tmp_path, capsys):
+        # the extra field used to be dropped and the row read as 3,4
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n3,4,9\n")
+        assert self.check_on(path, "a", "b") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            "error: row 1 has 3 fields, header has 2\n"
+
+    def test_oversized_filtration_is_input_error(self, tmp_path, capsys):
+        # C(40, 6) = 3,838,380 six-vertex simplices alone exceed the
+        # 2M budget, so this fails before any simplex is built
+        path = tmp_path / "forty.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{i * i % 7}\n"
+                                           for i in range(40)))
+        rc = run_cli("barcode", "--input", str(path), "--quasi", "x", "y",
+                     "--dim-cap", "5", "--out", str(tmp_path / "out"))
+        assert rc == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lower --dim-cap" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_python_dash_m(self, sample_csv):
+        src = str(Path(anonytope.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "anonytope", "check", "--input",
+             str(sample_csv), "--quasi", "Age", "ZIP", "--k", "3",
+             "--eps", "0.8"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout.startswith("3-anonymous at eps=0.8 with 1 classes")
+        assert proc.stderr == ""    # no runpy warning either
 
 
 class TestCommands:

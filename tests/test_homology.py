@@ -111,16 +111,25 @@ class TestWeightedBarcode:
         weights = sorted(b.weight_at(0.3) for b in wb.live_bars(0.3))
         assert weights == [3, 6]
 
+    @staticmethod
+    def partitions_at_deaths(data, wb):
+        """The merge tree's partition at zero and at every H0 death."""
+        tree = data.merge_tree
+        for eps in [0.0] + [b.death for b in wb.h0_bars
+                            if b.death is not None]:
+            yield eps, [tree.row_ids(c)
+                        for c in tree.components(tree.cut(eps))]
+
     def test_weights_conserved_at_every_merge(self, sample_data):
         wb = weighted_h0_barcode(sample_data)
-        for eps, parts in wb.snapshots:
+        for eps, parts in self.partitions_at_deaths(sample_data, wb):
             total = sum(b.weight_at(eps) for b in wb.live_bars(eps))
             assert total == wb.n_points
             assert len(wb.live_bars(eps)) == len(parts)
 
     def test_snapshot_partitions_cover_rows(self, sample_data):
         wb = weighted_h0_barcode(sample_data)
-        for _, parts in wb.snapshots:
+        for _, parts in self.partitions_at_deaths(sample_data, wb):
             rows = sorted(v for p in parts for v in p)
             assert rows == list(sample_data.row_ids)
 
