@@ -78,7 +78,6 @@ class TestExitPaths:
             "error: row 2 has 1 fields, header has 2\n"
 
     def test_long_row_is_input_error(self, tmp_path, capsys):
-        # the extra field used to be dropped and the row read as 3,4
         path = tmp_path / "long.csv"
         path.write_text("a,b\n3,4,9\n")
         assert self.check_on(path, "a", "b") == EXIT_INPUT_ERROR
