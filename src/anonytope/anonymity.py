@@ -49,10 +49,6 @@ class Regime:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    @property
-    def min_class_size(self) -> int:
-        return min(len(c) for c in self.classes)
-
     def contains(self, eps: float) -> bool:
         return self.eps_lo <= eps and (self.eps_hi is None or eps < self.eps_hi)
 

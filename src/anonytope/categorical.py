@@ -10,6 +10,7 @@ and the same weighted H0 bookkeeping applies, indexed by path position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import yaml
@@ -32,31 +33,30 @@ class GeneralizationTree:
     def nodes(self) -> set[str]:
         return set(self.parent) | {self.root}
 
+    @cached_property
+    def ancestors(self) -> dict[str, tuple[str, ...]]:
+        """Per leaf, in sorted leaf order: the leaf, then each ancestor up
+        to the root, so entry ``level`` is the leaf generalized to that
+        level.  Built on first use; ``validate_tree`` reads it only once
+        every parent link is known to reach the root.
+        """
+        inner = set(self.parent.values())
+        leaves = sorted(n for n in self.parent if n not in inner)
+        table = {}
+        for leaf in leaves or [self.root]:
+            chain = [leaf]
+            while chain[-1] != self.root:
+                chain.append(self.parent[chain[-1]])
+            table[leaf] = tuple(chain)
+        return table
+
     @property
     def leaves(self) -> list[str]:
-        parents = set(self.parent.values())
-        return sorted(n for n in self.nodes
-                      if n not in parents and n != self.root) or \
-            ([self.root] if not self.parent else [])
-
-    def depth(self, node: str) -> int:
-        d = 0
-        while node != self.root:
-            node = self.parent[node]
-            d += 1
-        return d
+        return list(self.ancestors)
 
     @property
     def height(self) -> int:
-        return max((self.depth(leaf) for leaf in self.leaves), default=0)
-
-    def ancestor(self, value: str, level: int) -> str:
-        node = value
-        for _ in range(level):
-            if node == self.root:
-                break
-            node = self.parent[node]
-        return node
+        return max(map(len, self.ancestors.values())) - 1
 
 
 def validate_tree(tree: GeneralizationTree) -> list[str]:
@@ -78,7 +78,7 @@ def validate_tree(tree: GeneralizationTree) -> list[str]:
                 break
             seen.add(cur)
     if not problems:
-        depths = {tree.depth(leaf) for leaf in tree.leaves}
+        depths = {len(chain) - 1 for chain in tree.ancestors.values()}
         if len(depths) > 1:
             problems.append(
                 f"leaves sit at mixed depths {sorted(depths)}; levels "
@@ -87,14 +87,15 @@ def validate_tree(tree: GeneralizationTree) -> list[str]:
 
 
 def generalize_value(tree: GeneralizationTree, value: str, level: int) -> str:
-    if value not in set(tree.leaves):
+    chain = tree.ancestors.get(value)
+    if chain is None:
         raise ContractViolation(
             f"{value!r} is not a leaf of tree {tree.attribute!r}")
-    if not 0 <= level <= tree.height:
+    if not 0 <= level < len(chain):
         raise ContractViolation(
-            f"level {level} outside [0, {tree.height}] "
+            f"level {level} outside [0, {len(chain) - 1}] "
             f"for tree {tree.attribute!r}")
-    return tree.ancestor(value, level)
+    return chain[level]
 
 
 def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
@@ -233,38 +234,26 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
     if not _is_monotone(path):
         raise ContractViolation("path must increment one level per step")
     steps = []
-    partitions = []
     for node in path:
         classes = generalized_partition_at(rows, trees, node)
-        partitions.append(classes)
         steps.append(ChainStep(
             node=node, classes=tuple(classes),
             k_anonymous=all(len(c) >= k for c in classes)))
 
-    # elder-rule merge tracking over path index
-    initial = partitions[0]
-    rep = {}          # row id -> representative (min id of its bar's class)
-    members = {}
-    bar_steps = {}
-    for cls in initial:
-        r = min(cls)
-        members[r] = list(cls)
-        bar_steps[r] = [(0, len(cls))]
-        for rid in cls:
-            rep[rid] = r
+    # elder rule over path index.  Partitions only coarsen along the path
+    # and each class is ascending, so a class's bar belongs to its first
+    # row: a merge keeps that bar, and the bars of the other previous
+    # classes inside it die.
+    bar_steps = {cls[0]: [(0, len(cls))] for cls in steps[0].classes}
     deaths: dict[int, int] = {}
-    for idx, classes in enumerate(partitions[1:], start=1):
-        for cls in classes:
-            reps = sorted({rep[rid] for rid in cls})
-            if len(reps) == 1:
-                continue
-            survivor = reps[0]
-            for dying in reps[1:]:
-                deaths[dying] = idx
-                members[survivor] += members.pop(dying)
-            bar_steps[survivor].append((idx, len(members[survivor])))
-            for rid in cls:
-                rep[rid] = survivor
+    for idx, (prev, cur) in enumerate(zip(steps, steps[1:]), start=1):
+        alive = {cls[0] for cls in prev.classes}
+        for cls in cur.classes:
+            heads = [rid for rid in cls if rid in alive]
+            if len(heads) > 1:
+                for rid in heads[1:]:
+                    deaths[rid] = idx
+                bar_steps[cls[0]].append((idx, len(cls)))
     bars = tuple(sorted(
         ((0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
         key=lambda b: (b[1] is None, b[1] or 0, b[2])))

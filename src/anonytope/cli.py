@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import yaml
@@ -20,9 +21,7 @@ from .anonymity import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS, Regime,
                         check_k_anonymity, compute_regimes, generalize_table,
                         minimal_epsilon, regime_report)
 from .categorical import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
-                          build_lattice, chain_report_json, chain_sweep,
-                          lattice_search, load_trees, lower_chain,
-                          upper_chain)
+                          chain_report_json, lattice_search, load_trees)
 from .complexes import build_filtration
 from .errors import (ContractViolation, FiltrationSizeError, IngestionError,
                      InfeasibleError, TreeDefinitionError)
@@ -62,6 +61,8 @@ class RunConfig:
         if self.grid is not None:
             if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
                 raise IngestionError("grid values must be strictly increasing")
+            if self.grid[0] < 0:
+                raise IngestionError("grid values must be nonnegative")
         if self.objective not in (OBJECTIVE_MAX_CLASSES,
                                   OBJECTIVE_SMALLEST_EPS):
             raise IngestionError(f"unknown objective {self.objective!r}")
@@ -124,24 +125,22 @@ def _fmt_interval(lo: float, hi: float) -> str:
 
 
 def _grid_regimes(data, k: int, grid: list[float]) -> list[Regime]:
-    """Fixed-radii fallback: verdicts at the grid points only, regimes as
-    maximal runs of anonymous points with a constant partition."""
-    regimes = []
-    run_start = None
-    run_classes = None
-    for i, eps in enumerate(grid):
-        verdict = check_k_anonymity(data, eps, k)
-        classes = verdict.classes if verdict.achieved else None
-        if classes is not None and classes == run_classes:
-            continue
-        if run_classes is not None:
-            regimes.append(Regime(eps_lo=run_start, eps_hi=eps,
-                                  classes=run_classes))
-        run_start, run_classes = (eps, classes) if classes else (None, None)
-    if run_classes is not None:
-        regimes.append(Regime(eps_lo=run_start, eps_hi=None,
-                              classes=run_classes))
-    return regimes
+    """The exact regimes seen at fixed radii only: a run of consecutive
+    grid points inside one regime starts at its first point and ends at
+    the next grid point, or is unbounded after the last one."""
+    exact = compute_regimes(data, k)
+    inside = [next((r for r in exact if r.contains(eps)), None)
+              for eps in grid]
+    runs, start = [], 0
+    for regime, points in groupby(inside):
+        end = start + len(list(points))
+        if regime is not None:
+            runs.append(Regime(
+                eps_lo=grid[start],
+                eps_hi=grid[end] if end < len(grid) else None,
+                classes=regime.classes))
+        start = end
+    return runs
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -288,38 +287,62 @@ def cmd_lattice_sweep(config: RunConfig) -> int:
     return EXIT_INFEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as an input error instead of exiting with 2,
+    which means "infeasible" here."""
+
+    def error(self, message):
+        raise IngestionError(f"{self.prog}: {message}")
+
+
+def _add_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--input", help="input CSV path")
+    sp.add_argument("--quasi", nargs="+",
+                    help="quasi-identifier column names")
+    sp.add_argument("--identifiers", nargs="*", default=None)
+    sp.add_argument("--sensitive", nargs="*", default=None)
+    sp.add_argument("--k", nargs="+", type=int)
+    sp.add_argument("--eps", type=float)
+    sp.add_argument("--grid", nargs="+", type=float,
+                    help="fixed radii instead of the exact sweep")
+    sp.add_argument("--dim-cap", type=int, dest="dim_cap")
+    sp.add_argument("--objective",
+                    choices=[OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS])
+    sp.add_argument("--trees", help="tree definition YAML")
+    sp.add_argument("--strategy",
+                    choices=[STRATEGY_LOWER_THEN_UPPER, STRATEGY_EXHAUSTIVE])
+    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--format", nargs="+", dest="formats",
+                    choices=["json", "csv", "svg"])
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="anonytope",
         description="k-anonymity tradeoff analysis via anonymity complexes")
     p.add_argument("--config", help="YAML file mirroring all flags")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--input", help="input CSV path")
-        sp.add_argument("--quasi", nargs="+",
-                        help="quasi-identifier column names")
-        sp.add_argument("--identifiers", nargs="*", default=None)
-        sp.add_argument("--sensitive", nargs="*", default=None)
-        sp.add_argument("--k", nargs="+", type=int)
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--grid", nargs="+", type=float,
-                        help="fixed radii instead of the exact sweep")
-        sp.add_argument("--dim-cap", type=int, dest="dim_cap")
-        sp.add_argument("--objective",
-                        choices=[OBJECTIVE_MAX_CLASSES,
-                                 OBJECTIVE_SMALLEST_EPS])
-        sp.add_argument("--trees", help="tree definition YAML")
-        sp.add_argument("--strategy",
-                        choices=[STRATEGY_LOWER_THEN_UPPER,
-                                 STRATEGY_EXHAUSTIVE])
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--format", nargs="+", dest="formats",
-                        choices=["json", "csv", "svg"])
-
     for name in ("sweep", "check", "anonymize", "barcode", "lattice-sweep"):
-        common(sub.add_parser(name))
+        _add_flags(sub.add_parser(name))
     return p
+
+
+def _config_file_args(path) -> dict:
+    """The YAML file's values, each key read as the flag of that name
+    (``dim_cap`` or ``dim-cap``) with the flag's own type, nargs and
+    choices."""
+    with open(path, "r", encoding="utf-8") as fh:
+        spec = yaml.safe_load(fh) or {}
+    if not isinstance(spec, dict):
+        raise IngestionError(f"{path}: expected a mapping of flags to values")
+    argv = []
+    for key, value in spec.items():
+        if not isinstance(value, list):
+            value = [] if value is None else [value]
+        argv += ["--" + str(key).replace("_", "-"), *map(str, value)]
+    parser = _Parser(prog=str(path), add_help=False)
+    _add_flags(parser)
+    return vars(parser.parse_args(argv))
 
 
 _COMMANDS = {
@@ -333,20 +356,11 @@ _COMMANDS = {
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = yaml.safe_load(fh) or {}
-        for key, value in file_cfg.items():
-            key = key.replace("-", "_")
-            if not hasattr(config, key):
-                raise IngestionError(f"unknown config key {key!r}")
-            setattr(config, key, value)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("config", "command") and v is not None}
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    if isinstance(config.k, int):
-        config.k = [config.k]
+    file_values = _config_file_args(args.config) if args.config else {}
+    for values in (file_values, vars(args)):    # flags override the file
+        for key, value in values.items():
+            if key not in ("config", "command") and value is not None:
+                setattr(config, key, value)
     if not config.input:
         raise IngestionError("no input file given (--input)")
     config.validate()
@@ -354,12 +368,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = build_config(args)
         return _COMMANDS[args.command](config)
     except (IngestionError, ContractViolation, TreeDefinitionError,
-            FiltrationSizeError, OSError) as exc:
+            FiltrationSizeError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -42,10 +42,6 @@ class SimplicialComplex:
             out[simplex_dim(s)] += 1
         return out
 
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(v for s in self.simplices if len(s) == 1 for v in s)
-
 
 @dataclass(frozen=True)
 class Filtration:

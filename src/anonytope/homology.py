@@ -127,14 +127,15 @@ def reduce_matrix(bm: BoundaryMatrix) -> PersistencePairs:
 
 
 def barcode(pairs: PersistencePairs, filt: Filtration) -> Barcode:
-    bars = []
-    for i, j in pairs.pairs:
-        bars.append(Bar(dim=simplex_dim(filt.entries[i][1]),
-                        birth=filt.entries[i][0],
-                        death=filt.entries[j][0]))
-    for i in pairs.unpaired:
-        bars.append(Bar(dim=simplex_dim(filt.entries[i][1]),
-                        birth=filt.entries[i][0], death=None))
+    """Bars of the dimensions below the filtration's dim_cap.  A simplex
+    of the top dimension has no cofaces in the filtration, so its bar
+    would stay open forever whatever the data."""
+    ends = [(i, filt.entries[j][0]) for i, j in pairs.pairs]
+    ends += [(i, None) for i in pairs.unpaired]
+    bars = [Bar(dim=simplex_dim(filt.entries[i][1]),
+                birth=filt.entries[i][0], death=death)
+            for i, death in ends
+            if simplex_dim(filt.entries[i][1]) < filt.dim_cap]
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
     return Barcode(bars=tuple(bars))

@@ -7,8 +7,6 @@ is shaded red where k-anonymity fails and green where it holds.
 
 from __future__ import annotations
 
-import math
-
 from .homology import Barcode, WeightedBarcode
 
 _W, _PANEL_H, _MARGIN, _ROW = 640, 30, 50, 14

@@ -1,8 +1,8 @@
 """Brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (exhaustive subset enumeration,
-BFS, set-partition enumeration) and shares no code path with the
-package implementation it checks.
+BFS, set-partition enumeration, parent-link walks) and shares no code
+path with the package implementation it checks.
 """
 
 import itertools
@@ -186,3 +186,56 @@ def betti_numbers(simplices_by_dim) -> list[int]:
         ranks[d] = gf2_rank(cols)
     return [len(simplices_by_dim[d]) - ranks[d] - ranks[d + 1]
             for d in range(cap + 1)]
+
+
+def ancestor_walk(tree, value: str, level: int) -> str:
+    """The value's ancestor ``level`` steps up, by following parent links
+    (stopping at the root)."""
+    node = value
+    for _ in range(level):
+        if node == tree.root:
+            break
+        node = tree.parent[node]
+    return node
+
+
+def chain_sweep_elder(rows, trees, path):
+    """Partitions and weighted H0 bars along a lattice path.
+
+    Partitions group rows by their tuples of walked ancestors; the bars
+    follow the elder rule with an explicit representative (the smallest
+    row id of a bar's class) and member list per bar, merged across
+    steps.  Returns (partitions, bars) in ``ChainReport.h0_bars`` form.
+    """
+    partitions = []
+    for node in path:
+        buckets = {}
+        for rid, row in enumerate(rows, start=1):
+            key = tuple(ancestor_walk(t, v, lvl)
+                        for t, v, lvl in zip(trees, row, node))
+            buckets.setdefault(key, []).append(rid)
+        partitions.append(sorted(tuple(v) for v in buckets.values()))
+    rep, members, bar_steps = {}, {}, {}
+    for cls in partitions[0]:
+        r = min(cls)
+        members[r] = list(cls)
+        bar_steps[r] = [(0, len(cls))]
+        for rid in cls:
+            rep[rid] = r
+    deaths = {}
+    for idx, classes in enumerate(partitions[1:], start=1):
+        for cls in classes:
+            reps = sorted({rep[rid] for rid in cls})
+            if len(reps) == 1:
+                continue
+            survivor = reps[0]
+            for dying in reps[1:]:
+                deaths[dying] = idx
+                members[survivor] += members.pop(dying)
+            bar_steps[survivor].append((idx, len(members[survivor])))
+            for rid in cls:
+                rep[rid] = survivor
+    bars = tuple(sorted(
+        ((0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
+        key=lambda b: (b[1] is None, b[1] or 0, b[2])))
+    return partitions, bars

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
@@ -11,6 +13,7 @@ from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
 from anonytope.errors import ContractViolation, TreeDefinitionError
 
 from conftest import TREES_YAML
+from oracles import ancestor_walk, chain_sweep_elder
 import yaml
 
 
@@ -32,6 +35,19 @@ def country(trees):
 # rows over (gender, country); the three-row Europe group is the running
 # fixture for lattice searches
 EURO_ROWS = [("Male", "Portugal"), ("Female", "Spain"), ("Male", "Hungary")]
+
+
+def random_tree(rng, name: str, depth: int) -> GeneralizationTree:
+    """Every leaf at ``depth``; each inner node has 1 to 4 children."""
+    parent, level = {}, [name]
+    for _ in range(depth):
+        nxt = []
+        for node in level:
+            for c in range(rng.randint(1, 4)):
+                parent[f"{node}.{c}"] = node
+                nxt.append(f"{node}.{c}")
+        level = nxt
+    return GeneralizationTree(attribute=name, root=name, parent=parent)
 
 
 class TestTrees:
@@ -80,6 +96,19 @@ class TestGeneralizeValue:
     def test_level_out_of_range(self, gender):
         with pytest.raises(ContractViolation):
             generalize_value(gender, "Male", 2)
+
+    def test_matches_parent_walk_at_every_level(self, trees):
+        rng = random.Random(11)
+        checked = list(trees)
+        checked += [random_tree(rng, f"r{i}", i % 5) for i in range(12)]
+        for tree in checked:
+            assert validate_tree(tree) == []
+            assert tree.leaves == sorted(
+                tree.nodes - set(tree.parent.values()))
+            for leaf in tree.leaves:
+                for level in range(tree.height + 1):
+                    assert generalize_value(tree, leaf, level) == \
+                        ancestor_walk(tree, leaf, level)
 
 
 class TestLattice:
@@ -176,6 +205,38 @@ class TestChainSweep:
                         w = size
                 total += w
             assert total == len(EURO_ROWS)
+
+    def test_matches_elder_rule_oracle_on_random_paths(self):
+        rng = random.Random(29)
+        above_bottom = wide_merges = 0
+        for _ in range(320):
+            trees = [random_tree(rng, f"t{a}", rng.randint(1, 3))
+                     for a in range(rng.randint(1, 3))]
+            rows = [tuple(rng.choice(t.leaves) for t in trees)
+                    for _ in range(rng.randint(1, 25))]
+            node = [rng.randint(0, t.height) if rng.random() < 0.4 else 0
+                    for t in trees]
+            path = [tuple(node)]
+            while rng.random() < 0.85:
+                open_ = [a for a, t in enumerate(trees) if node[a] < t.height]
+                if not open_:
+                    break
+                node[rng.choice(open_)] += 1
+                path.append(tuple(node))
+            k = rng.randint(1, 4)
+            report = chain_sweep(rows, trees, path, k)
+            partitions, bars = chain_sweep_elder(rows, trees, path)
+            assert [s.node for s in report.steps] == path
+            assert [list(s.classes) for s in report.steps] == partitions
+            assert [s.k_anonymous for s in report.steps] == \
+                [all(len(c) >= k for c in p) for p in partitions]
+            assert report.h0_bars == bars
+            above_bottom += any(path[0])
+            wide_merges += sum(
+                1 for prev, cur in zip(partitions, partitions[1:])
+                for cls in cur
+                if sum(p[0] in cls for p in prev) >= 3)
+        assert above_bottom >= 50 and wide_merges >= 50
 
     def test_report_json_shape(self, trees):
         path = [(0, 0), (0, 1)]

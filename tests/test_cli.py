@@ -112,6 +112,54 @@ class TestExitPaths:
         assert proc.stderr == ""    # no runpy warning either
 
 
+class TestConfigAndFlagErrors:
+    """A bad config value or flag is an input error (exit 1, one
+    `error:` line), never a traceback or argparse's exit code 2."""
+
+    def sweep_with(self, sample_csv, tmp_path, entry, *flags):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "input": str(sample_csv), "quasi": ["Age", "ZIP"],
+            "out": str(tmp_path / "out"), **entry}))
+        return run_cli("--config", str(cfg), "sweep", *flags)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"mode": "categorical"}, "unrecognized arguments: --mode"),
+        ({"k": "x"}, "argument --k: invalid int value: 'x'"),
+        ({"dim_cap": "x"}, "argument --dim-cap: invalid int value: 'x'"),
+        ({"out": None}, "argument --out: expected one argument"),
+    ], ids=["mode", "k", "dim_cap", "null"])
+    def test_bad_config_value(self, sample_csv, tmp_path, capsys, entry,
+                              message):
+        rc = self.sweep_with(sample_csv, tmp_path, entry)
+        assert rc == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_scalar_config_value_reads_as_flag(self, sample_csv, tmp_path):
+        assert self.sweep_with(sample_csv, tmp_path,
+                               {"grid": 0.8, "k": 3}) == EXIT_OK
+        by_file = (tmp_path / "out" / "regimes_k3.json").read_text()
+        assert self.sweep_with(sample_csv, tmp_path, {},
+                               "--grid", "0.8", "--k", "3") == EXIT_OK
+        assert (tmp_path / "out" / "regimes_k3.json").read_text() == by_file
+        regimes = json.loads(by_file)["regimes"]
+        assert [(r["eps_lo"], r["eps_hi"]) for r in regimes] == [(0.8, None)]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "abc"], "argument --k: invalid int value: 'abc'"),
+        (["--grid", "-0.1", "0.5"], "grid values must be nonnegative"),
+    ], ids=["k", "negative_grid"])
+    def test_bad_flag(self, sample_csv, capsys, flags, message):
+        rc = run_cli("sweep", "--input", str(sample_csv),
+                     "--quasi", "Age", "ZIP", *flags)
+        assert rc == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 class TestCommands:
     def test_sweep_writes_report_and_barcode(self, sample_csv, tmp_path):
         out = tmp_path / "out"
@@ -219,10 +267,10 @@ class TestGridMode:
                 "--quasi", "Age", "ZIP", "--k", "3", "--out", str(out2))
         exact_doc = json.loads((out2 / "regimes_k3.json").read_text())
 
-        def member(doc, eps):
-            return any(r["eps_lo"] <= eps
-                       and (r["eps_hi"] is None or eps < r["eps_hi"])
-                       for r in doc["regimes"])
+        def classes_at(doc, eps):
+            return [r["classes"] for r in doc["regimes"]
+                    if r["eps_lo"] <= eps
+                    and (r["eps_hi"] is None or eps < r["eps_hi"])]
 
         for g in grid:
-            assert member(grid_doc, g) == member(exact_doc, g)
+            assert classes_at(grid_doc, g) == classes_at(exact_doc, g)

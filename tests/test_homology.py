@@ -67,12 +67,10 @@ def test_single_point_infinite_bar():
 
 
 def test_exactly_one_infinite_h0_bar(sample_data):
-    # bars at the cap dimension can stay open for lack of cofaces, so
-    # only H0 carries a meaningful infinite-bar count
     filt = build_filtration(sample_data, dim_cap=2)
     bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
-    infinite = [b for b in bars.bars if b.death is None and b.dim == 0]
-    assert len(infinite) == 1
+    infinite = [b for b in bars.bars if b.death is None]
+    assert [b.dim for b in infinite] == [0]
 
 
 class TestBettiAt:
@@ -135,17 +133,43 @@ class TestWeightedBarcode:
 
 
 def test_barcode_betti_matches_rank_nullity():
+    # every dimension below the cap, and none at or above it, where
+    # simplices have no cofaces to close their bars
     rng = random.Random(3)
-    for _ in range(20):
+    for trial in range(20):
+        cap = 1 + trial % 3
         n = rng.randint(1, 7)
         pts = [(rng.random(), rng.random()) for _ in range(n)]
         data = dataset(pts)
-        filt = build_filtration(data, dim_cap=2)
+        filt = build_filtration(data, dim_cap=cap)
         bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+        assert all(b.dim < cap for b in bars.bars)
         for eps in filt.critical_values():
             betti = bars.betti_at(eps)
             want = homology_dims_at(filt.sublevel(eps))
-            assert [betti.get(0, 0), betti.get(1, 0)] == want
+            assert [betti.get(d, 0) for d in range(cap)] == want
+
+
+def test_reduction_h0_deaths_equal_merge_tree_bitwise():
+    # the reduction's H0 bars (edge births are two-point MEB radii) and
+    # the merge tree's (half the sorted distances) must agree exactly,
+    # ties and duplicate rows included
+    rng = random.Random(17)
+    for trial in range(300):
+        n, d = rng.randint(1, 9), rng.randint(1, 3)
+        if trial % 2:
+            pts = [[rng.randint(0, 4) / 2 for _ in range(d)]
+                   for _ in range(n)]
+        else:
+            pts = [[rng.random() for _ in range(d)] for _ in range(n)]
+        data = dataset(pts)
+        filt = build_filtration(data, dim_cap=1)
+        bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+        reduced = sorted(b.death for b in bars.bars
+                         if b.dim == 0 and b.death is not None)
+        tree = sorted(b.death for b in weighted_h0_barcode(data).h0_bars
+                      if b.death is not None)
+        assert reduced == tree
 
 
 def test_determinism(sample_data):
