@@ -44,7 +44,6 @@ class RunConfig:
     sensitive: list[str] = field(default_factory=list)
     k: list[int] = field(default_factory=lambda: [2])
     eps: float | None = None
-    mode: str = "numeric"                   # numeric | categorical
     grid: list[float] | None = None         # optional fixed radii sweep
     dim_cap: int = 2
     objective: str = OBJECTIVE_MAX_CLASSES
@@ -68,9 +67,9 @@ class RunConfig:
             raise IngestionError(f"unknown objective {self.objective!r}")
 
 
-def ingest_csv(path, config: RunConfig):
-    """Parse the CSV into a typed table (numeric mode) or a list of
-    string tuples over the quasi columns (categorical mode)."""
+def ingest_csv(path, config: RunConfig, categorical: bool = False):
+    """Parse the CSV into a typed table, or, if categorical, a list of
+    string tuples over the quasi columns."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             records = [r for r in csv.reader(fh) if r]  # blank lines skipped
@@ -91,7 +90,7 @@ def ingest_csv(path, config: RunConfig):
         if name not in header:
             raise IngestionError(f"column {name!r} not found in {path}")
 
-    if config.mode == "categorical":
+    if categorical:
         return [tuple(row[name] for name in config.quasi)
                 for row in raw_rows]
 
@@ -262,8 +261,7 @@ def cmd_lattice_sweep(config: RunConfig) -> int:
     if not config.trees:
         raise IngestionError("lattice-sweep requires --trees")
     trees = load_trees(config.trees)
-    config.mode = "categorical"
-    rows = ingest_csv(config.input, config)
+    rows = ingest_csv(config.input, config, categorical=True)
     k = config.k[0]
     result = lattice_search(rows, trees, k, config.strategy)
     out_dir = Path(config.out)
@@ -304,7 +302,7 @@ def _add_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--k", nargs="+", type=int)
     sp.add_argument("--eps", type=float)
     sp.add_argument("--grid", nargs="+", type=float,
-                    help="fixed radii instead of the exact sweep")
+                    help="report the exact regimes only at these radii")
     sp.add_argument("--dim-cap", type=int, dest="dim_cap")
     sp.add_argument("--objective",
                     choices=[OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS])

@@ -48,7 +48,9 @@ class Filtration:
     """Simplices with their exact birth radii, faces before cofaces.
 
     Entries are sorted by (birth, dimension, lexicographic vertices);
-    birth of a simplex is the MEB radius of its vertex set.
+    birth of a simplex is the MEB radius of its vertex set.  Homology is
+    read only below dim_cap: simplices of dimension dim_cap, if present,
+    have no cofaces here, so the filtration may be cut short above them.
     """
 
     entries: tuple[tuple[float, Simplex], ...]
@@ -71,13 +73,15 @@ class Filtration:
 
     @classmethod
     def from_text(cls, text: str, dim_cap: int | None = None) -> "Filtration":
+        """Without dim_cap the text is taken as complete, not cut short:
+        the cap is one above its top dimension, so every bar is kept."""
         entries = []
         for line in text.splitlines():
             if not line.strip():
                 continue
             parts = line.split()
             entries.append((float(parts[0]), tuple(int(v) for v in parts[1:])))
-        cap = dim_cap if dim_cap is not None else max(
+        cap = dim_cap if dim_cap is not None else 1 + max(
             simplex_dim(s) for _, s in entries)
         return cls(entries=tuple(entries), dim_cap=cap)
 

@@ -55,9 +55,8 @@ class TestIngest:
     def test_categorical_mode_returns_tuples(self, tmp_path):
         path = tmp_path / "cat.csv"
         path.write_text("gender,country\nMale,Spain\nFemale,Hungary\n")
-        cfg = RunConfig(input=str(path), quasi=["gender", "country"],
-                        mode="categorical")
-        rows = ingest_csv(path, cfg)
+        cfg = RunConfig(input=str(path), quasi=["gender", "country"])
+        rows = ingest_csv(path, cfg, categorical=True)
         assert rows == [("Male", "Spain"), ("Female", "Hungary")]
 
 

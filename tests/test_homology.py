@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from anonytope.complexes import SimplicialComplex, build_filtration
+from anonytope.complexes import (Filtration, SimplicialComplex,
+                                 build_filtration)
 from anonytope.errors import ContractViolation
 from anonytope.homology import (Barcode, barcode, barcode_json,
                                 boundary_matrix, homology_dims_at,
@@ -136,18 +137,28 @@ def test_barcode_betti_matches_rank_nullity():
     # every dimension below the cap, and none at or above it, where
     # simplices have no cofaces to close their bars
     rng = random.Random(3)
-    for trial in range(20):
-        cap = 1 + trial % 3
+    for _ in range(20):
         n = rng.randint(1, 7)
         pts = [(rng.random(), rng.random()) for _ in range(n)]
         data = dataset(pts)
-        filt = build_filtration(data, dim_cap=cap)
-        bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
-        assert all(b.dim < cap for b in bars.bars)
-        for eps in filt.critical_values():
-            betti = bars.betti_at(eps)
-            want = homology_dims_at(filt.sublevel(eps))
-            assert [betti.get(d, 0) for d in range(cap)] == want
+        for cap in (1, 2, 3):
+            filt = build_filtration(data, dim_cap=cap)
+            bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+            assert all(b.dim < cap for b in bars.bars)
+            for eps in filt.critical_values():
+                betti = bars.betti_at(eps)
+                want = homology_dims_at(filt.sublevel(eps))
+                assert [betti.get(d, 0) for d in range(cap)] == want
+
+
+def test_complete_text_filtration_keeps_top_dimension_bars():
+    # a hollow triangle read without a cap is complete, not cut short
+    # above its edges, so its loop is a genuine infinite H1 bar
+    filt = Filtration.from_text(
+        "0.0 1\n0.0 2\n0.0 3\n0.5 1 2\n0.5 1 3\n0.5 2 3\n")
+    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    assert [b.dim for b in bars.bars if b.death is None] == [0, 1]
+    assert homology_dims_at(filt.sublevel(0.5)) == [1, 1]
 
 
 def test_reduction_h0_deaths_equal_merge_tree_bitwise():
