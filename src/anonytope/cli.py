@@ -365,6 +365,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _yaml_message(exc: yaml.YAMLError) -> str:
+    """A YAML error on one line: path, line, column and problem, where
+    PyYAML's own message spans several lines."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:
+        return " ".join(str(exc).split())
+    context = f" ({exc.context})" if exc.context else ""
+    return (f"{mark.name}: line {mark.line + 1}, column {mark.column + 1}: "
+            f"{exc.problem}{context}")
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -372,7 +383,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](config)
     except (IngestionError, ContractViolation, TreeDefinitionError,
             FiltrationSizeError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = _yaml_message(exc) if isinstance(exc, yaml.YAMLError) \
+            else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ContractViolation, FiltrationSizeError
 from .geometry import NormalizedDataset, balls_intersect, min_enclosing_ball
 
@@ -19,6 +21,11 @@ from .geometry import NormalizedDataset, balls_intersect, min_enclosing_ball
 Simplex = tuple[int, ...]
 
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
+
+# relative margin over a / 2 that a triangle's computed circumradius must
+# clear to count as acute: above the closed form's rounding (at most 4
+# ulps seen on exact right triangles), far below MEB_REL_TOL
+_RIGHT_SLACK = 8 * np.finfo(float).eps
 
 
 def simplex_dim(simplex: Simplex) -> int:
@@ -99,23 +106,60 @@ def _check_budget(n: int, dim_cap: int, budget: int) -> None:
             f"budget of {budget}; lower --dim-cap")
 
 
+def _triangle_births(dist: np.ndarray, n: int) -> np.ndarray:
+    """MEB radii of all triples i < j < k of n rows, in lexicographic
+    order, from their pairwise distances (pairs i < j in row order).
+
+    With sides a >= b >= c, a triangle that is not acute (b^2 + c^2 <=
+    a^2), or has no area, is born at a / 2, the birth of its longest
+    edge; an acute one at its circumradius abc / (4K), with the area K
+    from Kahan's stable form of Heron's formula.  Float sides cannot
+    tell a right triangle from a nearly right acute one, whose
+    circumradius is a / 2 to within the formula's few ulps, so a
+    circumradius that close to a / 2 is taken as a / 2.  Every triangle
+    is thus born exactly with its longest edge or after it.
+    """
+    first, second = np.triu_indices(n, 1)
+    count = n - 1 - second                  # third vertices per pair
+    i, j = np.repeat(first, count), np.repeat(second, count)
+    k = j + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+
+    def side(p, q):                         # index of pair p < q
+        return dist[p * (2 * n - p - 1) // 2 + q - p - 1]
+
+    c, b, a = np.sort([side(i, j), side(i, k), side(j, k)], axis=0)
+    heron16 = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    acute = (b * b + c * c > a * a) & (heron16 > 0)
+    radius = np.zeros_like(a)
+    radius[acute] = a[acute] * b[acute] * c[acute] / np.sqrt(heron16[acute])
+    half = a / 2.0
+    return np.where(radius > half * (1.0 + _RIGHT_SLACK), radius, half)
+
+
 def build_filtration(data: NormalizedDataset, dim_cap: int,
                      budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
-    """All simplices of dim <= dim_cap with their exact birth radii."""
+    """All simplices of dim <= dim_cap with their exact birth radii.
+
+    Edges and triangles take their births in closed form from the
+    dataset's pairwise distances; larger simplices run Welzl.
+    """
     if dim_cap < 1:
         raise ContractViolation("dim_cap must be >= 1")
     ids = data.row_ids
     _check_budget(len(ids), dim_cap, budget)
-    births: dict[Simplex, float] = {}
-    for size in range(1, dim_cap + 2):
+    dist = data.pair_distances
+    births: dict[Simplex, float] = dict.fromkeys(combinations(ids, 1), 0.0)
+    births.update(zip(combinations(ids, 2), (dist / 2.0).tolist()))
+    if dim_cap >= 2:
+        births.update(zip(combinations(ids, 3),
+                          _triangle_births(dist, len(ids)).tolist()))
+    for size in range(4, dim_cap + 2):
         for verts in combinations(ids, size):
-            b = 0.0 if size == 1 else \
-                min_enclosing_ball(data.subset(verts)).radius
-            if size > 1:
-                # MEB is monotone over faces; clamping removes the 1-ulp
-                # float noise that could put a coface before a face
-                b = max(b, max(births[f] for f in combinations(verts, size - 1)))
-            births[verts] = b
+            b = min_enclosing_ball(data.subset(verts)).radius
+            # MEB is monotone over faces; clamping removes the 1-ulp
+            # float noise that could put a coface before a face
+            births[verts] = max(
+                b, max(births[f] for f in combinations(verts, size - 1)))
     entries = sorted(((b, s) for s, b in births.items()), key=_entry_key)
     return Filtration(entries=tuple(entries), dim_cap=dim_cap)
 

@@ -10,7 +10,8 @@ class IngestionError(ValueError):
 
 
 class FiltrationSizeError(RuntimeError):
-    """The requested filtration would exceed the simplex budget."""
+    """The requested filtration would exceed the simplex budget, or the
+    table's row pairs the pairwise budget."""
 
 
 class InfeasibleError(RuntimeError):

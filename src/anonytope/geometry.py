@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, IngestionError
+from .errors import ContractViolation, FiltrationSizeError, IngestionError
 
 ROLE_IDENTIFIER = "identifier"
 ROLE_QUASI = "quasi_identifier"
@@ -32,6 +32,10 @@ _CONTAIN_TOL = 1e-12
 
 #: relative radius accuracy guaranteed by min_enclosing_ball in any dimension
 MEB_REL_TOL = 1e-9
+
+#: most row pairs a dataset may hold; sorting them takes about 32 bytes
+#: each, so this caps that stage near 1.6 GB (N of about 10,000)
+PAIR_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -108,20 +112,41 @@ class NormalizedDataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {r: i for i, r in enumerate(self.row_ids)}
+
     def point(self, row_id: int) -> np.ndarray:
-        try:
-            idx = self.row_ids.index(row_id)
-        except ValueError:
-            raise ContractViolation(f"unknown row id {row_id}") from None
-        return self.points[idx]
+        return self.subset([row_id])[0]
 
     def subset(self, row_ids) -> np.ndarray:
-        return np.array([self.point(r) for r in row_ids])
+        try:
+            return self.points[[self._positions[r] for r in row_ids]]
+        except KeyError as exc:
+            raise ContractViolation(f"unknown row id {exc.args[0]}") from None
+
+    @cached_property
+    def pair_distances(self) -> np.ndarray:
+        """Distances of all row pairs i < j in row order, built once.
+
+        The merge tree's heights and the filtration's edge births (half
+        of each) are these values.  Raises FiltrationSizeError, before
+        anything is allocated, when the pairs exceed PAIR_BUDGET.
+        """
+        n = self.n_points
+        pairs = n * (n - 1) // 2
+        if pairs > PAIR_BUDGET:
+            raise FiltrationSizeError(
+                f"{pairs} row pairs for N={n} exceed the pairwise budget "
+                f"of {PAIR_BUDGET}")
+        dist = _pairwise_distances(self.points)
+        dist.setflags(write=False)
+        return dist
 
     @cached_property
     def merge_tree(self) -> "MergeTree":
         """Single linkage of the rows, built on first use and kept."""
-        return MergeTree(self.points, self.row_ids)
+        return MergeTree(self.points, self.row_ids, self.pair_distances)
 
     def denormalize(self, point) -> np.ndarray:
         point = np.asarray(point, float)
@@ -253,11 +278,10 @@ def balls_intersect(points, eps: float) -> bool:
     return min_enclosing_ball(points).radius <= eps
 
 
-def _sorted_pairs(points: np.ndarray):
-    """(i, j, distance) for all pairs i < j, by one stable sort of the
-    distances (ties in row order), handed out N pairs at a time."""
-    n = len(points)
-    dist = _pairwise_distances(points)
+def _sorted_pairs(n: int, dist: np.ndarray):
+    """(i, j, distance) for all pairs i < j of n rows, given their
+    distances in row order, by one stable sort (ties in row order),
+    handed out n pairs at a time."""
     order = np.argsort(dist, kind="stable")
     first, second = np.triu_indices(n, 1)
     for start in range(0, len(order), n):
@@ -269,15 +293,18 @@ def _sorted_pairs(points: np.ndarray):
 class MergeTree:
     """Single linkage of a point set: its 0-dimensional persistence.
 
-    One stable sort of the pairwise distances (ties in row order), then
-    one union-find pass.  Rows are addressed by position; a component is
-    rooted at its first row, and merge j joins the component rooted at
-    dying[j] into the elder one rooted at survivor[j] < dying[j], at
-    pairwise distance height[j].  Two rows share a component at radius
-    eps exactly when they are joined by merges of height <= 2 eps.
+    One stable sort of the pairwise distances (pairs i < j in row order,
+    as NormalizedDataset.pair_distances holds them; ties in row order),
+    then one union-find pass.  Rows are addressed by position; a
+    component is rooted at its first row, and merge j joins the
+    component rooted at dying[j] into the elder one rooted at
+    survivor[j] < dying[j], at pairwise distance height[j].  Two rows
+    share a component at radius eps exactly when they are joined by
+    merges of height <= 2 eps.
     """
 
-    def __init__(self, points: np.ndarray, row_ids: tuple[int, ...]):
+    def __init__(self, points: np.ndarray, row_ids: tuple[int, ...],
+                 distances: np.ndarray):
         self.points = points
         self.ids = np.asarray(row_ids)
         n = len(points)
@@ -289,7 +316,7 @@ class MergeTree:
             return x
 
         self.height, survivor, dying = [], [], []
-        for a, b, d in _sorted_pairs(points):
+        for a, b, d in _sorted_pairs(n, distances):
             if len(dying) == n - 1:
                 break
             ra, rb = sorted((find(a), find(b)))

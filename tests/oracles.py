@@ -7,6 +7,7 @@ path with the package implementation it checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +59,25 @@ def meb_bruteforce(points) -> float:
             if r < best and all(dist(c, p) <= r + 1e-9 for p in pts):
                 best = r
     return best
+
+
+def triangle_meb_exact(p, q, r) -> tuple[Fraction, bool]:
+    """Squared MEB radius of a triangle and whether it is acute, without
+    rounding: rationals on the float coordinates.  With squared sides
+    a2 >= b2 >= c2 the radius is a2 / 4 when the triangle is not acute
+    (b2 + c2 <= a2, which covers duplicate and collinear points), else
+    the squared circumradius a2 b2 c2 / (16 K^2), 16 K^2 written in the
+    squared sides."""
+    pts = [[Fraction(float(x)) for x in pt] for pt in (p, q, r)]
+
+    def sq(u, v):
+        return sum((x - y) ** 2 for x, y in zip(u, v))
+
+    c2, b2, a2 = sorted(sq(u, v) for u, v in itertools.combinations(pts, 2))
+    if b2 + c2 <= a2:
+        return a2 / 4, False
+    return a2 * b2 * c2 / (2 * a2 * b2 + 2 * b2 * c2 + 2 * c2 * a2
+                           - a2 ** 2 - b2 ** 2 - c2 ** 2), True
 
 
 def components_bfs(points, eps):

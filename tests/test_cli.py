@@ -97,6 +97,17 @@ class TestExitPaths:
         assert "lower --dim-cap" in err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_pairwise_stage_is_input_error(self, tmp_path, capsys):
+        # 10,001 rows have 50,005,000 pairs, over the 50M pair budget, so
+        # this fails before any distance is computed
+        path = tmp_path / "big.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{i % 97}\n"
+                                           for i in range(10_001)))
+        assert self.check_on(path, "x", "y") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: 50005000 row pairs for N=10001 exceed the pairwise "
+            "budget of 50000000\n")
+
     def test_python_dash_m(self, sample_csv):
         src = str(Path(anonytope.__file__).parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -145,6 +156,23 @@ class TestConfigAndFlagErrors:
         assert (tmp_path / "out" / "regimes_k3.json").read_text() == by_file
         regimes = json.loads(by_file)["regimes"]
         assert [(r["eps_lo"], r["eps_hi"]) for r in regimes] == [(0.8, None)]
+
+    @pytest.mark.parametrize("flag", ["--config", "--trees"])
+    @pytest.mark.parametrize("last_line, message", [
+        ("foo: [1", "{bad}: line 3, column 1: expected ',' or ']'"),
+        ("foo: \x07", "unacceptable character #x0007"),
+    ], ids=["syntax", "control_char"])
+    def test_yaml_error_is_one_line(self, sample_csv, tmp_path, capsys,
+                                    flag, last_line, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"input: {sample_csv}\n{last_line}\n")
+        argv = ["--config", str(bad), "sweep"] if flag == "--config" else [
+            "lattice-sweep", "--input", str(sample_csv), "--quasi", "Age",
+            "--trees", str(bad)]
+        assert run_cli(*argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message.format(bad=bad) in err and str(bad) in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "abc"], "argument --k: invalid int value: 'abc'"),

@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from anonytope.complexes import (Filtration, build_anonymity_complex,
@@ -9,7 +11,7 @@ from anonytope.complexes import (Filtration, build_anonymity_complex,
                                  simplex_dim)
 from anonytope.errors import ContractViolation, FiltrationSizeError
 
-from oracles import dataset
+from oracles import dataset, triangle_meb_exact
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -117,3 +119,72 @@ def test_nesting_in_eps():
     lo = build_anonymity_complex(data, 0.2, dim_cap=2)
     hi = build_anonymity_complex(data, 0.35, dim_cap=2)
     assert lo.simplices <= hi.simplices
+
+
+def special_triangles(rng, d):
+    """One seeded triangle of each kind the closed-form births must get
+    right, as (kind, 3 x d points)."""
+    p, q, g = rng.random(d), rng.random(d), rng.integers(-8, 9, d) / 8
+    yield "uniform", np.array([p, q, rng.random(d)])
+    yield "duplicate", np.array([p, q, p])
+    yield "all equal", np.array([p, p, p])
+    yield "collinear", np.array([p, q, p + rng.uniform(-1, 2) * (q - p)])
+    v, (s, t) = rng.integers(-4, 5, d), rng.integers(-3, 4, 2)
+    yield "grid collinear", np.array([g + s * v / 8, g, g + t * v / 8])
+    if d < 2:
+        return
+    u, w = rng.integers(-4, 5, d), rng.integers(-4, 5, d)
+    w = (u @ u) * w - (u @ w) * u       # integer, orthogonal to u
+    yield "grid right", np.array([g + u / 8, g + w / 8, g])
+    e, f = rng.normal(size=d), rng.normal(size=d)
+    e /= np.linalg.norm(e)
+    f -= (f @ e) * e
+    f /= np.linalg.norm(f)
+    width = 10.0 ** -rng.integers(3, 10)
+    yield "needle", np.array([p, p + width * e,
+                              p + width / 2 * e + rng.uniform(0.1, 1) * f])
+
+
+def check_triangle_birth(births, tri, pts):
+    """The birth is within 1e-12 relative of the exact MEB radius, and a
+    triangle that is not acute is born exactly with its longest edge."""
+    r2, acute = triangle_meb_exact(*pts)
+    birth, exact = births[tri], math.sqrt(r2)
+    assert abs(birth - exact) <= 1e-12 * exact, (tri, pts)
+    if not acute:
+        assert birth == max(births[e] for e in combinations(tri, 2)), \
+            (tri, pts)
+    return acute
+
+
+def test_triangle_births_match_exact_oracle():
+    rng = np.random.default_rng(2718)
+    kinds = Counter()
+    for _ in range(96):
+        for d in (1, 2, 3, 5):
+            for kind, pts in special_triangles(rng, d):
+                data = dataset(pts)
+                births = {s: b for b, s in
+                          build_filtration(data, dim_cap=2).entries}
+                assert [births[e] for e in combinations((1, 2, 3), 2)] == \
+                    (data.pair_distances / 2).tolist()
+                kinds[kind, check_triangle_birth(births, (1, 2, 3), pts)] += 1
+    assert sum(kinds.values()) >= 2000
+    assert kinds["grid right", False] == 3 * 96
+    for kind in ("uniform", "needle"):
+        assert min(kinds[kind, False], kinds[kind, True]) >= 20
+
+
+def test_births_read_distance_array_in_row_order():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n, d = int(rng.integers(4, 11)), (1, 2, 3, 5)[trial % 4]
+        pts = rng.integers(0, 5, (n, d)) / 8 if trial % 2 else \
+            rng.random((n, d))              # half on a grid, for ties
+        data = dataset(pts)
+        births = {s: b for b, s in build_filtration(data, dim_cap=3).entries}
+        ids = data.row_ids
+        assert [births[e] for e in combinations(ids, 2)] == \
+            (data.pair_distances / 2).tolist()
+        for tri in combinations(ids, 3):
+            check_triangle_birth(births, tri, data.subset(tri))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -58,6 +59,25 @@ def test_equilateral_h1_bar():
     assert len(h1) == 1
     assert h1[0].birth == pytest.approx(0.5)
     assert h1[0].death == pytest.approx(1 / math.sqrt(3), rel=1e-9)
+
+
+def test_non_acute_triangles_leave_no_h1_bar_to_draw():
+    # a triangle that is not acute is born with its longest edge, so the
+    # H1 bar that edge opens has length exactly 0 and is not drawn
+    rng = random.Random(1729)
+    tested = 0
+    while tested < 200:
+        pts = [(rng.random(), rng.random()) for _ in range(3)]
+        c2, b2, a2 = sorted(math.dist(p, q) ** 2
+                            for p, q in combinations(pts, 2))
+        if b2 + c2 > a2 * (1 - 1e-9):   # acute or nearly right
+            continue
+        filt = build_filtration(dataset(pts), dim_cap=2)
+        bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+        (h1,) = [b for b in bars.bars if b.dim == 1]
+        assert h1.is_zero_length
+        assert all(b.dim == 0 for b in bars.display_bars())
+        tested += 1
 
 
 def test_single_point_infinite_bar():
