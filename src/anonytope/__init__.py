@@ -13,21 +13,21 @@ from .complexes import (Filtration, SimplicialComplex,
 from .geometry import (Ball, Column, NormalizedDataset, NumericTable,
                        balls_intersect, min_enclosing_ball,
                        normalize_dataset)
-from .homology import (Barcode, WeightedBarcode, barcode, boundary_matrix,
-                       homology_dims_at, reduce_matrix, weighted_h0_barcode)
+from .homology import (Barcode, WeightedBarcode, barcode, homology_dims_at,
+                       weighted_h0_barcode)
 
 __all__ = [
     "AnonymityVerdict", "Ball", "Barcode", "Column", "Filtration",
     "GeneralizationLattice", "GeneralizationTree", "NormalizedDataset",
     "NumericTable", "Regime", "RunConfig", "SimplicialComplex",
     "WeightedBarcode", "balls_intersect", "barcode",
-    "boundary_matrix", "build_anonymity_complex", "build_filtration",
+    "build_anonymity_complex", "build_filtration",
     "build_lattice", "chain_sweep", "check_k_anonymity",
     "compute_regimes", "generalize_table", "generalize_value",
     "generalized_partition_at", "homology_dims_at", "ingest_csv",
     "is_anonymity_simplex", "lattice_search", "load_trees", "lower_chain",
     "min_enclosing_ball", "minimal_epsilon", "normalize_dataset",
-    "reduce_matrix", "upper_chain", "weighted_h0_barcode",
+    "upper_chain", "weighted_h0_barcode",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ from itertools import product
 
 import yaml
 
-from .errors import ContractViolation, IngestionError, TreeDefinitionError
+from .errors import (ContractViolation, IngestionError, TreeDefinitionError,
+                     open_utf8)
 
 LatticeNode = tuple[int, ...]
 
@@ -129,7 +130,7 @@ def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
 
 
 def load_trees(path) -> list[GeneralizationTree]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         spec = yaml.safe_load(fh)
     if not isinstance(spec, dict) or not spec:
         raise TreeDefinitionError(f"{path}: no tree definitions found")

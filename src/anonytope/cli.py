@@ -12,23 +12,21 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 import yaml
 
-from .anonymity import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS, Regime,
+from .anonymity import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
                         check_k_anonymity, compute_regimes, generalize_table,
                         minimal_epsilon, regime_report)
 from .categorical import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
                           chain_report_json, lattice_search, load_trees)
 from .complexes import build_filtration
 from .errors import (ContractViolation, FiltrationSizeError, IngestionError,
-                     InfeasibleError, TreeDefinitionError)
+                     InfeasibleError, TreeDefinitionError, open_utf8)
 from .geometry import (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE, Column,
                        NumericTable, normalize_dataset)
-from .homology import (barcode, barcode_json, boundary_matrix, reduce_matrix,
-                       weighted_h0_barcode)
+from .homology import barcode, barcode_json, weighted_h0_barcode
 from .svg import render_barcode_svg
 
 EXIT_OK = 0
@@ -44,7 +42,6 @@ class RunConfig:
     sensitive: list[str] = field(default_factory=list)
     k: list[int] = field(default_factory=lambda: [2])
     eps: float | None = None
-    grid: list[float] | None = None         # optional fixed radii sweep
     dim_cap: int = 2
     objective: str = OBJECTIVE_MAX_CLASSES
     trees: str | None = None
@@ -57,11 +54,6 @@ class RunConfig:
             raise IngestionError("quasi-identifier column set is empty")
         if any(k < 1 for k in self.k):
             raise IngestionError("k must be >= 1")
-        if self.grid is not None:
-            if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-                raise IngestionError("grid values must be strictly increasing")
-            if self.grid[0] < 0:
-                raise IngestionError("grid values must be nonnegative")
         if self.objective not in (OBJECTIVE_MAX_CLASSES,
                                   OBJECTIVE_SMALLEST_EPS):
             raise IngestionError(f"unknown objective {self.objective!r}")
@@ -71,7 +63,7 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
     """Parse the CSV into a typed table, or, if categorical, a list of
     string tuples over the quasi columns."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open_utf8(path, newline="") as fh:
             records = [r for r in csv.reader(fh) if r]  # blank lines skipped
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None
@@ -123,25 +115,6 @@ def _fmt_interval(lo: float, hi: float) -> str:
     return f"[{_fmt_value(lo)}-{_fmt_value(hi)}]"
 
 
-def _grid_regimes(data, k: int, grid: list[float]) -> list[Regime]:
-    """The exact regimes seen at fixed radii only: a run of consecutive
-    grid points inside one regime starts at its first point and ends at
-    the next grid point, or is unbounded after the last one."""
-    exact = compute_regimes(data, k)
-    inside = [next((r for r in exact if r.contains(eps)), None)
-              for eps in grid]
-    runs, start = [], 0
-    for regime, points in groupby(inside):
-        end = start + len(list(points))
-        if regime is not None:
-            runs.append(Regime(
-                eps_lo=grid[start],
-                eps_hi=grid[end] if end < len(grid) else None,
-                classes=regime.classes))
-        start = end
-    return runs
-
-
 def _write(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
@@ -154,12 +127,11 @@ def cmd_sweep(config: RunConfig) -> int:
     data = normalize_dataset(table)
     out_dir = Path(config.out)
 
-    results = [(k, compute_regimes(data, k) if config.grid is None
-                else _grid_regimes(data, k, config.grid)) for k in config.k]
+    results = [(k, compute_regimes(data, k)) for k in config.k]
 
     weighted = weighted_h0_barcode(data)
     filt = build_filtration(data, config.dim_cap)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    bars = barcode(data, filt)
     bc_json = barcode_json(bars, weighted, data.n_points)
 
     status = EXIT_OK
@@ -243,7 +215,7 @@ def cmd_barcode(config: RunConfig) -> int:
     data = normalize_dataset(table)
     weighted = weighted_h0_barcode(data)
     filt = build_filtration(data, config.dim_cap)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    bars = barcode(data, filt)
     out_dir = Path(config.out)
     if "json" in config.formats:
         path = _write(out_dir, "barcode.json",
@@ -301,8 +273,6 @@ def _add_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--sensitive", nargs="*", default=None)
     sp.add_argument("--k", nargs="+", type=int)
     sp.add_argument("--eps", type=float)
-    sp.add_argument("--grid", nargs="+", type=float,
-                    help="report the exact regimes only at these radii")
     sp.add_argument("--dim-cap", type=int, dest="dim_cap")
     sp.add_argument("--objective",
                     choices=[OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS])
@@ -329,7 +299,7 @@ def _config_file_args(path) -> dict:
     """The YAML file's values, each key read as the flag of that name
     (``dim_cap`` or ``dim-cap``) with the flag's own type, nargs and
     choices."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         spec = yaml.safe_load(fh) or {}
     if not isinstance(spec, dict):
         raise IngestionError(f"{path}: expected a mapping of flags to values")

@@ -73,25 +73,6 @@ class Filtration:
     def critical_values(self) -> list[float]:
         return sorted({b for b, _ in self.entries})
 
-    def to_text(self) -> str:
-        lines = [f"{b!r} " + " ".join(str(v) for v in s)
-                 for b, s in self.entries]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, dim_cap: int | None = None) -> "Filtration":
-        """Without dim_cap the text is taken as complete, not cut short:
-        the cap is one above its top dimension, so every bar is kept."""
-        entries = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            parts = line.split()
-            entries.append((float(parts[0]), tuple(int(v) for v in parts[1:])))
-        cap = dim_cap if dim_cap is not None else 1 + max(
-            simplex_dim(s) for _, s in entries)
-        return cls(entries=tuple(entries), dim_cap=cap)
-
 
 def _entry_key(entry):
     birth, verts = entry

@@ -1,9 +1,10 @@
-"""Persistence over GF(2): boundary matrices, column reduction, barcodes,
-and the weighted H0 diagram.
+"""Persistence over GF(2): barcodes, the weighted H0 diagram and Betti
+numbers.
 
-Columns are stored as Python ints used as bit sets, which keeps the
-left-to-right reduction and the rank computations exact and fast at the
-scales this package targets.
+H0 comes from the dataset's merge tree; higher dimensions from one
+boundary matrix per dimension.  Columns are stored as Python ints used
+as bit sets, which keeps the left-to-right reduction and the rank
+computations exact and fast at the scales this package targets.
 """
 
 from __future__ import annotations
@@ -12,22 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import Filtration, SimplicialComplex, simplex_dim
-from .errors import ContractViolation
 from .geometry import NormalizedDataset
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Per filtration entry, the indices of its codimension-1 faces."""
-
-    columns: tuple[tuple[int, ...], ...]
-    dims: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PersistencePairs:
-    pairs: tuple[tuple[int, int], ...]   # (birth index, death index)
-    unpaired: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,59 +69,41 @@ class WeightedBarcode:
                 if b.birth <= eps and (b.death is None or eps < b.death)]
 
 
-def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
-    index = {s: i for i, (_, s) in enumerate(filt.entries)}
-    cols, dims = [], []
-    for i, (_, s) in enumerate(filt.entries):
-        dims.append(simplex_dim(s))
-        if len(s) == 1:
-            cols.append(())
-            continue
-        faces = []
-        for f in combinations(s, len(s) - 1):
-            j = index.get(f)
-            if j is None or j >= i:
-                raise ContractViolation(
-                    f"face {f} of {s} missing or out of order in filtration")
-            faces.append(j)
-        cols.append(tuple(sorted(faces)))
-    return BoundaryMatrix(columns=tuple(cols), dims=tuple(dims))
+def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
+    """Bars of every dimension below the filtration's dim_cap.
 
-
-def reduce_matrix(bm: BoundaryMatrix) -> PersistencePairs:
-    """Standard left-to-right column reduction with low-index pairing."""
-    n = len(bm.columns)
-    cols = [sum(1 << f for f in c) for c in bm.columns]
-    low_owner: dict[int, int] = {}
-    pairs = []
-    for j in range(n):
-        col = cols[j]
-        while col:
-            low = col.bit_length() - 1
-            other = low_owner.get(low)
-            if other is None:
-                break
-            col ^= cols[other]
-        cols[j] = col
-        if col:
-            low = col.bit_length() - 1
-            low_owner[low] = j
-            pairs.append((low, j))
-    killed = {i for i, _ in pairs} | {j for _, j in pairs}
-    unpaired = tuple(i for i in range(n) if i not in killed)
-    return PersistencePairs(pairs=tuple(sorted(pairs)), unpaired=unpaired)
-
-
-def barcode(pairs: PersistencePairs, filt: Filtration) -> Barcode:
-    """Bars of the dimensions below the filtration's dim_cap.  A simplex
-    of the top dimension has no cofaces in the filtration, so its bar
-    would stay open forever whatever the data."""
-    ends = [(i, filt.entries[j][0]) for i, j in pairs.pairs]
-    ends += [(i, None) for i in pairs.unpaired]
-    bars = [Bar(dim=simplex_dim(filt.entries[i][1]),
-                birth=filt.entries[i][0], death=death)
-            for i, death in ends
-            if simplex_dim(filt.entries[i][1]) < filt.dim_cap]
+    H0 is the dataset's merge tree: every row is born at 0, each merge
+    kills one bar at half its height, and one bar never dies.  For
+    1 <= p < dim_cap the columns of the (p+1)-simplices are reduced left
+    to right over rows of p-simplices, both indexed within their own
+    dimension in filtration order.  A reduced column that becomes a
+    pivot gives the bar from the birth of its lowest p-simplex to the
+    birth of its own (p+1)-simplex.  The filtration holds every
+    simplex up to dim_cap, so it is acyclic in dimensions 1..dim_cap-1
+    and every bar there is finite.
+    """
+    bars = [Bar(dim=0, birth=0.0, death=h / 2.0)
+            for h in data.merge_tree.height]
+    bars.append(Bar(dim=0, birth=0.0, death=None))
+    by_dim = [[] for _ in range(filt.dim_cap + 1)]
+    for birth, s in filt.entries:
+        by_dim[simplex_dim(s)].append((birth, s))
+    for p in range(1, filt.dim_cap):
+        rows = by_dim[p]
+        index = {s: i for i, (_, s) in enumerate(rows)}
+        pivots: dict[int, int] = {}     # low row -> reduced column
+        for death, s in by_dim[p + 1]:
+            col = 0
+            for face in combinations(s, p + 1):
+                col |= 1 << index[face]
+            while col:
+                low = col.bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    bars.append(Bar(dim=p, birth=rows[low][0], death=death))
+                    break
+                col ^= other
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
     return Barcode(bars=tuple(bars))

@@ -1,17 +1,22 @@
 """Brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (exhaustive subset enumeration,
-BFS, set-partition enumeration, parent-link walks) and shares no code
-path with the package implementation it checks.
+BFS, set-partition enumeration, parent-link walks, one reduction over
+the whole filtration's global index) and shares no code path with the
+package implementation it checks.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from anonytope.complexes import Filtration, simplex_dim
+from anonytope.errors import ContractViolation
 from anonytope.geometry import NormalizedDataset
+from anonytope.homology import Bar, Barcode
 
 
 def dataset(points) -> NormalizedDataset:
@@ -206,6 +211,78 @@ def betti_numbers(simplices_by_dim) -> list[int]:
         ranks[d] = gf2_rank(cols)
     return [len(simplices_by_dim[d]) - ranks[d] - ranks[d + 1]
             for d in range(cap + 1)]
+
+
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """Per filtration entry, the indices of its codimension-1 faces."""
+
+    columns: tuple[tuple[int, ...], ...]
+    dims: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PersistencePairs:
+    pairs: tuple[tuple[int, int], ...]   # (birth index, death index)
+    unpaired: tuple[int, ...]
+
+
+def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
+    index = {s: i for i, (_, s) in enumerate(filt.entries)}
+    cols, dims = [], []
+    for i, (_, s) in enumerate(filt.entries):
+        dims.append(simplex_dim(s))
+        if len(s) == 1:
+            cols.append(())
+            continue
+        faces = []
+        for f in itertools.combinations(s, len(s) - 1):
+            j = index.get(f)
+            if j is None or j >= i:
+                raise ContractViolation(
+                    f"face {f} of {s} missing or out of order in filtration")
+            faces.append(j)
+        cols.append(tuple(sorted(faces)))
+    return BoundaryMatrix(columns=tuple(cols), dims=tuple(dims))
+
+
+def reduce_matrix(bm: BoundaryMatrix) -> PersistencePairs:
+    """Standard left-to-right column reduction with low-index pairing."""
+    n = len(bm.columns)
+    cols = [sum(1 << f for f in c) for c in bm.columns]
+    low_owner: dict[int, int] = {}
+    pairs = []
+    for j in range(n):
+        col = cols[j]
+        while col:
+            low = col.bit_length() - 1
+            other = low_owner.get(low)
+            if other is None:
+                break
+            col ^= cols[other]
+        cols[j] = col
+        if col:
+            low = col.bit_length() - 1
+            low_owner[low] = j
+            pairs.append((low, j))
+    killed = {i for i, _ in pairs} | {j for _, j in pairs}
+    unpaired = tuple(i for i in range(n) if i not in killed)
+    return PersistencePairs(pairs=tuple(sorted(pairs)), unpaired=unpaired)
+
+
+def barcode(pairs: PersistencePairs, filt: Filtration) -> Barcode:
+    """Bars of the dimensions below the filtration's dim_cap.  A simplex
+    of the top dimension has no cofaces in the filtration, so its bar
+    would stay open forever whatever the data."""
+    ends = [(i, filt.entries[j][0]) for i, j in pairs.pairs]
+    ends += [(i, None) for i in pairs.unpaired]
+    bars = [Bar(dim=simplex_dim(filt.entries[i][1]),
+                birth=filt.entries[i][0], death=death)
+            for i, death in ends
+            if simplex_dim(filt.entries[i][1]) < filt.dim_cap]
+    bars.sort(key=lambda b: (b.dim, b.birth,
+                             float("inf") if b.death is None else b.death))
+    return Barcode(bars=tuple(bars))
 
 
 def ancestor_walk(tree, value: str, level: int) -> str:

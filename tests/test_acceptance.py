@@ -30,8 +30,8 @@ from anonytope.anonymity import (OBJECTIVE_MAX_CLASSES, check_k_anonymity,
 from anonytope.cli import EXIT_OK, main as cli_main
 from anonytope.complexes import build_filtration
 from anonytope.geometry import min_enclosing_ball
-from anonytope.homology import (barcode, boundary_matrix, homology_dims_at,
-                                reduce_matrix, weighted_h0_barcode)
+from anonytope.homology import (barcode, homology_dims_at,
+                                weighted_h0_barcode)
 
 from oracles import (components_bfs, dataset, dist, k_anonymity_bruteforce,
                      k_anonymity_separated_bruteforce, meb_bruteforce)
@@ -118,7 +118,7 @@ def test_criterion_02_thresholds_match_independent_oracle(sample_data):
 
     # H1 bars (length > 1e-12) against the frozen oracle output
     filt = build_filtration(sample_data, dim_cap=2)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    bars = barcode(sample_data, filt)
     h1 = [(b.birth, b.death) for b in bars.display_bars()
           if b.dim == 1 and b.death - b.birth > 1e-12]
     want_h1 = [(0.16686548917831662, 0.18006990324570873),
@@ -163,7 +163,7 @@ def test_criterion_04_homology_oracle_equivalence():
         # cap = n leaves an empty top layer so every Betti number of the
         # full complex is reported, not just the ones below the cap
         filt = build_filtration(data, dim_cap=n)
-        bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+        bars = barcode(data, filt)
         for eps in filt.critical_values():
             cx = filt.sublevel(eps)
             betti = bars.betti_at(eps)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -64,6 +65,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(anonytope.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestExitPaths:
     def check_on(self, path, *quasi):
         return run_cli("check", "--input", str(path), "--quasi", *quasi,
@@ -108,15 +116,28 @@ class TestExitPaths:
             "error: 50005000 row pairs for N=10001 exceed the pairwise "
             "budget of 50000000\n")
 
+    @pytest.mark.parametrize("which", ["csv", "config", "trees"])
+    def test_non_utf8_file_is_input_error(self, sample_csv, tmp_path, capsys,
+                                          which):
+        bad = tmp_path / f"bad.{which}"
+        bad.write_bytes({"csv": b"a,b\n1,\xff\n",
+                         "config": b"input: x.csv\nquasi: \xff\n",
+                         "trees": b"gender:\n  root: \xff\n"}[which])
+        argv = {"csv": ["check", "--input", str(bad), "--quasi", "a", "b",
+                        "--k", "1", "--eps", "0.1"],
+                "config": ["--config", str(bad), "check"],
+                "trees": ["lattice-sweep", "--input", str(sample_csv),
+                          "--quasi", "Age", "--trees", str(bad)]}[which]
+        assert run_cli(*argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {bad}: not valid UTF-8 (invalid start byte)\n"
+
     def test_python_dash_m(self, sample_csv):
-        src = str(Path(anonytope.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "anonytope", "check", "--input",
              str(sample_csv), "--quasi", "Age", "ZIP", "--k", "3",
              "--eps", "0.8"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=package_env(), timeout=120)
         assert proc.returncode == EXIT_OK
         assert proc.stdout.startswith("3-anonymous at eps=0.8 with 1 classes")
         assert proc.stderr == ""    # no runpy warning either
@@ -148,14 +169,16 @@ class TestConfigAndFlagErrors:
         assert message in err
 
     def test_scalar_config_value_reads_as_flag(self, sample_csv, tmp_path):
+        out = tmp_path / "out"
+        names = ("barcode.json", "regimes_k3.json")
         assert self.sweep_with(sample_csv, tmp_path,
-                               {"grid": 0.8, "k": 3}) == EXIT_OK
-        by_file = (tmp_path / "out" / "regimes_k3.json").read_text()
+                               {"dim_cap": 1, "k": 3}) == EXIT_OK
+        by_file = [(out / name).read_text() for name in names]
         assert self.sweep_with(sample_csv, tmp_path, {},
-                               "--grid", "0.8", "--k", "3") == EXIT_OK
-        assert (tmp_path / "out" / "regimes_k3.json").read_text() == by_file
-        regimes = json.loads(by_file)["regimes"]
-        assert [(r["eps_lo"], r["eps_hi"]) for r in regimes] == [(0.8, None)]
+                               "--dim-cap", "1", "--k", "3") == EXIT_OK
+        assert [(out / name).read_text() for name in names] == by_file
+        # the sample has H1 bars at the default cap of 2
+        assert {b["dim"] for b in json.loads(by_file[0])["bars"]} == {0}
 
     @pytest.mark.parametrize("flag", ["--config", "--trees"])
     @pytest.mark.parametrize("last_line, message", [
@@ -176,8 +199,7 @@ class TestConfigAndFlagErrors:
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "abc"], "argument --k: invalid int value: 'abc'"),
-        (["--grid", "-0.1", "0.5"], "grid values must be nonnegative"),
-    ], ids=["k", "negative_grid"])
+    ], ids=["k"])
     def test_bad_flag(self, sample_csv, capsys, flags, message):
         rc = run_cli("sweep", "--input", str(sample_csv),
                      "--quasi", "Age", "ZIP", *flags)
@@ -278,26 +300,26 @@ class TestCommands:
         assert (tmp_path / "cfg_out" / "regimes_k4.json").exists()
 
 
-class TestGridMode:
-    def test_grid_agrees_with_exact_at_grid_points(self, sample_csv,
-                                                   tmp_path):
-        grid = [i * 1e-2 for i in range(0, 101)]
-        out = tmp_path / "grid"
-        rc = run_cli("sweep", "--input", str(sample_csv),
-                     "--quasi", "Age", "ZIP", "--k", "3",
-                     "--grid", *[str(g) for g in grid], "--out", str(out))
-        assert rc == EXIT_OK
-        grid_doc = json.loads((out / "regimes_k3.json").read_text())
-
-        out2 = tmp_path / "exact"
-        run_cli("sweep", "--input", str(sample_csv),
-                "--quasi", "Age", "ZIP", "--k", "3", "--out", str(out2))
-        exact_doc = json.loads((out2 / "regimes_k3.json").read_text())
-
-        def classes_at(doc, eps):
-            return [r["classes"] for r in doc["regimes"]
-                    if r["eps_lo"] <= eps
-                    and (r["eps_hi"] is None or eps < r["eps_hi"])]
-
-        for g in grid:
-            assert classes_at(grid_doc, g) == classes_at(exact_doc, g)
+def test_barcode_peak_rss_at_100_rows(tmp_path):
+    # 100 uniform rows in 2D at dim_cap 2 (4,950 edges, 161,700
+    # triangles) took 1.8 GB when every column of the filtration was
+    # reduced over its global index
+    rng = random.Random(100)
+    path = tmp_path / "uniform.csv"
+    path.write_text("x,y\n" + "".join(
+        f"{rng.random()!r},{rng.random()!r}\n" for _ in range(100)))
+    # a process started from this one counts this one's resident memory
+    # at its exec, so a small interpreter starts the run and reports the
+    # peak of its own child
+    probe = ("import resource, subprocess, sys; "
+             "rc = subprocess.run(sys.argv[1:]).returncode; "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
+             "sys.exit(rc)")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "anonytope",
+         "barcode", "--input", str(path), "--quasi", "x", "y",
+         "--dim-cap", "2", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=package_env(), timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    peak_mib = int(proc.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB
+    assert peak_mib < 400

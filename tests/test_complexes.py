@@ -6,9 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from anonytope.complexes import (Filtration, build_anonymity_complex,
-                                 build_filtration, is_anonymity_simplex,
-                                 simplex_dim)
+from anonytope.complexes import (build_anonymity_complex, build_filtration,
+                                 is_anonymity_simplex, simplex_dim)
 from anonytope.errors import ContractViolation, FiltrationSizeError
 
 from oracles import dataset, triangle_meb_exact
@@ -56,14 +55,6 @@ def test_filtration_budget_guard():
     data = dataset([(i / 40, 0.0) for i in range(30)])
     with pytest.raises(FiltrationSizeError, match="dim_cap"):
         build_filtration(data, dim_cap=10, budget=1000)
-
-
-def test_text_roundtrip_is_bit_exact():
-    data = dataset([(0.137, 0.911), (0.25, 0.33), (0.6, 0.1)])
-    filt = build_filtration(data, dim_cap=2)
-    again = Filtration.from_text(filt.to_text(), dim_cap=2)
-    assert again.entries == filt.entries
-    assert Filtration.from_text(again.to_text()).entries == filt.entries
 
 
 def test_anonymity_simplex_counts_points_not_dimension():

@@ -8,11 +8,11 @@ import pytest
 from anonytope.complexes import (Filtration, SimplicialComplex,
                                  build_filtration)
 from anonytope.errors import ContractViolation
-from anonytope.homology import (Barcode, barcode, barcode_json,
-                                boundary_matrix, homology_dims_at,
-                                reduce_matrix, weighted_h0_barcode)
+from anonytope.homology import (barcode, barcode_json, homology_dims_at,
+                                weighted_h0_barcode)
 
-from oracles import dataset
+import oracles
+from oracles import boundary_matrix, dataset, reduce_matrix
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -53,8 +53,9 @@ def test_reduce_two_points_pairs_younger_vertex_with_edge():
 
 
 def test_equilateral_h1_bar():
-    filt = build_filtration(dataset(EQUILATERAL), dim_cap=2)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    data = dataset(EQUILATERAL)
+    filt = build_filtration(data, dim_cap=2)
+    bars = barcode(data, filt)
     h1 = [b for b in bars.display_bars() if b.dim == 1]
     assert len(h1) == 1
     assert h1[0].birth == pytest.approx(0.5)
@@ -72,8 +73,9 @@ def test_non_acute_triangles_leave_no_h1_bar_to_draw():
                             for p, q in combinations(pts, 2))
         if b2 + c2 > a2 * (1 - 1e-9):   # acute or nearly right
             continue
-        filt = build_filtration(dataset(pts), dim_cap=2)
-        bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+        data = dataset(pts)
+        filt = build_filtration(data, dim_cap=2)
+        bars = barcode(data, filt)
         (h1,) = [b for b in bars.bars if b.dim == 1]
         assert h1.is_zero_length
         assert all(b.dim == 0 for b in bars.display_bars())
@@ -81,15 +83,16 @@ def test_non_acute_triangles_leave_no_h1_bar_to_draw():
 
 
 def test_single_point_infinite_bar():
-    filt = build_filtration(dataset([(0.1, 0.9)]), dim_cap=1)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    data = dataset([(0.1, 0.9)])
+    filt = build_filtration(data, dim_cap=1)
+    bars = barcode(data, filt)
     assert len(bars.bars) == 1
     assert bars.bars[0].death is None and bars.bars[0].dim == 0
 
 
 def test_exactly_one_infinite_h0_bar(sample_data):
     filt = build_filtration(sample_data, dim_cap=2)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    bars = barcode(sample_data, filt)
     infinite = [b for b in bars.bars if b.death is None]
     assert [b.dim for b in infinite] == [0]
 
@@ -163,7 +166,7 @@ def test_barcode_betti_matches_rank_nullity():
         data = dataset(pts)
         for cap in (1, 2, 3):
             filt = build_filtration(data, dim_cap=cap)
-            bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+            bars = barcode(data, filt)
             assert all(b.dim < cap for b in bars.bars)
             for eps in filt.critical_values():
                 betti = bars.betti_at(eps)
@@ -171,43 +174,51 @@ def test_barcode_betti_matches_rank_nullity():
                 assert [betti.get(d, 0) for d in range(cap)] == want
 
 
-def test_complete_text_filtration_keeps_top_dimension_bars():
-    # a hollow triangle read without a cap is complete, not cut short
-    # above its edges, so its loop is a genuine infinite H1 bar
-    filt = Filtration.from_text(
-        "0.0 1\n0.0 2\n0.0 3\n0.5 1 2\n0.5 1 3\n0.5 2 3\n")
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+def test_complete_filtration_keeps_top_dimension_bars():
+    # a hollow triangle whose cap is one above its edges is complete, not
+    # cut short there, so the reference reduction keeps its loop as a
+    # genuine infinite H1 bar
+    filt = Filtration(entries=(
+        (0.0, (1,)), (0.0, (2,)), (0.0, (3,)),
+        (0.5, (1, 2)), (0.5, (1, 3)), (0.5, (2, 3))), dim_cap=2)
+    bars = oracles.barcode(reduce_matrix(boundary_matrix(filt)), filt)
     assert [b.dim for b in bars.bars if b.death is None] == [0, 1]
     assert homology_dims_at(filt.sublevel(0.5)) == [1, 1]
 
 
-def test_reduction_h0_deaths_equal_merge_tree_bitwise():
-    # the reduction's H0 bars (edge births are two-point MEB radii) and
-    # the merge tree's (half the sorted distances) must agree exactly,
-    # ties and duplicate rows included
+def test_barcode_equals_global_reduction_oracle():
+    # every bar, H0 from the merge tree included, equals the one found by
+    # reducing the whole filtration over its global index; half the
+    # draws sit on a half-integer grid, for ties and duplicate rows.
+    # Above H0 every p-simplex not paired as a death is paired as a
+    # birth, so no bar there is infinite.
     rng = random.Random(17)
     for trial in range(300):
-        n, d = rng.randint(1, 9), rng.randint(1, 3)
+        n, d = rng.randint(1, 10), rng.randint(1, 3)
         if trial % 2:
             pts = [[rng.randint(0, 4) / 2 for _ in range(d)]
                    for _ in range(n)]
         else:
             pts = [[rng.random() for _ in range(d)] for _ in range(n)]
         data = dataset(pts)
-        filt = build_filtration(data, dim_cap=1)
-        bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
-        reduced = sorted(b.death for b in bars.bars
-                         if b.dim == 0 and b.death is not None)
-        tree = sorted(b.death for b in weighted_h0_barcode(data).h0_bars
-                      if b.death is not None)
-        assert reduced == tree
+        for cap in (1, 2, 3, 4):
+            filt = build_filtration(data, dim_cap=cap)
+            bars = barcode(data, filt)
+            want = oracles.barcode(reduce_matrix(boundary_matrix(filt)), filt)
+            assert bars == want, (pts, cap)
+            paired = n - 1          # the edge columns pair all but one vertex
+            for p in range(1, cap):
+                dim_p = [b for b in bars.bars if b.dim == p]
+                paired = math.comb(n, p + 1) - paired
+                assert len(dim_p) == paired, (pts, cap, p)
+                assert all(b.death is not None for b in dim_p)
 
 
 def test_determinism(sample_data):
     filt = build_filtration(sample_data, dim_cap=2)
     filt2 = build_filtration(sample_data, dim_cap=2)
-    one = barcode(reduce_matrix(boundary_matrix(filt)), filt)
-    two = barcode(reduce_matrix(boundary_matrix(filt2)), filt2)
+    one = barcode(sample_data, filt)
+    two = barcode(sample_data, filt2)
     wb = weighted_h0_barcode(sample_data)
     a = json.dumps(barcode_json(one, wb, sample_data.n_points))
     b = json.dumps(barcode_json(two, weighted_h0_barcode(sample_data),
@@ -217,7 +228,7 @@ def test_determinism(sample_data):
 
 def test_barcode_json_schema(sample_data):
     filt = build_filtration(sample_data, dim_cap=2)
-    bars = barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    bars = barcode(sample_data, filt)
     wb = weighted_h0_barcode(sample_data)
     doc = barcode_json(bars, wb, sample_data.n_points)
     assert doc["n_points"] == 9
@@ -233,7 +244,6 @@ def test_barcode_json_schema(sample_data):
 
 
 def test_missing_face_rejected():
-    from anonytope.complexes import Filtration
     bad = Filtration(entries=((0.0, (1,)), (0.5, (1, 2))), dim_cap=1)
     with pytest.raises(ContractViolation):
         boundary_matrix(bad)
