@@ -7,27 +7,20 @@ from .categorical import (GeneralizationLattice, GeneralizationTree,
                           generalized_partition_at, lattice_search,
                           load_trees, lower_chain, upper_chain)
 from .cli import RunConfig, ingest_csv
-from .complexes import (Filtration, SimplicialComplex,
-                        build_anonymity_complex, build_filtration,
-                        is_anonymity_simplex)
+from .complexes import Filtration, build_filtration
 from .geometry import (Ball, Column, NormalizedDataset, NumericTable,
-                       balls_intersect, min_enclosing_ball,
-                       normalize_dataset)
-from .homology import (Barcode, WeightedBarcode, barcode, homology_dims_at,
-                       weighted_h0_barcode)
+                       min_enclosing_ball, normalize_dataset)
+from .homology import Barcode, WeightedBarcode, barcode, weighted_h0_barcode
 
 __all__ = [
     "AnonymityVerdict", "Ball", "Barcode", "Column", "Filtration",
     "GeneralizationLattice", "GeneralizationTree", "NormalizedDataset",
-    "NumericTable", "Regime", "RunConfig", "SimplicialComplex",
-    "WeightedBarcode", "balls_intersect", "barcode",
-    "build_anonymity_complex", "build_filtration",
-    "build_lattice", "chain_sweep", "check_k_anonymity",
+    "NumericTable", "Regime", "RunConfig", "WeightedBarcode", "barcode",
+    "build_filtration", "build_lattice", "chain_sweep", "check_k_anonymity",
     "compute_regimes", "generalize_table", "generalize_value",
-    "generalized_partition_at", "homology_dims_at", "ingest_csv",
-    "is_anonymity_simplex", "lattice_search", "load_trees", "lower_chain",
-    "min_enclosing_ball", "minimal_epsilon", "normalize_dataset",
-    "upper_chain", "weighted_h0_barcode",
+    "generalized_partition_at", "ingest_csv", "lattice_search",
+    "load_trees", "lower_chain", "min_enclosing_ball", "minimal_epsilon",
+    "normalize_dataset", "upper_chain", "weighted_h0_barcode",
 ]
 
 __version__ = "0.1.0"

@@ -72,7 +72,7 @@ def check_k_anonymity(data: NormalizedDataset, eps: float,
                       k: int) -> AnonymityVerdict:
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    if eps < 0:
+    if not eps >= 0:                # NaN too
         raise ContractViolation(f"eps must be nonnegative, got {eps}")
     if k > data.n_points:
         return _failed(FAIL_TOO_SMALL, data.row_ids)

@@ -122,6 +122,14 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
+def _one_k(config: RunConfig, command: str) -> int:
+    if len(config.k) != 1:
+        raise IngestionError(
+            f"{command} takes one --k value, got "
+            + " ".join(map(str, config.k)))
+    return config.k[0]
+
+
 def cmd_sweep(config: RunConfig) -> int:
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
@@ -162,11 +170,11 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
+    k = _one_k(config, "check")
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
     if config.eps is None:
         raise IngestionError("check requires --eps")
-    k = config.k[0]
     if k > data.n_points:
         print(f"k exceeds row count ({k} > {data.n_points})",
               file=sys.stderr)
@@ -184,9 +192,9 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_anonymize(config: RunConfig) -> int:
+    k = _one_k(config, "anonymize")
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
-    k = config.k[0]
     try:
         eps, regime = minimal_epsilon(data, k, config.objective)
     except InfeasibleError as exc:
@@ -230,11 +238,11 @@ def cmd_barcode(config: RunConfig) -> int:
 
 
 def cmd_lattice_sweep(config: RunConfig) -> int:
+    k = _one_k(config, "lattice-sweep")
     if not config.trees:
         raise IngestionError("lattice-sweep requires --trees")
     trees = load_trees(config.trees)
     rows = ingest_csv(config.input, config, categorical=True)
-    k = config.k[0]
     result = lattice_search(rows, trees, k, config.strategy)
     out_dir = Path(config.out)
     payload = {

@@ -268,16 +268,6 @@ def min_enclosing_ball(points) -> Ball:
     return Ball(center, radius)
 
 
-def balls_intersect(points, eps: float) -> bool:
-    """Do the closed eps-balls around the points share a common point?
-
-    Closed-ball convention: equality with the MEB radius counts.
-    """
-    if eps < 0:
-        raise ContractViolation(f"eps must be nonnegative, got {eps}")
-    return min_enclosing_ball(points).radius <= eps
-
-
 def _sorted_pairs(n: int, dist: np.ndarray):
     """(i, j, distance) for all pairs i < j of n rows, given their
     distances in row order, by one stable sort (ties in row order),

@@ -1,19 +1,23 @@
-"""Persistence over GF(2): barcodes, the weighted H0 diagram and Betti
-numbers.
+"""Persistence over GF(2): barcodes and the weighted H0 diagram.
 
 H0 comes from the dataset's merge tree; higher dimensions from one
 boundary matrix per dimension.  Columns are stored as Python ints used
-as bit sets, which keeps the left-to-right reduction and the rank
-computations exact and fast at the scales this package targets.
+as bit sets, which keeps the left-to-right reduction exact and fast at
+the scales this package targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complexes import Filtration, SimplicialComplex, simplex_dim
+import numpy as np
+
+from .complexes import Filtration, facet_ranks, simplex_vertices
 from .geometry import NormalizedDataset
+
+# columns whose face rows are made Python lists at once: enough to amortise
+# numpy's per-call cost, few enough that no dimension's lists are all held
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,25 +89,31 @@ def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
     bars = [Bar(dim=0, birth=0.0, death=h / 2.0)
             for h in data.merge_tree.height]
     bars.append(Bar(dim=0, birth=0.0, death=None))
-    by_dim = [[] for _ in range(filt.dim_cap + 1)]
-    for birth, s in filt.entries:
-        by_dim[simplex_dim(s)].append((birth, s))
+    n = data.n_points
     for p in range(1, filt.dim_cap):
-        rows = by_dim[p]
-        index = {s: i for i, (_, s) in enumerate(rows)}
+        rows = np.argsort(filt.births[p], kind="stable")
+        row_births = filt.births[p][rows].tolist()
+        position = np.argsort(rows)     # lexicographic rank -> row
+        columns = np.argsort(filt.births[p + 1], kind="stable")
+        verts = simplex_vertices(n, p + 2)
         pivots: dict[int, int] = {}     # low row -> reduced column
-        for death, s in by_dim[p + 1]:
-            col = 0
-            for face in combinations(s, p + 1):
-                col |= 1 << index[face]
-            while col:
-                low = col.bit_length() - 1
-                other = pivots.get(low)
-                if other is None:
-                    pivots[low] = col
-                    bars.append(Bar(dim=p, birth=rows[low][0], death=death))
-                    break
-                col ^= other
+        for start in range(0, len(columns), _BLOCK):
+            block = columns[start:start + _BLOCK]
+            faces = position[facet_ranks(n, verts[block])].tolist()
+            for death, face_rows in zip(filt.births[p + 1][block].tolist(),
+                                        faces):
+                col = 0
+                for f in face_rows:
+                    col |= 1 << f
+                while col:
+                    low = col.bit_length() - 1
+                    other = pivots.get(low)
+                    if other is None:
+                        pivots[low] = col
+                        bars.append(Bar(dim=p, birth=row_births[low],
+                                        death=death))
+                        break
+                    col ^= other
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
     return Barcode(bars=tuple(bars))
@@ -127,40 +137,6 @@ def weighted_h0_barcode(data: NormalizedDataset) -> WeightedBarcode:
                    for i in range(n)),
                   key=lambda b: float("inf") if b.death is None else b.death)
     return WeightedBarcode(h0_bars=tuple(bars), n_points=n)
-
-
-def _gf2_rank(columns: list[int]) -> int:
-    rows: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low in rows:
-                col ^= rows[low]
-            else:
-                rows[low] = col
-                rank += 1
-                break
-    return rank
-
-
-def homology_dims_at(complex_: SimplicialComplex) -> list[int]:
-    """Betti numbers dim H_0 .. dim H_(dim_cap - 1) by rank-nullity."""
-    cap = complex_.dim_cap
-    by_dim = [complex_.simplices_of_dim(d) for d in range(cap + 1)]
-    ranks = [0] * (cap + 2)    # ranks[d] = rank of boundary_d
-    for d in range(1, cap + 1):
-        if not by_dim[d]:
-            continue
-        face_index = {s: i for i, s in enumerate(by_dim[d - 1])}
-        cols = []
-        for s in by_dim[d]:
-            mask = 0
-            for f in combinations(s, len(s) - 1):
-                mask |= 1 << face_index[f]
-            cols.append(mask)
-        ranks[d] = _gf2_rank(cols)
-    return [len(by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(cap)]
 
 
 def barcode_json(bars: Barcode, weighted: WeightedBarcode,

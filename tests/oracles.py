@@ -3,7 +3,8 @@
 Everything here is deliberately naive (exhaustive subset enumeration,
 BFS, set-partition enumeration, parent-link walks, one reduction over
 the whole filtration's global index) and shares no code path with the
-package implementation it checks.
+package implementation it checks, except that the fixed-eps anonymity
+complex tests its simplices with the package's min_enclosing_ball.
 """
 
 import itertools
@@ -13,10 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from anonytope.complexes import Filtration, simplex_dim
+from anonytope.complexes import Filtration
 from anonytope.errors import ContractViolation
-from anonytope.geometry import NormalizedDataset
+from anonytope.geometry import NormalizedDataset, min_enclosing_ball
 from anonytope.homology import Bar, Barcode
+
+# simplices are plain sorted tuples of 1-based row ids
+Simplex = tuple[int, ...]
 
 
 def dataset(points) -> NormalizedDataset:
@@ -213,6 +217,115 @@ def betti_numbers(simplices_by_dim) -> list[int]:
             for d in range(cap + 1)]
 
 
+def simplex_dim(simplex: Simplex) -> int:
+    return len(simplex) - 1
+
+
+def balls_intersect(points, eps: float) -> bool:
+    """Do the closed eps-balls around the points share a common point?
+
+    Closed-ball convention: equality with the MEB radius counts.
+    """
+    if eps < 0:
+        raise ContractViolation(f"eps must be nonnegative, got {eps}")
+    return min_enclosing_ball(points).radius <= eps
+
+
+@dataclass(frozen=True)
+class SimplicialComplex:
+    simplices: frozenset[Simplex]
+    dim_cap: int
+
+    def __contains__(self, simplex) -> bool:
+        return tuple(sorted(simplex)) in self.simplices
+
+    def simplices_of_dim(self, dim: int) -> list[Simplex]:
+        return sorted(s for s in self.simplices if simplex_dim(s) == dim)
+
+    def counts(self) -> list[int]:
+        out = [0] * (self.dim_cap + 1)
+        for s in self.simplices:
+            out[simplex_dim(s)] += 1
+        return out
+
+
+def build_anonymity_complex(data: NormalizedDataset, eps: float,
+                            dim_cap: int) -> SimplicialComplex:
+    """The complex at radius eps: a simplex per subset whose balls meet.
+
+    Built by upward extension so that only supersets of known simplices
+    get their MEB tested (downward closure prunes the rest).
+    """
+    if dim_cap < 1:
+        raise ContractViolation("dim_cap must be >= 1")
+    if eps < 0:
+        raise ContractViolation(f"eps must be nonnegative, got {eps}")
+    ids = list(data.row_ids)
+    simplices: set[Simplex] = {(v,) for v in ids}
+    current = [(v,) for v in ids]
+    for size in range(2, dim_cap + 2):
+        nxt = []
+        seen = set()
+        for s in current:
+            for v in ids:
+                if v <= s[-1]:
+                    continue
+                cand = s + (v,)
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if balls_intersect(data.subset(cand), eps):
+                    nxt.append(cand)
+        simplices.update(nxt)
+        current = nxt
+    return SimplicialComplex(simplices=frozenset(simplices), dim_cap=dim_cap)
+
+
+def is_anonymity_simplex(data: NormalizedDataset, subset, eps: float,
+                         k: int) -> bool:
+    """Can these rows be generalized together at radius eps as a group
+    of at least k?  (Point count, not simplex dimension, compares to k.)
+    """
+    subset = tuple(sorted(subset))
+    if not subset:
+        raise ContractViolation("subset must be nonempty")
+    if k < 1:
+        raise ContractViolation("k must be >= 1")
+    pts = data.subset(subset)
+    return len(subset) >= k and balls_intersect(pts, eps)
+
+
+def homology_dims_at(complex_: SimplicialComplex) -> list[int]:
+    """Betti numbers dim H_0 .. dim H_(dim_cap - 1) by rank-nullity."""
+    cap = complex_.dim_cap
+    return betti_numbers([complex_.simplices_of_dim(d)
+                          for d in range(cap + 1)])[:cap]
+
+
+def filtration_entries(data: NormalizedDataset,
+                       filt: Filtration) -> list[tuple[float, Simplex]]:
+    """Every simplex of the filtration as (birth, row-id tuple), sorted
+    by (birth, dimension, lexicographic row ids).  births[p] is read as
+    the p-simplices in the order itertools.combinations lists them."""
+    entries = [(b, s) for p, births in enumerate(filt.births)
+               for b, s in zip(births.tolist(),
+                               itertools.combinations(data.row_ids, p + 1),
+                               strict=True)]
+    return sorted(entries, key=lambda e: (e[0], len(e[1]), e[1]))
+
+
+def sublevel(entries, eps: float, dim_cap: int) -> SimplicialComplex:
+    """The complex of all simplices born at or before eps."""
+    return SimplicialComplex(
+        simplices=frozenset(s for b, s in entries if b <= eps),
+        dim_cap=dim_cap,
+    )
+
+
+def critical_values(entries) -> list[float]:
+    return sorted({b for b, _ in entries})
+
+
 @dataclass(frozen=True)
 class BoundaryMatrix:
     """Per filtration entry, the indices of its codimension-1 faces."""
@@ -227,10 +340,10 @@ class PersistencePairs:
     unpaired: tuple[int, ...]
 
 
-def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
-    index = {s: i for i, (_, s) in enumerate(filt.entries)}
+def boundary_matrix(entries) -> BoundaryMatrix:
+    index = {s: i for i, (_, s) in enumerate(entries)}
     cols, dims = [], []
-    for i, (_, s) in enumerate(filt.entries):
+    for i, (_, s) in enumerate(entries):
         dims.append(simplex_dim(s))
         if len(s) == 1:
             cols.append(())
@@ -270,16 +383,16 @@ def reduce_matrix(bm: BoundaryMatrix) -> PersistencePairs:
     return PersistencePairs(pairs=tuple(sorted(pairs)), unpaired=unpaired)
 
 
-def barcode(pairs: PersistencePairs, filt: Filtration) -> Barcode:
-    """Bars of the dimensions below the filtration's dim_cap.  A simplex
-    of the top dimension has no cofaces in the filtration, so its bar
-    would stay open forever whatever the data."""
-    ends = [(i, filt.entries[j][0]) for i, j in pairs.pairs]
+def barcode(pairs: PersistencePairs, entries, dim_cap: int) -> Barcode:
+    """Bars of the dimensions below dim_cap.  A simplex of the top
+    dimension has no cofaces in the filtration, so its bar would stay
+    open forever whatever the data."""
+    ends = [(i, entries[j][0]) for i, j in pairs.pairs]
     ends += [(i, None) for i in pairs.unpaired]
-    bars = [Bar(dim=simplex_dim(filt.entries[i][1]),
-                birth=filt.entries[i][0], death=death)
+    bars = [Bar(dim=simplex_dim(entries[i][1]),
+                birth=entries[i][0], death=death)
             for i, death in ends
-            if simplex_dim(filt.entries[i][1]) < filt.dim_cap]
+            if simplex_dim(entries[i][1]) < dim_cap]
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
     return Barcode(bars=tuple(bars))

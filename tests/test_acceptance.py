@@ -30,11 +30,12 @@ from anonytope.anonymity import (OBJECTIVE_MAX_CLASSES, check_k_anonymity,
 from anonytope.cli import EXIT_OK, main as cli_main
 from anonytope.complexes import build_filtration
 from anonytope.geometry import min_enclosing_ball
-from anonytope.homology import (barcode, homology_dims_at,
-                                weighted_h0_barcode)
+from anonytope.homology import barcode, weighted_h0_barcode
 
-from oracles import (components_bfs, dataset, dist, k_anonymity_bruteforce,
-                     k_anonymity_separated_bruteforce, meb_bruteforce)
+from oracles import (components_bfs, critical_values, dataset, dist,
+                     filtration_entries, homology_dims_at,
+                     k_anonymity_bruteforce, k_anonymity_separated_bruteforce,
+                     meb_bruteforce, sublevel)
 
 # printed by scripts/sample_oracle.py: the sample's only k=3 regime, all
 # nine rows from the MEB radius of rows 2 and 5 at (0,0) and (1,1)
@@ -164,8 +165,9 @@ def test_criterion_04_homology_oracle_equivalence():
         # full complex is reported, not just the ones below the cap
         filt = build_filtration(data, dim_cap=n)
         bars = barcode(data, filt)
-        for eps in filt.critical_values():
-            cx = filt.sublevel(eps)
+        entries = filtration_entries(data, filt)
+        for eps in critical_values(entries):
+            cx = sublevel(entries, eps, filt.dim_cap)
             betti = bars.betti_at(eps)
             want = homology_dims_at(cx)
             got = [betti.get(d, 0) for d in range(len(want))]
@@ -217,7 +219,7 @@ def test_criterion_05_decomposition_oracle():
 
 def test_criterion_06_achieved_implies_trivial_homology():
     rng = random.Random(606)
-    from anonytope.complexes import build_anonymity_complex
+    from oracles import build_anonymity_complex
     checked = 0
     while checked < 40:
         n = rng.randint(2, 7)

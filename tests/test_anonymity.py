@@ -10,11 +10,10 @@ from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
                                  check_k_anonymity, compute_regimes,
                                  generalize_table, minimal_epsilon,
                                  regime_report)
-from anonytope.complexes import build_anonymity_complex
 from anonytope.errors import InfeasibleError
-from anonytope.homology import homology_dims_at
 
-from oracles import dataset, dist, k_anonymity_bruteforce, meb_bruteforce
+from oracles import (build_anonymity_complex, dataset, dist,
+                     homology_dims_at, k_anonymity_bruteforce, meb_bruteforce)
 
 # Values frozen from scripts/sample_oracle.py (exhaustive MEB + BFS):
 # under per-column min-max scaling the 9-row sample admits, for k = 2..4,

@@ -116,6 +116,13 @@ class TestExitPaths:
             "error: 50005000 row pairs for N=10001 exceed the pairwise "
             "budget of 50000000\n")
 
+    def test_nan_eps_is_input_error(self, sample_csv, capsys):
+        rc = run_cli("check", "--input", str(sample_csv),
+                     "--quasi", "Age", "ZIP", "--k", "3", "--eps", "nan")
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == \
+            ("", "error: eps must be nonnegative, got nan\n")
+
     @pytest.mark.parametrize("which", ["csv", "config", "trees"])
     def test_non_utf8_file_is_input_error(self, sample_csv, tmp_path, capsys,
                                           which):
@@ -196,6 +203,26 @@ class TestConfigAndFlagErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message.format(bad=bad) in err and str(bad) in err
+
+    @pytest.mark.parametrize("command",
+                             ["check", "anonymize", "lattice-sweep"])
+    def test_extra_k_is_input_error(self, sample_csv, tmp_path, trees_yaml,
+                                    capsys, command):
+        # these commands answer one k; a second one must not be dropped
+        if command == "lattice-sweep":
+            path = tmp_path / "cat.csv"
+            path.write_text("gender,country\n" + "Male,Spain\n" * 4)
+            flags = ["--input", str(path), "--quasi", "gender", "country",
+                     "--trees", str(trees_yaml)]
+        else:
+            flags = ["--input", str(sample_csv), "--quasi", "Age", "ZIP",
+                     "--eps", "0.8"]
+        out = tmp_path / "out"
+        rc = run_cli(command, *flags, "--k", "2", "3", "--out", str(out))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {command} takes one --k value, got 2 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "abc"], "argument --k: invalid int value: 'abc'"),
@@ -300,6 +327,22 @@ class TestCommands:
         assert (tmp_path / "cfg_out" / "regimes_k4.json").exists()
 
 
+def peak_rss_mib(*argv):
+    """Run argv with this package importable; return the process and the
+    peak resident memory of the run in MiB."""
+    # a process started from this one counts this one's resident memory
+    # at its exec, so a small interpreter starts the run and reports the
+    # peak of its own child
+    probe = ("import resource, subprocess, sys; "
+             "rc = subprocess.run(sys.argv[1:]).returncode; "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
+             "sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env=package_env(),
+                          timeout=300)
+    return proc, int(proc.stdout.split()[-1]) / 1024   # ru_maxrss in KiB
+
+
 def test_barcode_peak_rss_at_100_rows(tmp_path):
     # 100 uniform rows in 2D at dim_cap 2 (4,950 edges, 161,700
     # triangles) took 1.8 GB when every column of the filtration was
@@ -308,18 +351,25 @@ def test_barcode_peak_rss_at_100_rows(tmp_path):
     path = tmp_path / "uniform.csv"
     path.write_text("x,y\n" + "".join(
         f"{rng.random()!r},{rng.random()!r}\n" for _ in range(100)))
-    # a process started from this one counts this one's resident memory
-    # at its exec, so a small interpreter starts the run and reports the
-    # peak of its own child
-    probe = ("import resource, subprocess, sys; "
-             "rc = subprocess.run(sys.argv[1:]).returncode; "
-             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
-             "sys.exit(rc)")
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, sys.executable, "-m", "anonytope",
-         "barcode", "--input", str(path), "--quasi", "x", "y",
-         "--dim-cap", "2", "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=package_env(), timeout=300)
+    proc, peak = peak_rss_mib(
+        sys.executable, "-m", "anonytope", "barcode", "--input", str(path),
+        "--quasi", "x", "y", "--dim-cap", "2", "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    peak_mib = int(proc.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB
-    assert peak_mib < 400
+    assert peak < 400
+
+
+def test_filtration_peak_rss_at_simplex_budget():
+    # 228 uniform rows in 2D at dim_cap 2 hold 1,949,476 triangles, just
+    # under the 2M simplex budget; with a (birth, vertex tuple) pair per
+    # simplex the build peaked at 587 MiB
+    build = ("import numpy as np; "
+             "from anonytope.complexes import build_filtration; "
+             "from anonytope.geometry import NormalizedDataset; "
+             "pts = np.random.default_rng(228).random((228, 2)); "
+             "data = NormalizedDataset(pts, ((0.0, 1.0),) * 2, "
+             "tuple(range(1, 229)), ('x', 'y')); "
+             "print(len(build_filtration(data, 2).births[2]))")
+    proc, peak = peak_rss_mib(sys.executable, "-c", build)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.split()[0] == "1949476"
+    assert peak < 350

@@ -6,11 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from anonytope.complexes import (build_anonymity_complex, build_filtration,
-                                 is_anonymity_simplex, simplex_dim)
+from anonytope.complexes import (build_filtration, facet_ranks,
+                                 simplex_rank, simplex_vertices)
 from anonytope.errors import ContractViolation, FiltrationSizeError
 
-from oracles import dataset, triangle_meb_exact
+from oracles import (build_anonymity_complex, dataset, filtration_entries,
+                     is_anonymity_simplex, sublevel, triangle_meb_exact)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -36,19 +37,38 @@ def test_equilateral_edges_without_fill():
 
 def test_filtration_single_point():
     filt = build_filtration(dataset([(0.2, 0.4)]), dim_cap=1)
-    assert filt.entries == ((0.0, (1,)),)
+    assert [b.tolist() for b in filt.births] == [[0.0], []]
 
 
 def test_filtration_two_points():
     filt = build_filtration(dataset([(0, 0), (1, 0)]), dim_cap=1)
-    assert filt.entries == ((0.0, (1,)), (0.0, (2,)), (0.5, (1, 2)))
+    assert [b.tolist() for b in filt.births] == [[0.0, 0.0], [0.5]]
 
 
 def test_filtration_equilateral_births():
     filt = build_filtration(dataset(EQUILATERAL), dim_cap=2)
-    births = dict((s, b) for b, s in filt.entries)
-    assert births[(1, 2)] == pytest.approx(0.5)
-    assert births[(1, 2, 3)] == pytest.approx(1 / math.sqrt(3), rel=1e-9)
+    assert filt.births[1][0] == pytest.approx(0.5)      # edge (1, 2)
+    assert filt.births[2][0] == pytest.approx(1 / math.sqrt(3), rel=1e-9)
+
+
+def births_by_simplex(data, filt):
+    return {s: b for b, s in filtration_entries(data, filt)}
+
+
+def test_simplex_indexing_is_lexicographic_rank():
+    for n in range(13):
+        for size in range(1, 6):
+            verts = simplex_vertices(n, size)
+            assert verts.shape == (math.comb(n, size), size)
+            assert verts.tolist() == \
+                [list(c) for c in combinations(range(n), size)]
+            assert simplex_rank(n, verts).tolist() == \
+                list(range(math.comb(n, size)))
+            index = {f: i for i, f in
+                     enumerate(combinations(range(n), size - 1))}
+            assert facet_ranks(n, verts).tolist() == \
+                [[index[s[:j] + s[j + 1:]] for j in range(size)]
+                 for s in combinations(range(n), size)]
 
 
 def test_filtration_budget_guard():
@@ -85,18 +105,18 @@ def test_sublevel_matches_direct_construction():
         n = rng.randint(1, 8)
         pts = [(rng.random(), rng.random()) for _ in range(n)]
         data = dataset(pts)
-        filt = build_filtration(data, dim_cap=2)
+        entries = filtration_entries(data, build_filtration(data, dim_cap=2))
         for _ in range(10):
             eps = rng.random() * 0.8
-            assert filt.sublevel(eps).simplices == \
+            assert sublevel(entries, eps, dim_cap=2).simplices == \
                 build_anonymity_complex(data, eps, dim_cap=2).simplices
 
 
 def test_downward_closure_at_every_birth():
     rng = random.Random(7)
     pts = [(rng.random(), rng.random()) for _ in range(7)]
-    filt = build_filtration(dataset(pts), dim_cap=3)
-    births = dict((s, b) for b, s in filt.entries)
+    data = dataset(pts)
+    births = births_by_simplex(data, build_filtration(data, dim_cap=3))
     for s, b in births.items():
         for f in combinations(s, len(s) - 1):
             if f:
@@ -155,8 +175,8 @@ def test_triangle_births_match_exact_oracle():
         for d in (1, 2, 3, 5):
             for kind, pts in special_triangles(rng, d):
                 data = dataset(pts)
-                births = {s: b for b, s in
-                          build_filtration(data, dim_cap=2).entries}
+                births = births_by_simplex(
+                    data, build_filtration(data, dim_cap=2))
                 assert [births[e] for e in combinations((1, 2, 3), 2)] == \
                     (data.pair_distances / 2).tolist()
                 kinds[kind, check_triangle_birth(births, (1, 2, 3), pts)] += 1
@@ -173,7 +193,7 @@ def test_births_read_distance_array_in_row_order():
         pts = rng.integers(0, 5, (n, d)) / 8 if trial % 2 else \
             rng.random((n, d))              # half on a grid, for ties
         data = dataset(pts)
-        births = {s: b for b, s in build_filtration(data, dim_cap=3).entries}
+        births = births_by_simplex(data, build_filtration(data, dim_cap=3))
         ids = data.row_ids
         assert [births[e] for e in combinations(ids, 2)] == \
             (data.pair_distances / 2).tolist()

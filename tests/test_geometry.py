@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from anonytope.errors import ContractViolation, IngestionError
 from anonytope.geometry import (ROLE_QUASI, ROLE_SENSITIVE, Column,
-                                NumericTable, balls_intersect,
-                                min_enclosing_ball, normalize_dataset)
+                                NumericTable, min_enclosing_ball,
+                                normalize_dataset)
 
-from oracles import dataset, meb_bruteforce
+from oracles import balls_intersect, dataset, meb_bruteforce
 
 points_2d = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),

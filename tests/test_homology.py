@@ -5,34 +5,36 @@ from itertools import combinations
 
 import pytest
 
-from anonytope.complexes import (Filtration, SimplicialComplex,
-                                 build_filtration)
+from anonytope.complexes import build_filtration
 from anonytope.errors import ContractViolation
-from anonytope.homology import (barcode, barcode_json, homology_dims_at,
-                                weighted_h0_barcode)
+from anonytope.homology import barcode, barcode_json, weighted_h0_barcode
 
 import oracles
-from oracles import boundary_matrix, dataset, reduce_matrix
+from oracles import (SimplicialComplex, boundary_matrix, critical_values,
+                     dataset, filtration_entries, homology_dims_at,
+                     reduce_matrix, sublevel)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
 
+def entries_of(points, dim_cap):
+    data = dataset(points)
+    return filtration_entries(data, build_filtration(data, dim_cap))
+
+
 def test_boundary_matrix_single_vertex():
-    filt = build_filtration(dataset([(0.5, 0.5)]), dim_cap=1)
-    bm = boundary_matrix(filt)
+    bm = boundary_matrix(entries_of([(0.5, 0.5)], dim_cap=1))
     assert bm.columns == ((),)
     assert bm.dims == (0,)
 
 
 def test_boundary_matrix_edge():
-    filt = build_filtration(dataset([(0, 0), (1, 0)]), dim_cap=1)
-    bm = boundary_matrix(filt)
+    bm = boundary_matrix(entries_of([(0, 0), (1, 0)], dim_cap=1))
     assert bm.columns == ((), (), (0, 1))
 
 
 def test_boundary_matrix_triangle_lists_three_edges():
-    filt = build_filtration(dataset(EQUILATERAL), dim_cap=2)
-    bm = boundary_matrix(filt)
+    bm = boundary_matrix(entries_of(EQUILATERAL, dim_cap=2))
     assert sorted(len(c) for c in bm.columns) == [0, 0, 0, 2, 2, 2, 3]
 
 
@@ -40,14 +42,13 @@ def test_reduce_isolated_vertices():
     data = dataset([(0, 0), (0.4, 0.9), (0.9, 0.1)])
     filt = build_filtration(data, dim_cap=1)
     # keep only vertices: restrict via sublevel at 0
-    pairs = reduce_matrix(boundary_matrix(
-        build_filtration(dataset([(0, 0)]), dim_cap=1)))
+    pairs = reduce_matrix(boundary_matrix(entries_of([(0, 0)], dim_cap=1)))
     assert pairs.unpaired == (0,)
 
 
 def test_reduce_two_points_pairs_younger_vertex_with_edge():
-    filt = build_filtration(dataset([(0, 0), (1, 0)]), dim_cap=1)
-    pairs = reduce_matrix(boundary_matrix(filt))
+    pairs = reduce_matrix(boundary_matrix(entries_of([(0, 0), (1, 0)],
+                                                     dim_cap=1)))
     assert pairs.pairs == ((1, 2),)
     assert pairs.unpaired == (0,)
 
@@ -168,9 +169,10 @@ def test_barcode_betti_matches_rank_nullity():
             filt = build_filtration(data, dim_cap=cap)
             bars = barcode(data, filt)
             assert all(b.dim < cap for b in bars.bars)
-            for eps in filt.critical_values():
+            entries = filtration_entries(data, filt)
+            for eps in critical_values(entries):
                 betti = bars.betti_at(eps)
-                want = homology_dims_at(filt.sublevel(eps))
+                want = homology_dims_at(sublevel(entries, eps, cap))
                 assert [betti.get(d, 0) for d in range(cap)] == want
 
 
@@ -178,12 +180,12 @@ def test_complete_filtration_keeps_top_dimension_bars():
     # a hollow triangle whose cap is one above its edges is complete, not
     # cut short there, so the reference reduction keeps its loop as a
     # genuine infinite H1 bar
-    filt = Filtration(entries=(
-        (0.0, (1,)), (0.0, (2,)), (0.0, (3,)),
-        (0.5, (1, 2)), (0.5, (1, 3)), (0.5, (2, 3))), dim_cap=2)
-    bars = oracles.barcode(reduce_matrix(boundary_matrix(filt)), filt)
+    entries = [(0.0, (1,)), (0.0, (2,)), (0.0, (3,)),
+               (0.5, (1, 2)), (0.5, (1, 3)), (0.5, (2, 3))]
+    bars = oracles.barcode(reduce_matrix(boundary_matrix(entries)), entries,
+                           dim_cap=2)
     assert [b.dim for b in bars.bars if b.death is None] == [0, 1]
-    assert homology_dims_at(filt.sublevel(0.5)) == [1, 1]
+    assert homology_dims_at(sublevel(entries, 0.5, dim_cap=2)) == [1, 1]
 
 
 def test_barcode_equals_global_reduction_oracle():
@@ -204,7 +206,9 @@ def test_barcode_equals_global_reduction_oracle():
         for cap in (1, 2, 3, 4):
             filt = build_filtration(data, dim_cap=cap)
             bars = barcode(data, filt)
-            want = oracles.barcode(reduce_matrix(boundary_matrix(filt)), filt)
+            entries = filtration_entries(data, filt)
+            want = oracles.barcode(reduce_matrix(boundary_matrix(entries)),
+                                   entries, cap)
             assert bars == want, (pts, cap)
             paired = n - 1          # the edge columns pair all but one vertex
             for p in range(1, cap):
@@ -244,6 +248,6 @@ def test_barcode_json_schema(sample_data):
 
 
 def test_missing_face_rejected():
-    bad = Filtration(entries=((0.0, (1,)), (0.5, (1, 2))), dim_cap=1)
+    bad = [(0.0, (1,)), (0.5, (1, 2))]
     with pytest.raises(ContractViolation):
         boundary_matrix(bad)
