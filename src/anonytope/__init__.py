@@ -10,17 +10,17 @@ from .cli import RunConfig, ingest_csv
 from .complexes import Filtration, build_filtration
 from .geometry import (Ball, Column, NormalizedDataset, NumericTable,
                        min_enclosing_ball, normalize_dataset)
-from .homology import Barcode, WeightedBarcode, barcode, weighted_h0_barcode
+from .homology import Barcode, barcode
 
 __all__ = [
     "AnonymityVerdict", "Ball", "Barcode", "Column", "Filtration",
     "GeneralizationLattice", "GeneralizationTree", "NormalizedDataset",
-    "NumericTable", "Regime", "RunConfig", "WeightedBarcode", "barcode",
+    "NumericTable", "Regime", "RunConfig", "barcode",
     "build_filtration", "build_lattice", "chain_sweep", "check_k_anonymity",
     "compute_regimes", "generalize_table", "generalize_value",
     "generalized_partition_at", "ingest_csv", "lattice_search",
     "load_trees", "lower_chain", "min_enclosing_ball", "minimal_epsilon",
-    "normalize_dataset", "upper_chain", "weighted_h0_barcode",
+    "normalize_dataset", "upper_chain",
 ]
 
 __version__ = "0.1.0"

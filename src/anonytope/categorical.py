@@ -151,22 +151,9 @@ class GeneralizationLattice:
     def nodes(self) -> list[LatticeNode]:
         return sorted(product(*(range(h + 1) for h in self.heights)))
 
-    def edges(self) -> list[tuple[LatticeNode, LatticeNode]]:
-        out = []
-        for node in self.nodes():
-            for i, h in enumerate(self.heights):
-                if node[i] < h:
-                    succ = node[:i] + (node[i] + 1,) + node[i + 1:]
-                    out.append((node, succ))
-        return out
-
     @property
     def bottom(self) -> LatticeNode:
         return tuple(0 for _ in self.heights)
-
-    @property
-    def top(self) -> LatticeNode:
-        return tuple(self.heights)
 
 
 def build_lattice(trees: list[GeneralizationTree]) -> GeneralizationLattice:

@@ -26,7 +26,7 @@ from .errors import (ContractViolation, FiltrationSizeError, IngestionError,
                      InfeasibleError, TreeDefinitionError, open_utf8)
 from .geometry import (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE, Column,
                        NumericTable, normalize_dataset)
-from .homology import barcode, barcode_json, weighted_h0_barcode
+from .homology import barcode, barcode_json
 from .svg import render_barcode_svg
 
 EXIT_OK = 0
@@ -137,10 +137,8 @@ def cmd_sweep(config: RunConfig) -> int:
 
     results = [(k, compute_regimes(data, k)) for k in config.k]
 
-    weighted = weighted_h0_barcode(data)
-    filt = build_filtration(data, config.dim_cap)
-    bars = barcode(data, filt)
-    bc_json = barcode_json(bars, weighted, data.n_points)
+    bars = barcode(data, build_filtration(data, config.dim_cap))
+    bc_json = barcode_json(bars, data.n_points)
 
     status = EXIT_OK
     for k, regimes in results:
@@ -150,7 +148,7 @@ def cmd_sweep(config: RunConfig) -> int:
                           json.dumps(report, indent=2) + "\n")
             print(f"wrote {path}")
         if "svg" in config.formats:
-            svg = render_barcode_svg(bars, weighted, regimes, k)
+            svg = render_barcode_svg(bars, regimes, k)
             path = _write(out_dir, f"barcode_k{k}.svg", svg)
             print(f"wrote {path}")
         if not regimes:
@@ -175,11 +173,12 @@ def cmd_check(config: RunConfig) -> int:
     data = normalize_dataset(table)
     if config.eps is None:
         raise IngestionError("check requires --eps")
+    # first, so a bad eps is an input error even when k exceeds the rows
+    verdict = check_k_anonymity(data, config.eps, k)
     if k > data.n_points:
         print(f"k exceeds row count ({k} > {data.n_points})",
               file=sys.stderr)
         return EXIT_INFEASIBLE
-    verdict = check_k_anonymity(data, config.eps, k)
     if verdict.achieved:
         print(f"{k}-anonymous at eps={config.eps:.6g} with "
               f"{len(verdict.classes)} classes: "
@@ -221,17 +220,15 @@ def cmd_anonymize(config: RunConfig) -> int:
 def cmd_barcode(config: RunConfig) -> int:
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
-    weighted = weighted_h0_barcode(data)
-    filt = build_filtration(data, config.dim_cap)
-    bars = barcode(data, filt)
+    bars = barcode(data, build_filtration(data, config.dim_cap))
     out_dir = Path(config.out)
     if "json" in config.formats:
         path = _write(out_dir, "barcode.json",
-                      json.dumps(barcode_json(bars, weighted, data.n_points),
+                      json.dumps(barcode_json(bars, data.n_points),
                                  indent=2) + "\n")
         print(f"wrote {path}")
     if "svg" in config.formats:
-        svg = render_barcode_svg(bars, weighted, None, None)
+        svg = render_barcode_svg(bars, None, None)
         path = _write(out_dir, "barcode.svg", svg)
         print(f"wrote {path}")
     return EXIT_OK

@@ -83,10 +83,6 @@ class NumericTable:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_quasi(self) -> int:
-        return len(self.quasi_names)
-
 
 @dataclass(frozen=True)
 class NormalizedDataset:
@@ -115,9 +111,6 @@ class NormalizedDataset:
     @cached_property
     def _positions(self) -> dict[int, int]:
         return {r: i for i, r in enumerate(self.row_ids)}
-
-    def point(self, row_id: int) -> np.ndarray:
-        return self.subset([row_id])[0]
 
     def subset(self, row_ids) -> np.ndarray:
         try:
@@ -148,13 +141,6 @@ class NormalizedDataset:
         """Single linkage of the rows, built on first use and kept."""
         return MergeTree(self.points, self.row_ids, self.pair_distances)
 
-    def denormalize(self, point) -> np.ndarray:
-        point = np.asarray(point, float)
-        out = np.empty_like(point)
-        for j, (lo, hi) in enumerate(self.scale_params):
-            out[j] = lo if hi == lo else lo + point[j] * (hi - lo)
-        return out
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -163,9 +149,6 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, float))
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        return _dist(self.center, np.asarray(point, float)) <= self.radius + tol
 
 
 def normalize_dataset(table: NumericTable) -> NormalizedDataset:

@@ -1,4 +1,4 @@
-"""Persistence over GF(2): barcodes and the weighted H0 diagram.
+"""Persistence over GF(2): one barcode whose H0 bars carry their weights.
 
 H0 comes from the dataset's merge tree; higher dimensions from one
 boundary matrix per dimension.  Columns are stored as Python ints used
@@ -8,7 +8,7 @@ the scales this package targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,35 +25,14 @@ class Bar:
     dim: int
     birth: float
     death: float | None    # None encodes +infinity
+    # H0 only: piecewise-constant component size, value steps[i][1] from
+    # steps[i][0] up to the next step (or death); None above H0
+    weight_steps: tuple[tuple[float, int], ...] | None = field(
+        default=None, compare=False)
 
     @property
     def is_zero_length(self) -> bool:
         return self.death is not None and self.death == self.birth
-
-
-@dataclass(frozen=True)
-class Barcode:
-    bars: tuple[Bar, ...]
-
-    def display_bars(self) -> list[Bar]:
-        """Bars with positive length; zero-length ones stay in .bars."""
-        return [b for b in self.bars if not b.is_zero_length]
-
-    def betti_at(self, eps: float) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for b in self.bars:
-            if b.birth <= eps and (b.death is None or eps < b.death):
-                out[b.dim] = out.get(b.dim, 0) + 1
-        return out
-
-
-@dataclass(frozen=True)
-class WeightedBar:
-    birth: float
-    death: float | None
-    # piecewise-constant component size: value steps[i][1] from steps[i][0]
-    # up to the next step (or death)
-    weight_steps: tuple[tuple[float, int], ...]
 
     def weight_at(self, eps: float) -> int:
         w = 0
@@ -64,20 +43,49 @@ class WeightedBar:
 
 
 @dataclass(frozen=True)
-class WeightedBarcode:
-    h0_bars: tuple[WeightedBar, ...]
-    n_points: int
+class Barcode:
+    bars: tuple[Bar, ...]
 
-    def live_bars(self, eps: float) -> list[WeightedBar]:
-        return [b for b in self.h0_bars
+    def display_bars(self) -> list[Bar]:
+        """Bars with positive length; zero-length ones stay in .bars."""
+        return [b for b in self.bars if not b.is_zero_length]
+
+    def live_bars(self, eps: float) -> list[Bar]:
+        return [b for b in self.bars
                 if b.birth <= eps and (b.death is None or eps < b.death)]
+
+    def betti_at(self, eps: float) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for b in self.live_bars(eps):
+            out[b.dim] = out.get(b.dim, 0) + 1
+        return out
+
+
+def _h0_bars(data: NormalizedDataset) -> list[Bar]:
+    """The H0 bars of the dataset's merge tree, by death (ties in row
+    order): each merge kills the younger component's bar and the
+    survivor absorbs its weight."""
+    tree = data.merge_tree
+    n = data.n_points
+    steps = [[(0.0, 1)] for _ in range(n)]
+    deaths: list[float | None] = [None] * n
+    for d, survivor, dying in zip(tree.height, tree.survivor.tolist(),
+                                  tree.dying.tolist()):
+        eps = d / 2.0
+        deaths[dying] = eps
+        steps[survivor].append((eps, steps[survivor][-1][1]
+                                + steps[dying][-1][1]))
+    return sorted((Bar(dim=0, birth=0.0, death=deaths[i],
+                       weight_steps=tuple(steps[i])) for i in range(n)),
+                  key=lambda b: float("inf") if b.death is None else b.death)
 
 
 def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
     """Bars of every dimension below the filtration's dim_cap.
 
     H0 is the dataset's merge tree: every row is born at 0, each merge
-    kills one bar at half its height, and one bar never dies.  For
+    kills one bar at half its height, one bar never dies, and each H0
+    bar carries its component's weight steps.  For
     1 <= p < dim_cap the columns of the (p+1)-simplices are reduced left
     to right over rows of p-simplices, both indexed within their own
     dimension in filtration order.  A reduced column that becomes a
@@ -86,9 +94,7 @@ def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
     simplex up to dim_cap, so it is acyclic in dimensions 1..dim_cap-1
     and every bar there is finite.
     """
-    bars = [Bar(dim=0, birth=0.0, death=h / 2.0)
-            for h in data.merge_tree.height]
-    bars.append(Bar(dim=0, birth=0.0, death=None))
+    bars = _h0_bars(data)
     n = data.n_points
     for p in range(1, filt.dim_cap):
         rows = np.argsort(filt.births[p], kind="stable")
@@ -114,38 +120,17 @@ def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
                                         death=death))
                         break
                     col ^= other
+    # stable, so H0 keeps _h0_bars' order of tied deaths (barcode.json's)
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
     return Barcode(bars=tuple(bars))
 
 
-def weighted_h0_barcode(data: NormalizedDataset) -> WeightedBarcode:
-    """The H0 bars of the dataset's merge tree: each merge kills the
-    younger component's bar and the survivor absorbs its weight."""
-    tree = data.merge_tree
-    n = data.n_points
-    steps = [[(0.0, 1)] for _ in range(n)]
-    deaths: list[float | None] = [None] * n
-    for d, survivor, dying in zip(tree.height, tree.survivor.tolist(),
-                                  tree.dying.tolist()):
-        eps = d / 2.0
-        deaths[dying] = eps
-        steps[survivor].append((eps, steps[survivor][-1][1]
-                                + steps[dying][-1][1]))
-    bars = sorted((WeightedBar(birth=0.0, death=deaths[i],
-                               weight_steps=tuple(steps[i]))
-                   for i in range(n)),
-                  key=lambda b: float("inf") if b.death is None else b.death)
-    return WeightedBarcode(h0_bars=tuple(bars), n_points=n)
-
-
-def barcode_json(bars: Barcode, weighted: WeightedBarcode,
-                 n_points: int) -> dict:
-    """The on-disk JSON shape: H0 bars come from the merge tree with their
-    weight steps, higher dimensions from the reduction with null."""
-    out = [{"dim": 0, "birth": b.birth, "death": b.death,
-            "weight_steps": [list(step) for step in b.weight_steps]}
-           for b in weighted.h0_bars]
-    out += [{"dim": b.dim, "birth": b.birth, "death": b.death,
-             "weight_steps": None} for b in bars.bars if b.dim > 0]
-    return {"bars": out, "n_points": n_points}
+def barcode_json(bars: Barcode, n_points: int) -> dict:
+    """The on-disk JSON shape: H0 bars with their weight steps, higher
+    dimensions with null."""
+    return {"bars": [{"dim": b.dim, "birth": b.birth, "death": b.death,
+                      "weight_steps": None if b.weight_steps is None
+                      else [list(step) for step in b.weight_steps]}
+                     for b in bars.bars],
+            "n_points": n_points}

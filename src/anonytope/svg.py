@@ -7,7 +7,7 @@ is shaded red where k-anonymity fails and green where it holds.
 
 from __future__ import annotations
 
-from .homology import Barcode, WeightedBarcode
+from .homology import Barcode
 
 _W, _PANEL_H, _MARGIN, _ROW = 640, 30, 50, 14
 
@@ -16,8 +16,7 @@ def _x(eps: float, eps_max: float) -> float:
     return _MARGIN + (_W - 2 * _MARGIN) * min(eps, eps_max) / eps_max
 
 
-def render_barcode_svg(bars: Barcode, weighted: WeightedBarcode,
-                       regimes, k: int | None) -> str:
+def render_barcode_svg(bars: Barcode, regimes, k: int | None) -> str:
     display = bars.display_bars()
     dims = sorted({b.dim for b in display}) or [0]
     finite = [b.death for b in display if b.death is not None]
@@ -44,9 +43,7 @@ def render_barcode_svg(bars: Barcode, weighted: WeightedBarcode,
         y += 30
 
     for dim in dims:
-        # H0 bars and their weights come from the merge tree
-        dim_bars = [b for b in weighted.h0_bars if b.death != b.birth] \
-            if dim == 0 else [b for b in display if b.dim == dim]
+        dim_bars = [b for b in display if b.dim == dim]
         parts.append(
             f'<text x="{_MARGIN}" y="{y + 12}" font-size="12" '
             f'font-weight="bold">H{dim}</text>')

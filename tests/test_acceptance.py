@@ -30,7 +30,7 @@ from anonytope.anonymity import (OBJECTIVE_MAX_CLASSES, check_k_anonymity,
 from anonytope.cli import EXIT_OK, main as cli_main
 from anonytope.complexes import build_filtration
 from anonytope.geometry import min_enclosing_ball
-from anonytope.homology import barcode, weighted_h0_barcode
+from anonytope.homology import barcode
 
 from oracles import (components_bfs, critical_values, dataset, dist,
                      filtration_entries, homology_dims_at,
@@ -261,14 +261,14 @@ def test_criterion_08_weighted_barcode_conservation(sample_data):
         datasets.append(dataset([(rng.random(), rng.random())
                                  for _ in range(n)]))
     for data in datasets:
-        wb = weighted_h0_barcode(data)
-        infinite = [b for b in wb.h0_bars if b.death is None]
+        bars = barcode(data, build_filtration(data, dim_cap=1))
+        infinite = [b for b in bars.bars if b.death is None]
         assert len(infinite) == 1
-        eps_values = {0.0} | {b.death for b in wb.h0_bars
+        eps_values = {0.0} | {b.death for b in bars.bars
                               if b.death is not None}
         for eps in eps_values:
-            total = sum(b.weight_at(eps) for b in wb.live_bars(eps))
-            assert total == wb.n_points
+            total = sum(b.weight_at(eps) for b in bars.live_bars(eps))
+            assert total == data.n_points
     report(8, True, f"{len(datasets)} datasets conserved weights")
 
 

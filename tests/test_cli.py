@@ -26,7 +26,7 @@ class TestIngest:
     def test_sample_csv(self, sample_csv):
         table = ingest_csv(sample_csv, config_for(sample_csv))
         assert table.n_rows == 9
-        assert table.n_quasi == 2
+        assert len(table.quasi_names) == 2
         assert table.rows[0]["Age"] == 25.0
 
     def test_empty_file(self, tmp_path):
@@ -122,6 +122,15 @@ class TestExitPaths:
         assert rc == EXIT_INPUT_ERROR
         assert capsys.readouterr() == \
             ("", "error: eps must be nonnegative, got nan\n")
+
+    @pytest.mark.parametrize("eps", ["nan", "-1"])
+    def test_bad_eps_with_k_over_rows(self, sample_csv, capsys, eps):
+        # the eps is checked before k is compared with the row count
+        rc = run_cli("check", "--input", str(sample_csv),
+                     "--quasi", "Age", "ZIP", "--k", "10", "--eps", eps)
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == \
+            ("", f"error: eps must be nonnegative, got {float(eps)}\n")
 
     @pytest.mark.parametrize("which", ["csv", "config", "trees"])
     def test_non_utf8_file_is_input_error(self, sample_csv, tmp_path, capsys,

@@ -33,23 +33,16 @@ class TestNormalize:
         assert data.scale_params == ((25.0, 25.0), (47677.0, 47677.0))
 
     def test_extreme_rows_hit_corners(self, sample_data):
-        assert np.allclose(sample_data.point(2), [0.0, 0.0])
-        assert np.allclose(sample_data.point(5), [1.0, 1.0])
+        assert np.allclose(sample_data.points[2 - 1], [0.0, 0.0])
+        assert np.allclose(sample_data.points[5 - 1], [1.0, 1.0])
 
     def test_interior_row_minmax(self, sample_data):
-        assert np.allclose(sample_data.point(1),
+        assert np.allclose(sample_data.points[1 - 1],
                            [(25 - 22) / 30, (47677 - 47602) / 307])
 
     def test_non_quasi_columns_excluded(self, sample_data):
         assert sample_data.dim == 2
         assert sample_data.qi_names == ("Age", "ZIP")
-
-    def test_denormalize_roundtrip(self, sample_table, sample_data):
-        for rid in sample_data.row_ids:
-            orig = [sample_table.rows[rid - 1]["Age"],
-                    sample_table.rows[rid - 1]["ZIP"]]
-            back = sample_data.denormalize(sample_data.point(rid))
-            assert np.allclose(back, orig, atol=1e-12)
 
     def test_non_numeric_cell_names_row_and_column(self):
         with pytest.raises(IngestionError, match=r"row 2.*c0"):

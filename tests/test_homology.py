@@ -7,7 +7,7 @@ import pytest
 
 from anonytope.complexes import build_filtration
 from anonytope.errors import ContractViolation
-from anonytope.homology import barcode, barcode_json, weighted_h0_barcode
+from anonytope.homology import barcode, barcode_json
 
 import oracles
 from oracles import (SimplicialComplex, boundary_matrix, critical_values,
@@ -115,22 +115,27 @@ class TestBettiAt:
         assert homology_dims_at(cx) == [1, 0]
 
 
+def h0_barcode(data):
+    """The barcode of a cap-1 filtration: its H0 bars only."""
+    return barcode(data, build_filtration(data, dim_cap=1))
+
+
 class TestWeightedBarcode:
     def test_all_singletons_at_zero(self, sample_data):
-        wb = weighted_h0_barcode(sample_data)
+        wb = h0_barcode(sample_data)
         live = wb.live_bars(0.0)
         assert len(live) == 9
         assert all(b.weight_at(0.0) == 1 for b in live)
 
     def test_single_bar_at_large_eps(self, sample_data):
-        wb = weighted_h0_barcode(sample_data)
+        wb = h0_barcode(sample_data)
         live = wb.live_bars(10.0)
         assert len(live) == 1
         assert live[0].weight_at(10.0) == 9
 
     def test_two_component_regime_weights(self, sample_data):
         # components {1,2,3,7,8,9} and {4,5,6} coexist around eps = 0.3
-        wb = weighted_h0_barcode(sample_data)
+        wb = h0_barcode(sample_data)
         weights = sorted(b.weight_at(0.3) for b in wb.live_bars(0.3))
         assert weights == [3, 6]
 
@@ -138,23 +143,41 @@ class TestWeightedBarcode:
     def partitions_at_deaths(data, wb):
         """The merge tree's partition at zero and at every H0 death."""
         tree = data.merge_tree
-        for eps in [0.0] + [b.death for b in wb.h0_bars
+        for eps in [0.0] + [b.death for b in wb.bars
                             if b.death is not None]:
             yield eps, [tree.row_ids(c)
                         for c in tree.components(tree.cut(eps))]
 
     def test_weights_conserved_at_every_merge(self, sample_data):
-        wb = weighted_h0_barcode(sample_data)
+        wb = h0_barcode(sample_data)
         for eps, parts in self.partitions_at_deaths(sample_data, wb):
             total = sum(b.weight_at(eps) for b in wb.live_bars(eps))
-            assert total == wb.n_points
+            assert total == sample_data.n_points
             assert len(wb.live_bars(eps)) == len(parts)
 
     def test_snapshot_partitions_cover_rows(self, sample_data):
-        wb = weighted_h0_barcode(sample_data)
+        wb = h0_barcode(sample_data)
         for _, parts in self.partitions_at_deaths(sample_data, wb):
             rows = sorted(v for p in parts for v in p)
             assert rows == list(sample_data.row_ids)
+
+
+def test_h0_weights_are_component_sizes_on_ties():
+    # on a half-integer grid merges tie and rows repeat, so a bar can gain
+    # several weight steps at one eps; at zero and at every H0 death the
+    # live bars' weights are still the merge tree's component sizes
+    rng = random.Random(2718)
+    for _ in range(100):
+        n, d = rng.randint(2, 12), rng.randint(1, 3)
+        data = dataset([[rng.randint(0, 4) / 2 for _ in range(d)]
+                        for _ in range(n)])
+        bars = h0_barcode(data)
+        tree = data.merge_tree
+        for eps in {0.0} | {b.death for b in bars.bars
+                            if b.death is not None}:
+            got = sorted(b.weight_at(eps) for b in bars.live_bars(eps))
+            want = sorted(len(c) for c in tree.components(tree.cut(eps)))
+            assert got == want, (data.points.tolist(), eps)
 
 
 def test_barcode_betti_matches_rank_nullity():
@@ -223,18 +246,15 @@ def test_determinism(sample_data):
     filt2 = build_filtration(sample_data, dim_cap=2)
     one = barcode(sample_data, filt)
     two = barcode(sample_data, filt2)
-    wb = weighted_h0_barcode(sample_data)
-    a = json.dumps(barcode_json(one, wb, sample_data.n_points))
-    b = json.dumps(barcode_json(two, weighted_h0_barcode(sample_data),
-                                sample_data.n_points))
+    a = json.dumps(barcode_json(one, sample_data.n_points))
+    b = json.dumps(barcode_json(two, sample_data.n_points))
     assert a == b
 
 
 def test_barcode_json_schema(sample_data):
     filt = build_filtration(sample_data, dim_cap=2)
     bars = barcode(sample_data, filt)
-    wb = weighted_h0_barcode(sample_data)
-    doc = barcode_json(bars, wb, sample_data.n_points)
+    doc = barcode_json(bars, sample_data.n_points)
     assert doc["n_points"] == 9
     for bar in doc["bars"]:
         assert set(bar) == {"dim", "birth", "death", "weight_steps"}

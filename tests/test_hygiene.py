@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import anonytope
 
 PACKAGE = Path(anonytope.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -22,3 +24,18 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}: {name}"
                    for name in sorted(imported - used - {"annotations"})]
     assert unused == []
+
+
+def test_readme_imports_exist():
+    # the README's library snippets import from the package root, so each
+    # name must stay exported there
+    blocks = re.findall(r"```python\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.DOTALL)
+    assert blocks
+    missing = [alias.name for block in blocks
+               for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "anonytope"
+               for alias in node.names
+               if alias.name not in anonytope.__all__]
+    assert missing == []

@@ -1,7 +1,7 @@
 import re
 
 from anonytope.complexes import build_filtration
-from anonytope.homology import barcode, weighted_h0_barcode
+from anonytope.homology import barcode
 from anonytope.svg import render_barcode_svg
 
 from oracles import dataset
@@ -11,9 +11,8 @@ def test_h0_labels_on_tied_deaths():
     # {1} joins {2,3} and {4} joins {5} at the same eps 0.21875: the two
     # bars dying there carry weights 2 and 1, not one shared label
     data = dataset([(2.0,), (1.5,), (1.5625,), (0.0,), (0.4375,)])
-    filt = build_filtration(data, dim_cap=1)
-    bars = barcode(data, filt)
-    svg = render_barcode_svg(bars, weighted_h0_barcode(data), None, None)
+    bars = barcode(data, build_filtration(data, dim_cap=1))
+    svg = render_barcode_svg(bars, None, None)
     labels = sorted((float(x), int(w)) for x, w in re.findall(
         r'<text x="([\d.]+)" y="[\d.]+" font-size="10">w=(\d+)</text>',
         svg))
