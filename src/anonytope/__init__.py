@@ -1,16 +1,27 @@
-"""k-anonymity tradeoff analysis via anonymity complexes and persistence."""
+"""k-anonymity tradeoff analysis via anonymity complexes and persistence.
 
-from .anonymity import (AnonymityVerdict, Regime, check_k_anonymity,
-                        compute_regimes, generalize_table, minimal_epsilon)
-from .categorical import (GeneralizationLattice, GeneralizationTree,
-                          build_lattice, chain_sweep, generalize_value,
-                          generalized_partition_at, lattice_search,
-                          load_trees, lower_chain, upper_chain)
-from .cli import RunConfig, ingest_csv
-from .complexes import Filtration, build_filtration
-from .geometry import (Ball, Column, NormalizedDataset, NumericTable,
-                       min_enclosing_ball, normalize_dataset)
-from .homology import Barcode, barcode
+The public names below are imported from their home modules on first
+access (PEP 562), so ``import anonytope.cli`` loads only what the
+subcommand it runs needs: the categorical side never loads numpy.
+"""
+
+import importlib
+
+_HOMES = {
+    "anonymity": ("AnonymityVerdict", "Regime", "check_k_anonymity",
+                  "compute_regimes", "generalize_table", "minimal_epsilon"),
+    "categorical": ("GeneralizationLattice", "GeneralizationTree",
+                    "build_lattice", "chain_sweep", "generalize_value",
+                    "generalized_partition_at", "lattice_search",
+                    "load_trees", "lower_chain", "upper_chain"),
+    "cli": ("RunConfig", "ingest_csv"),
+    "complexes": ("Filtration", "build_filtration"),
+    "geometry": ("Ball", "Column", "NormalizedDataset", "NumericTable",
+                 "min_enclosing_ball", "normalize_dataset"),
+    "homology": ("Barcode", "barcode"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items()
+            for name in names}
 
 __all__ = [
     "AnonymityVerdict", "Ball", "Barcode", "Column", "Filtration",
@@ -24,3 +35,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value     # later lookups skip this hook
+    return value

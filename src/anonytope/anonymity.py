@@ -13,14 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContractViolation, InfeasibleError
+from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
+                     ContractViolation, InfeasibleError)
 from .geometry import NormalizedDataset, NumericTable
 
 FAIL_TOO_SMALL = "component_too_small"
 FAIL_NOT_SIMPLEX = "component_not_simplex"
-
-OBJECTIVE_SMALLEST_EPS = "smallest_eps"
-OBJECTIVE_MAX_CLASSES = "max_classes"
 
 
 @dataclass(frozen=True)

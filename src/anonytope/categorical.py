@@ -9,14 +9,14 @@ and the same weighted H0 bookkeeping applies, indexed by path position.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 
-import yaml
-
-from .errors import (ContractViolation, IngestionError, TreeDefinitionError,
-                     open_utf8)
+from .errors import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
+                     ContractViolation, IngestionError, TreeDefinitionError,
+                     read_yaml)
 
 LatticeNode = tuple[int, ...]
 
@@ -130,8 +130,7 @@ def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
 
 
 def load_trees(path) -> list[GeneralizationTree]:
-    with open_utf8(path) as fh:
-        spec = yaml.safe_load(fh)
+    spec = read_yaml(path)
     if not isinstance(spec, dict) or not spec:
         raise TreeDefinitionError(f"{path}: no tree definitions found")
     return trees_from_dict(spec)
@@ -162,23 +161,57 @@ def build_lattice(trees: list[GeneralizationTree]) -> GeneralizationLattice:
     return GeneralizationLattice(heights=tuple(t.height for t in trees))
 
 
+def _ancestor_chains(rows, trees) -> list[list[tuple[str, ...]]]:
+    """Per attribute, each row's ancestor chain in that attribute's tree:
+    entry ``[a][i][level]`` is row i + 1's value of attribute a
+    generalized to ``level``.  Every row's arity and values are checked
+    here, once."""
+    tables = [tree.ancestors for tree in trees]
+    chains = [[] for _ in trees]
+    for rid, row in enumerate(rows, start=1):
+        if len(row) != len(trees):
+            raise IngestionError(f"row {rid} has {len(row)} values, "
+                                 f"expected {len(trees)}")
+        for tree, table, column, value in zip(trees, tables, chains, row):
+            chain = table.get(str(value))
+            if chain is None:
+                raise ContractViolation(f"{str(value)!r} is not a leaf of "
+                                        f"tree {tree.attribute!r}")
+            column.append(chain)
+    return chains
+
+
+def _check_node(trees, node: LatticeNode) -> None:
+    if len(node) != len(trees):
+        raise ContractViolation("node arity does not match tree count")
+    for tree, level in zip(trees, node):
+        if not 0 <= level <= tree.height:
+            raise ContractViolation(
+                f"level {level} outside [0, {tree.height}] "
+                f"for tree {tree.attribute!r}")
+
+
+def _keys_at(chains, node: LatticeNode):
+    """Each row's generalized tuple at the node, in row order."""
+    return zip(*([chain[level] for chain in column]
+                 for column, level in zip(chains, node)))
+
+
+def _classes_at(chains, node: LatticeNode) -> list[tuple[int, ...]]:
+    buckets: dict[tuple, list[int]] = {}
+    for rid, key in enumerate(_keys_at(chains, node), start=1):
+        buckets.setdefault(key, []).append(rid)
+    return sorted(tuple(v) for v in buckets.values())
+
+
 def generalized_partition_at(rows: list[tuple], trees, node: LatticeNode):
     """Classes of rows whose generalized tuples at these levels coincide.
 
     A class of m rows is exactly a generalized anonymity simplex on m
     points.  Row ids are 1-based.
     """
-    if len(node) != len(trees):
-        raise ContractViolation("node arity does not match tree count")
-    buckets: dict[tuple, list[int]] = {}
-    for rid, row in enumerate(rows, start=1):
-        if len(row) != len(trees):
-            raise IngestionError(f"row {rid} has {len(row)} values, "
-                                 f"expected {len(trees)}")
-        key = tuple(generalize_value(t, str(v), lvl)
-                    for t, v, lvl in zip(trees, row, node))
-        buckets.setdefault(key, []).append(rid)
-    return sorted(tuple(v) for v in buckets.values())
+    _check_node(trees, node)
+    return _classes_at(_ancestor_chains(rows, trees), node)
 
 
 @dataclass(frozen=True)
@@ -221,9 +254,12 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
         raise ContractViolation("path must be nonempty")
     if not _is_monotone(path):
         raise ContractViolation("path must increment one level per step")
+    for node in path:
+        _check_node(trees, node)
+    chains = _ancestor_chains(rows, trees)
     steps = []
     for node in path:
-        classes = generalized_partition_at(rows, trees, node)
+        classes = _classes_at(chains, node)
         steps.append(ChainStep(
             node=node, classes=tuple(classes),
             k_anonymous=all(len(c) >= k for c in classes)))
@@ -261,10 +297,6 @@ def upper_chain(lattice: GeneralizationLattice) -> list[LatticeNode]:
             for s in range(lattice.heights[-1] + 1)]
 
 
-STRATEGY_LOWER_THEN_UPPER = "lower_then_upper"
-STRATEGY_EXHAUSTIVE = "exhaustive"
-
-
 @dataclass(frozen=True)
 class LatticeSearchResult:
     strategy: str
@@ -284,27 +316,29 @@ def lattice_search(rows, trees, k: int,
     there carries over to the upper chain by inclusion, so the upper
     sweep is skipped.  A double failure is NOT a proof of infeasibility:
     nodes off both chains remain unexplored, and the result says so.
-    exhaustive evaluates every node and returns the minimal k-anonymous
-    ones (by level sum, ties lexicographic).
+    exhaustive returns every k-anonymous node of least level sum, in
+    lexicographic order; minimal nodes of a larger sum are not reported.
+    It counts class sizes node by node in ascending level sum and stops
+    after the first sum that has a k-anonymous node: raising a level
+    only merges classes, so no later node can lower that sum.
     """
     lattice = build_lattice(trees)
     if strategy == STRATEGY_EXHAUSTIVE:
-        good = []
-        for node in lattice.nodes():
-            classes = generalized_partition_at(rows, trees, node)
-            if all(len(c) >= k for c in classes):
-                good.append(node)
-        if not good:
-            return LatticeSearchResult(
-                strategy=strategy, nodes=(), reports=(),
-                upper_chain_skipped=False, conclusive=True,
-                note=f"no lattice node achieves {k}-anonymity")
-        best_sum = min(sum(n) for n in good)
-        minimal = tuple(sorted(n for n in good if sum(n) == best_sum))
+        chains = _ancestor_chains(rows, trees)
+        for _, same_sum in groupby(sorted(lattice.nodes(), key=sum), key=sum):
+            minimal = tuple(
+                node for node in same_sum
+                if all(size >= k
+                       for size in Counter(_keys_at(chains, node)).values()))
+            if minimal:
+                return LatticeSearchResult(
+                    strategy=strategy, nodes=minimal, reports=(),
+                    upper_chain_skipped=False, conclusive=True,
+                    note="exhaustive search over all lattice nodes")
         return LatticeSearchResult(
-            strategy=strategy, nodes=minimal, reports=(),
+            strategy=strategy, nodes=(), reports=(),
             upper_chain_skipped=False, conclusive=True,
-            note="exhaustive search over all lattice nodes")
+            note=f"no lattice node achieves {k}-anonymity")
 
     if strategy != STRATEGY_LOWER_THEN_UPPER:
         raise ContractViolation(f"unknown strategy {strategy!r}")

@@ -3,6 +3,11 @@ tables out.
 
 Subcommands: sweep, check, anonymize, barcode, lattice-sweep.  Exit codes:
 0 success, 1 input error, 2 the requested k is infeasible.
+
+Each subcommand imports the modules it needs when it runs: the numeric
+ones (and numpy) for sweep, check, anonymize and barcode, the
+categorical one for lattice-sweep, and PyYAML only to read a ``--config``
+or ``--trees`` file.
 """
 
 from __future__ import annotations
@@ -14,20 +19,11 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
-from .anonymity import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
-                        check_k_anonymity, compute_regimes, generalize_table,
-                        minimal_epsilon, regime_report)
-from .categorical import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
-                          chain_report_json, lattice_search, load_trees)
-from .complexes import build_filtration
-from .errors import (ContractViolation, FiltrationSizeError, IngestionError,
-                     InfeasibleError, TreeDefinitionError, open_utf8)
-from .geometry import (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE, Column,
-                       NumericTable, normalize_dataset)
-from .homology import barcode, barcode_json
-from .svg import render_barcode_svg
+from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
+                     STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
+                     ContractViolation, FiltrationSizeError, IngestionError,
+                     InfeasibleError, TreeDefinitionError, open_utf8,
+                     read_yaml)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -86,6 +82,8 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
         return [tuple(row[name] for name in config.quasi)
                 for row in raw_rows]
 
+    from .geometry import (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE,
+                           Column, NumericTable)
     roles = {name: ROLE_QUASI for name in config.quasi}
     roles.update({name: ROLE_IDENTIFIER for name in config.identifiers})
     roles.update({name: ROLE_SENSITIVE for name in config.sensitive})
@@ -131,6 +129,12 @@ def _one_k(config: RunConfig, command: str) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    from .anonymity import compute_regimes, regime_report
+    from .complexes import build_filtration
+    from .geometry import normalize_dataset
+    from .homology import barcode, barcode_json
+    from .svg import render_barcode_svg
+
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
     out_dir = Path(config.out)
@@ -168,6 +172,9 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
+    from .anonymity import check_k_anonymity
+    from .geometry import normalize_dataset
+
     k = _one_k(config, "check")
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
@@ -191,6 +198,9 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_anonymize(config: RunConfig) -> int:
+    from .anonymity import compute_regimes, generalize_table, minimal_epsilon
+    from .geometry import normalize_dataset
+
     k = _one_k(config, "anonymize")
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
@@ -218,6 +228,11 @@ def cmd_anonymize(config: RunConfig) -> int:
 
 
 def cmd_barcode(config: RunConfig) -> int:
+    from .complexes import build_filtration
+    from .geometry import normalize_dataset
+    from .homology import barcode, barcode_json
+    from .svg import render_barcode_svg
+
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
     bars = barcode(data, build_filtration(data, config.dim_cap))
@@ -235,10 +250,20 @@ def cmd_barcode(config: RunConfig) -> int:
 
 
 def cmd_lattice_sweep(config: RunConfig) -> int:
+    from .categorical import chain_report_json, lattice_search, load_trees
+
     k = _one_k(config, "lattice-sweep")
     if not config.trees:
         raise IngestionError("lattice-sweep requires --trees")
-    trees = load_trees(config.trees)
+    # trees are matched to the --quasi columns by name, in --quasi order
+    by_name = {str(tree.attribute): tree
+               for tree in load_trees(config.trees)}
+    for name in config.quasi:
+        if name not in by_name:
+            raise IngestionError(
+                f"no tree for --quasi column {name!r} in {config.trees}; "
+                f"its trees are " + ", ".join(map(repr, by_name)))
+    trees = [by_name[name] for name in config.quasi]
     rows = ingest_csv(config.input, config, categorical=True)
     result = lattice_search(rows, trees, k, config.strategy)
     out_dir = Path(config.out)
@@ -304,8 +329,7 @@ def _config_file_args(path) -> dict:
     """The YAML file's values, each key read as the flag of that name
     (``dim_cap`` or ``dim-cap``) with the flag's own type, nargs and
     choices."""
-    with open_utf8(path) as fh:
-        spec = yaml.safe_load(fh) or {}
+    spec = read_yaml(path) or {}
     if not isinstance(spec, dict):
         raise IngestionError(f"{path}: expected a mapping of flags to values")
     argv = []
@@ -340,27 +364,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _yaml_message(exc: yaml.YAMLError) -> str:
-    """A YAML error on one line: path, line, column and problem, where
-    PyYAML's own message spans several lines."""
-    mark = getattr(exc, "problem_mark", None)
-    if mark is None:
-        return " ".join(str(exc).split())
-    context = f" ({exc.context})" if exc.context else ""
-    return (f"{mark.name}: line {mark.line + 1}, column {mark.column + 1}: "
-            f"{exc.problem}{context}")
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         config = build_config(args)
         return _COMMANDS[args.command](config)
     except (IngestionError, ContractViolation, TreeDefinitionError,
-            FiltrationSizeError, OSError, yaml.YAMLError) as exc:
-        message = _yaml_message(exc) if isinstance(exc, yaml.YAMLError) \
-            else exc
-        print(f"error: {message}", file=sys.stderr)
+            FiltrationSizeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -1,7 +1,21 @@
-"""Exception types shared across the package, and the text reader that
-reports an undecodable input file as one of them."""
+"""Exception types shared across the package, the readers that report an
+undecodable or unparsable input file as one of them, and the choice
+strings of the CLI's ``--objective`` and ``--strategy``.
+
+Loading this module imports neither numpy nor PyYAML (``read_yaml``
+imports PyYAML when called), so the CLI can load it before it knows
+which subcommand runs.
+"""
 
 from contextlib import contextmanager
+
+# minimal_epsilon objectives
+OBJECTIVE_SMALLEST_EPS = "smallest_eps"
+OBJECTIVE_MAX_CLASSES = "max_classes"
+
+# lattice_search strategies
+STRATEGY_LOWER_THEN_UPPER = "lower_then_upper"
+STRATEGY_EXHAUSTIVE = "exhaustive"
 
 
 class ContractViolation(ValueError):
@@ -35,3 +49,23 @@ def open_utf8(path, newline=None):
         except UnicodeDecodeError as exc:
             raise IngestionError(
                 f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def read_yaml(path):
+    """The YAML document in a UTF-8 file.  A YAML error is an
+    IngestionError on one line: path, line, column and problem, where
+    PyYAML's own message spans several lines."""
+    import yaml
+
+    with open_utf8(path) as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            if mark is None:
+                message = " ".join(str(exc).split())
+            else:
+                context = f" ({exc.context})" if exc.context else ""
+                message = (f"{mark.name}: line {mark.line + 1}, column "
+                           f"{mark.column + 1}: {exc.problem}{context}")
+            raise IngestionError(message) from None

@@ -4,7 +4,8 @@ Everything here is deliberately naive (exhaustive subset enumeration,
 BFS, set-partition enumeration, parent-link walks, one reduction over
 the whole filtration's global index) and shares no code path with the
 package implementation it checks, except that the fixed-eps anonymity
-complex tests its simplices with the package's min_enclosing_ball.
+complex tests its simplices with the package's min_enclosing_ball and
+the lattice brute force reads the package's per-node partition.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from anonytope.categorical import generalized_partition_at
 from anonytope.complexes import Filtration
 from anonytope.errors import ContractViolation
 from anonytope.geometry import NormalizedDataset, min_enclosing_ball
@@ -449,3 +451,16 @@ def chain_sweep_elder(rows, trees, path):
         ((0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
         key=lambda b: (b[1] is None, b[1] or 0, b[2])))
     return partitions, bars
+
+
+def exhaustive_nodes(rows, trees, k: int) -> tuple:
+    """The k-anonymous lattice nodes of least level sum, in lexicographic
+    order, from the partition at every node of the lattice."""
+    good = [node for node in itertools.product(
+                *(range(t.height + 1) for t in trees))
+            if all(len(c) >= k
+                   for c in generalized_partition_at(rows, trees, node))]
+    if not good:
+        return ()
+    least = min(map(sum, good))
+    return tuple(sorted(node for node in good if sum(node) == least))

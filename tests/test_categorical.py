@@ -13,7 +13,7 @@ from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
 from anonytope.errors import ContractViolation, TreeDefinitionError
 
 from conftest import TREES_YAML
-from oracles import ancestor_walk, chain_sweep_elder
+from oracles import ancestor_walk, chain_sweep_elder, exhaustive_nodes
 import yaml
 
 
@@ -292,6 +292,26 @@ class TestLatticeSearch:
                 best = min(sum(n) for n in good)
                 assert set(result.nodes) == {n for n in good
                                              if sum(n) == best}
+
+    def test_exhaustive_matches_every_node_oracle(self):
+        # the search stops after the first level sum with an anonymous
+        # node; the oracle evaluates every node
+        rng = random.Random(47)
+        infeasible = beyond_bottom = ties = 0
+        for _ in range(220):
+            trees = [random_tree(rng, f"t{a}", rng.randint(0, 3))
+                     for a in range(rng.randint(1, 3))]
+            rows = [tuple(rng.choice(t.leaves) for t in trees)
+                    for _ in range(rng.randint(1, 20))]
+            for k in (1, rng.randint(2, 6), len(rows) + 1):
+                result = lattice_search(rows, trees, k, STRATEGY_EXHAUSTIVE)
+                expected = exhaustive_nodes(rows, trees, k)
+                assert result.nodes == expected
+                assert result.conclusive and result.reports == ()
+                infeasible += expected == ()
+                beyond_bottom += bool(expected) and any(expected[0])
+                ties += len(expected) > 1
+        assert infeasible >= 220 and beyond_bottom >= 100 and ties >= 10
 
 
 def test_load_trees_from_file(trees_yaml):

@@ -323,6 +323,21 @@ class TestCommands:
         doc = json.loads((out / "lattice_k3.json").read_text())
         assert doc["nodes"] == [[1, 2]]
 
+    @pytest.mark.parametrize("strategy",
+                             ["lower_then_upper", "exhaustive"])
+    def test_unknown_leaf_is_input_error(self, tmp_path, trees_yaml, capsys,
+                                         strategy):
+        path = tmp_path / "cat.csv"
+        path.write_text("gender,country\nMale,Spain\nFemale,Mars\n")
+        rc = run_cli("lattice-sweep", "--input", str(path),
+                     "--quasi", "gender", "country",
+                     "--trees", str(trees_yaml), "--k", "2",
+                     "--strategy", strategy, "--out", str(tmp_path / "out"))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == \
+            ("", "error: 'Mars' is not a leaf of tree 'country'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_with_flag_override(self, sample_csv, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(yaml.safe_dump({
@@ -334,6 +349,84 @@ class TestCommands:
         rc = run_cli("--config", str(cfg), "sweep", "--k", "4")
         assert rc == EXIT_OK
         assert (tmp_path / "cfg_out" / "regimes_k4.json").exists()
+
+
+class TestLatticeTreesByName:
+    """lattice-sweep picks each --quasi column's tree by its name."""
+
+    def run(self, tmp_path, trees_yaml, header, *quasi):
+        path = tmp_path / "cat.csv"
+        path.write_text(header + "\nMale,Portugal\nFemale,Spain\n"
+                        "Male,Hungary\nFemale,Hungary\n")
+        out = tmp_path / "out"
+        rc = run_cli("lattice-sweep", "--input", str(path),
+                     "--quasi", *quasi, "--trees", str(trees_yaml),
+                     "--k", "2", "--strategy", "exhaustive",
+                     "--out", str(out))
+        doc = json.loads((out / "lattice_k2.json").read_text()) \
+            if rc == EXIT_OK else None
+        return rc, doc
+
+    def test_quasi_order_differs_from_file_order(self, tmp_path, trees_yaml):
+        _, in_order = self.run(tmp_path, trees_yaml, "gender,country",
+                               "gender", "country")
+        rc, swapped = self.run(tmp_path, trees_yaml, "gender,country",
+                               "country", "gender")
+        assert rc == EXIT_OK
+        assert in_order["nodes"] == [[0, 2], [1, 1]]
+        assert swapped["nodes"] == [[1, 1], [2, 0]]
+
+    def test_column_without_tree_is_input_error(self, tmp_path, trees_yaml,
+                                                capsys):
+        rc, _ = self.run(tmp_path, trees_yaml, "sex,nation", "sex", "nation")
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: no tree for --quasi column 'sex' in {trees_yaml}; "
+            f"its trees are 'gender', 'country'\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unnamed_trees_are_left_out(self, tmp_path, trees_yaml):
+        rc, doc = self.run(tmp_path, trees_yaml, "gender,country", "country")
+        assert rc == EXIT_OK
+        assert doc["nodes"] == [[1]]
+
+
+def loaded_modules(tmp_path, *argv) -> dict:
+    """In a fresh interpreter: which of the heavy modules are loaded
+    after ``import anonytope.cli``, and after ``main(argv)`` if argv."""
+    probe = (
+        "import json, sys\n"
+        "watch = ('numpy', 'yaml', 'anonytope.categorical')\n"
+        "def loaded():\n"
+        "    return [m for m in watch if m in sys.modules]\n"
+        "import anonytope.cli\n"
+        "doc = {'import': loaded()}\n"
+        "if sys.argv[1:]:\n"
+        "    doc['rc'] = anonytope.cli.main(sys.argv[1:])\n"
+        "    doc['run'] = loaded()\n"
+        "print(json.dumps(doc))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                          capture_output=True, text=True, env=package_env(),
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_each_command_loads_only_what_it_needs(sample_csv, trees_yaml,
+                                                tmp_path):
+    assert loaded_modules(tmp_path) == {"import": []}
+    cat = tmp_path / "cat.csv"
+    cat.write_text("gender,country\n" + "Male,Spain\n" * 3)
+    lattice = loaded_modules(
+        tmp_path, "lattice-sweep", "--input", cat, "--quasi", "gender",
+        "country", "--trees", trees_yaml, "--k", "2",
+        "--strategy", "exhaustive", "--out", tmp_path / "lat")
+    assert lattice == {"import": [], "rc": EXIT_OK,
+                       "run": ["yaml", "anonytope.categorical"]}
+    sweep = loaded_modules(
+        tmp_path, "sweep", "--input", sample_csv, "--quasi", "Age", "ZIP",
+        "--k", "3", "--out", tmp_path / "sweep")
+    assert sweep == {"import": [], "rc": EXIT_OK, "run": ["numpy"]}
 
 
 def peak_rss_mib(*argv):

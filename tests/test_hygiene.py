@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import anonytope
 
 PACKAGE = Path(anonytope.__file__).parent
@@ -39,3 +41,16 @@ def test_readme_imports_exist():
                for alias in node.names
                if alias.name not in anonytope.__all__]
     assert missing == []
+
+
+def test_every_exported_name_resolves():
+    # the package root imports each name from its home module on first
+    # access
+    for name in anonytope.__all__:
+        assert getattr(anonytope, name).__name__ == name
+    namespace = {}
+    exec("from anonytope import *", namespace)
+    assert all(namespace[name] is getattr(anonytope, name)
+               for name in anonytope.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        anonytope.no_such_name
