@@ -10,9 +10,9 @@ and the same weighted H0 bookkeeping applies, indexed by path position.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
+from typing import NamedTuple
 
 from .errors import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
                      ContractViolation, IngestionError, TreeDefinitionError,
@@ -20,15 +20,36 @@ from .errors import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
 
 LatticeNode = tuple[int, ...]
 
+# The records below are NamedTuples or plain classes, not dataclasses:
+# ``dataclasses`` imports ``inspect``, which costs a numpy-free
+# ``lattice-sweep`` more than its lattice search.
 
-@dataclass(frozen=True)
+
 class GeneralizationTree:
     """Per-attribute hierarchy; level 0 is the leaves, the root sits at
-    level == height, and every leaf is at the same depth."""
+    level == height, and every leaf is at the same depth.  Immutable,
+    compared by value; a plain class because ``ancestors`` is cached in
+    the instance dict."""
 
-    attribute: str
-    root: str
-    parent: dict[str, str]       # child -> parent, root absent
+    def __init__(self, attribute: str, root: str, parent: dict[str, str]):
+        # parent: child -> parent, root absent
+        vars(self).update(attribute=attribute, root=root, parent=parent)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.attribute, self.root, self.parent)
+                == (other.attribute, other.root, other.parent))
+
+    def __repr__(self):
+        return (f"GeneralizationTree(attribute={self.attribute!r}, "
+                f"root={self.root!r}, parent={self.parent!r})")
 
     @property
     def nodes(self) -> set[str]:
@@ -104,6 +125,11 @@ def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
     parent -> [children] listing."""
     trees = []
     for attr, body in spec.items():
+        if attr is None or isinstance(attr, bool):
+            raise TreeDefinitionError(
+                f"tree name {attr!r} is not a string: YAML reads an "
+                f"unquoted yes, no, on, off or null as a boolean or null; "
+                f"quote the name")
         if not isinstance(body, dict) or "root" not in body:
             raise TreeDefinitionError(f"attribute {attr!r}: missing root")
         root = str(body["root"])
@@ -136,8 +162,7 @@ def load_trees(path) -> list[GeneralizationTree]:
     return trees_from_dict(spec)
 
 
-@dataclass(frozen=True)
-class GeneralizationLattice:
+class GeneralizationLattice(NamedTuple):
     heights: tuple[int, ...]
 
     @property
@@ -214,15 +239,13 @@ def generalized_partition_at(rows: list[tuple], trees, node: LatticeNode):
     return _classes_at(_ancestor_chains(rows, trees), node)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     node: LatticeNode
     classes: tuple[tuple[int, ...], ...]
     k_anonymous: bool
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     path: tuple[LatticeNode, ...]
     steps: tuple[ChainStep, ...]
     k: int
@@ -297,8 +320,7 @@ def upper_chain(lattice: GeneralizationLattice) -> list[LatticeNode]:
             for s in range(lattice.heights[-1] + 1)]
 
 
-@dataclass(frozen=True)
-class LatticeSearchResult:
+class LatticeSearchResult(NamedTuple):
     strategy: str
     nodes: tuple[LatticeNode, ...]          # earliest k-anonymous nodes
     reports: tuple[ChainReport, ...]
@@ -334,7 +356,8 @@ def lattice_search(rows, trees, k: int,
                 return LatticeSearchResult(
                     strategy=strategy, nodes=minimal, reports=(),
                     upper_chain_skipped=False, conclusive=True,
-                    note="exhaustive search over all lattice nodes")
+                    note=("exhaustive search in ascending level sum, stopped "
+                          "after the least sum with a k-anonymous node"))
         return LatticeSearchResult(
             strategy=strategy, nodes=(), reports=(),
             upper_chain_skipped=False, conclusive=True,

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
@@ -30,24 +29,48 @@ EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
-@dataclass
 class RunConfig:
-    input: str = ""
-    quasi: list[str] = field(default_factory=list)
-    identifiers: list[str] = field(default_factory=list)
-    sensitive: list[str] = field(default_factory=list)
-    k: list[int] = field(default_factory=lambda: [2])
-    eps: float | None = None
-    dim_cap: int = 2
-    objective: str = OBJECTIVE_MAX_CLASSES
-    trees: str | None = None
-    strategy: str = STRATEGY_LOWER_THEN_UPPER
-    out: str = "."
-    formats: list[str] = field(default_factory=lambda: ["json"])
+    """The settings of one run, one field per CLI flag.  A plain class:
+    ``dataclasses`` would import ``inspect``, which costs a numpy-free
+    ``lattice-sweep`` more than its lattice search."""
+
+    def __init__(self, input: str = "", quasi: list[str] | None = None,
+                 identifiers: list[str] | None = None,
+                 sensitive: list[str] | None = None,
+                 k: list[int] | None = None, eps: float | None = None,
+                 dim_cap: int = 2, objective: str = OBJECTIVE_MAX_CLASSES,
+                 trees: str | None = None,
+                 strategy: str = STRATEGY_LOWER_THEN_UPPER, out: str = ".",
+                 formats: list[str] | None = None):
+        self.input = input
+        self.quasi = [] if quasi is None else quasi
+        self.identifiers = [] if identifiers is None else identifiers
+        self.sensitive = [] if sensitive is None else sensitive
+        self.k = [2] if k is None else k
+        self.eps = eps
+        self.dim_cap = dim_cap
+        self.objective = objective
+        self.trees = trees
+        self.strategy = strategy
+        self.out = out
+        self.formats = ["json"] if formats is None else formats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "RunConfig(" + ", ".join(
+            f"{name}={value!r}" for name, value in vars(self).items()) + ")"
 
     def validate(self):
         if not self.quasi:
             raise IngestionError("quasi-identifier column set is empty")
+        for name in self.quasi:
+            if self.quasi.count(name) > 1:
+                raise IngestionError(f"column {name!r} is named twice in "
+                                     f"--quasi")
         if any(k < 1 for k in self.k):
             raise IngestionError("k must be >= 1")
         if self.objective not in (OBJECTIVE_MAX_CLASSES,
@@ -128,7 +151,15 @@ def _one_k(config: RunConfig, command: str) -> int:
     return config.k[0]
 
 
+def _check_formats(config: RunConfig, command: str) -> None:
+    unwritten = [f for f in config.formats if f not in ("json", "svg")]
+    if unwritten:
+        raise IngestionError(f"{command} writes --format json or svg, not "
+                             + " ".join(unwritten))
+
+
 def cmd_sweep(config: RunConfig) -> int:
+    _check_formats(config, "sweep")
     from .anonymity import compute_regimes, regime_report
     from .complexes import build_filtration
     from .geometry import normalize_dataset
@@ -228,6 +259,7 @@ def cmd_anonymize(config: RunConfig) -> int:
 
 
 def cmd_barcode(config: RunConfig) -> int:
+    _check_formats(config, "barcode")
     from .complexes import build_filtration
     from .geometry import normalize_dataset
     from .homology import barcode, barcode_json
@@ -318,10 +350,9 @@ def _parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="anonytope",
         description="k-anonymity tradeoff analysis via anonymity complexes")
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--config", help="YAML file mirroring all flags")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in ("sweep", "check", "anonymize", "barcode", "lattice-sweep"):
-        _add_flags(sub.add_parser(name))
+    _add_flags(p)
     return p
 
 

@@ -318,3 +318,20 @@ def test_load_trees_from_file(trees_yaml):
     trees = load_trees(trees_yaml)
     assert [t.attribute for t in trees] == ["gender", "country"]
     assert trees[1].height == 3
+
+
+def test_records_compare_by_value_and_are_immutable(trees):
+    again = trees_from_dict(yaml.safe_load(TREES_YAML))
+    assert again == trees and again[0] is not trees[0]
+    assert trees[0] != trees[1]
+    result = lattice_search(EURO_ROWS, trees, 3)
+    assert lattice_search(EURO_ROWS, trees, 3) == result
+    report = result.reports[0]
+    for record, name in ((trees[0], "root"), (build_lattice(trees), "heights"),
+                         (report.steps[0], "node"), (report, "k"),
+                         (result, "note")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del trees[0].parent
+    assert trees[0].height == 1     # the cached ancestor table still builds

@@ -13,7 +13,7 @@ import yaml
 import anonytope
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
                            RunConfig, ingest_csv, main)
-from anonytope.errors import IngestionError
+from anonytope.errors import IngestionError, read_yaml
 
 
 def config_for(path, **kw):
@@ -52,6 +52,16 @@ class TestIngest:
         cfg = RunConfig(input=str(path), quasi=["Age", "ZIP"])
         with pytest.raises(IngestionError, match=r"row 2.*Age"):
             ingest_csv(path, cfg)
+
+    def test_run_config_fields(self):
+        config = RunConfig(quasi=["Age"])
+        assert config == RunConfig(quasi=["Age"]) != RunConfig()
+        assert (config.k, config.formats, config.dim_cap) == ([2], ["json"], 2)
+        assert RunConfig().quasi is not RunConfig().quasi
+        config.k = [3]          # build_config sets flags one by one
+        assert config.k == [3]
+        with pytest.raises(TypeError):
+            RunConfig(mode="categorical")
 
     def test_categorical_mode_returns_tuples(self, tmp_path):
         path = tmp_path / "cat.csv"
@@ -244,6 +254,40 @@ class TestConfigAndFlagErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("command", ["sweep", "lattice-sweep"])
+    def test_column_named_twice_is_input_error(self, sample_csv, tmp_path,
+                                               trees_yaml, capsys, command):
+        # the column would otherwise be read twice: a 2-D table of one
+        # column, or one tree applied to it twice
+        if command == "lattice-sweep":
+            path = tmp_path / "cat.csv"
+            path.write_text("gender,country\n" + "Male,Spain\n" * 4)
+            flags = ["--input", str(path), "--quasi", "country", "gender",
+                     "country", "--trees", str(trees_yaml)]
+            name = "country"
+        else:
+            flags = ["--input", str(sample_csv), "--quasi", "Age", "Age"]
+            name = "Age"
+        out = tmp_path / "out"
+        assert run_cli(command, *flags, "--out", str(out)) == \
+            EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: column {name!r} is named twice in --quasi\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "barcode"])
+    def test_csv_format_is_input_error(self, sample_csv, tmp_path, capsys,
+                                       command):
+        # neither command writes a table, so --format csv would write
+        # nothing and still succeed
+        out = tmp_path / "out"
+        rc = run_cli(command, "--input", str(sample_csv), "--quasi", "Age",
+                     "ZIP", "--format", "json", "csv", "--out", str(out))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {command} writes --format json or svg, not csv\n"
+        assert not out.exists()
+
 
 class TestCommands:
     def test_sweep_writes_report_and_barcode(self, sample_csv, tmp_path):
@@ -390,13 +434,66 @@ class TestLatticeTreesByName:
         assert rc == EXIT_OK
         assert doc["nodes"] == [[1]]
 
+    @pytest.mark.parametrize("name, read_as", [
+        ("yes", "True"), ("off", "False"), ("null", "None")])
+    def test_tree_name_read_as_boolean_or_null(self, tmp_path, capsys,
+                                               name, read_as):
+        trees = tmp_path / "yn.yaml"
+        trees.write_text(f"{name}:\n  root: Any\n  Any: [Male, Female]\n")
+        rc, _ = self.run(tmp_path, trees, f"{name},country", name)
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: tree name {read_as} is not a string: YAML reads an "
+            f"unquoted yes, no, on, off or null as a boolean or null; "
+            f"quote the name\n")
+        assert not (tmp_path / "out").exists()
+        trees.write_text(f"'{name}':\n  root: Any\n  Any: [Male, Female]\n")
+        rc, doc = self.run(tmp_path, trees, f"{name},country", name)
+        assert rc == EXIT_OK
+        assert doc["nodes"] == [[0]]
+
+
+class TestYamlLoaders:
+    """Files read with PyYAML's own parser in place of libyaml give the
+    same documents and the same one-line errors."""
+
+    def test_same_documents(self, trees_yaml, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("input: in.csv\nquasi: [Age, 'ZIP']\nk: 0x10\n"
+                       "eps: 1.5e-1\ndim_cap: 017\nout: null\n"
+                       "flag: yes\nwhen: 2020-01-01\nnested: {a: [1, ~]}\n")
+        fast = [read_yaml(trees_yaml), read_yaml(cfg)]
+        assert fast[1]["k"] == 16 and fast[1]["flag"] is True
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert [read_yaml(trees_yaml), read_yaml(cfg)] == fast
+
+    @pytest.mark.parametrize("flag", ["--config", "--trees"])
+    @pytest.mark.parametrize("text", [
+        b"input: x.csv\nfoo: [1\n", b"input: x.csv\nfoo: \x07\n",
+        b"- input\n- x.csv\n", b"input: x.csv\nquasi: \xff\n",
+    ], ids=["syntax", "control_char", "not_mapping", "not_utf8"])
+    def test_same_errors(self, sample_csv, tmp_path, capsys, monkeypatch,
+                         flag, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(text)
+        argv = ["--config", str(bad), "sweep"] if flag == "--config" else [
+            "lattice-sweep", "--input", str(sample_csv), "--quasi", "Age",
+            "--trees", str(bad)]
+        assert run_cli(*argv) == EXIT_INPUT_ERROR
+        fast = capsys.readouterr()
+        assert fast.out == "" and fast.err.count("\n") == 1
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert run_cli(*argv) == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == fast
+
 
 def loaded_modules(tmp_path, *argv) -> dict:
     """In a fresh interpreter: which of the heavy modules are loaded
     after ``import anonytope.cli``, and after ``main(argv)`` if argv."""
     probe = (
         "import json, sys\n"
-        "watch = ('numpy', 'yaml', 'anonytope.categorical')\n"
+        "watch = ('numpy', 'yaml', 'anonytope.categorical', "
+        "'dataclasses', 'inspect')\n"
         "def loaded():\n"
         "    return [m for m in watch if m in sys.modules]\n"
         "import anonytope.cli\n"
@@ -426,7 +523,9 @@ def test_each_command_loads_only_what_it_needs(sample_csv, trees_yaml,
     sweep = loaded_modules(
         tmp_path, "sweep", "--input", sample_csv, "--quasi", "Age", "ZIP",
         "--k", "3", "--out", tmp_path / "sweep")
-    assert sweep == {"import": [], "rc": EXIT_OK, "run": ["numpy"]}
+    # the numeric modules keep their dataclasses: numpy imports inspect
+    assert sweep == {"import": [], "rc": EXIT_OK,
+                     "run": ["numpy", "dataclasses", "inspect"]}
 
 
 def peak_rss_mib(*argv):
