@@ -4,7 +4,8 @@ per-attribute levels, and anonymity sweeps along monotone lattice chains.
 Levels here replace the radius of the numeric case: raising one
 attribute's level coarsens the partition of identical generalized
 tuples, so a monotone path through the lattice behaves like a filtration
-and the same weighted H0 bookkeeping applies, indexed by path position.
+and the same weighted H0 bars (``homology.Bar``) apply, indexed by path
+position.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import NamedTuple
 from .errors import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
                      ContractViolation, IngestionError, TreeDefinitionError,
                      read_yaml)
+from .homology import Bar, bar_json
 
 LatticeNode = tuple[int, ...]
 
@@ -120,32 +122,40 @@ def generalize_value(tree: GeneralizationTree, value: str, level: int) -> str:
     return chain[level]
 
 
+def _yaml_name(value, what: str) -> str:
+    """A tree or node name as a string; YAML reads some unquoted words as
+    a boolean or null, which name nothing in the CSV."""
+    if value is None or isinstance(value, bool):
+        raise TreeDefinitionError(
+            f"{what} {value!r} is not a string: YAML reads an unquoted "
+            f"yes, no, on, off or null as a boolean or null; quote the name")
+    return str(value)
+
+
 def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
     """Parse the tree-definition document: per attribute a root name and
     parent -> [children] listing."""
     trees = []
     for attr, body in spec.items():
-        if attr is None or isinstance(attr, bool):
-            raise TreeDefinitionError(
-                f"tree name {attr!r} is not a string: YAML reads an "
-                f"unquoted yes, no, on, off or null as a boolean or null; "
-                f"quote the name")
+        _yaml_name(attr, "tree name")
         if not isinstance(body, dict) or "root" not in body:
             raise TreeDefinitionError(f"attribute {attr!r}: missing root")
-        root = str(body["root"])
+        node = f"attribute {attr!r}: node"
+        root = _yaml_name(body["root"], node)
         parent: dict[str, str] = {}
         for par, children in body.items():
             if par == "root":
                 continue
+            par = _yaml_name(par, node)
             if not isinstance(children, list):
                 raise TreeDefinitionError(
                     f"attribute {attr!r}: children of {par!r} must be a list")
             for child in children:
-                child = str(child)
+                child = _yaml_name(child, node)
                 if child in parent:
                     raise TreeDefinitionError(
                         f"attribute {attr!r}: {child!r} has two parents")
-                parent[child] = str(par)
+                parent[child] = par
         tree = GeneralizationTree(attribute=attr, root=root, parent=parent)
         problems = validate_tree(tree)
         if problems:
@@ -249,9 +259,9 @@ class ChainReport(NamedTuple):
     path: tuple[LatticeNode, ...]
     steps: tuple[ChainStep, ...]
     k: int
-    # weighted H0 over path index: (birth index, death index or None,
-    # weight steps as (index, size) pairs)
-    h0_bars: tuple[tuple[int, int | None, tuple[tuple[int, int], ...]], ...]
+    # weighted H0 over path index: births, deaths and weight steps are
+    # path positions
+    h0_bars: tuple[Bar, ...]
 
     @property
     def first_anonymous_node(self) -> LatticeNode | None:
@@ -302,8 +312,8 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
                     deaths[rid] = idx
                 bar_steps[cls[0]].append((idx, len(cls)))
     bars = tuple(sorted(
-        ((0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
-        key=lambda b: (b[1] is None, b[1] or 0, b[2])))
+        (Bar(0, 0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
+        key=lambda b: (b.death is None, b.death or 0, b.weight_steps)))
     return ChainReport(path=path, steps=tuple(steps), k=k, h0_bars=bars)
 
 
@@ -410,9 +420,5 @@ def chain_report_json(report: ChainReport) -> dict:
             }
             for step in report.steps
         ],
-        "h0_bars": [
-            {"birth_index": b, "death_index": d,
-             "weight_steps": [list(s) for s in steps]}
-            for b, d, steps in report.h0_bars
-        ],
+        "h0_bars": [bar_json(b) for b in report.h0_bars],
     }

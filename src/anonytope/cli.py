@@ -89,6 +89,10 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
     if not records:
         raise IngestionError(f"{path}: empty file, no header row")
     header = [h.strip() for h in records[0]]
+    for name in header:
+        if header.count(name) > 1:
+            raise IngestionError(f"{path}: column {name!r} is named twice "
+                                 f"in the header")
     raw_rows = []
     for i, record in enumerate(records[1:], start=1):
         if len(record) != len(header):
@@ -151,15 +155,7 @@ def _one_k(config: RunConfig, command: str) -> int:
     return config.k[0]
 
 
-def _check_formats(config: RunConfig, command: str) -> None:
-    unwritten = [f for f in config.formats if f not in ("json", "svg")]
-    if unwritten:
-        raise IngestionError(f"{command} writes --format json or svg, not "
-                             + " ".join(unwritten))
-
-
 def cmd_sweep(config: RunConfig) -> int:
-    _check_formats(config, "sweep")
     from .anonymity import compute_regimes, regime_report
     from .complexes import build_filtration
     from .geometry import normalize_dataset
@@ -259,7 +255,6 @@ def cmd_anonymize(config: RunConfig) -> int:
 
 
 def cmd_barcode(config: RunConfig) -> int:
-    _check_formats(config, "barcode")
     from .complexes import build_filtration
     from .geometry import normalize_dataset
     from .homology import barcode, barcode_json
@@ -373,12 +368,13 @@ def _config_file_args(path) -> dict:
     return vars(parser.parse_args(argv))
 
 
+# each subcommand and the --format values it writes
 _COMMANDS = {
-    "sweep": cmd_sweep,
-    "check": cmd_check,
-    "anonymize": cmd_anonymize,
-    "barcode": cmd_barcode,
-    "lattice-sweep": cmd_lattice_sweep,
+    "sweep": (cmd_sweep, ("json", "svg")),
+    "check": (cmd_check, ()),
+    "anonymize": (cmd_anonymize, ("csv",)),
+    "barcode": (cmd_barcode, ("json", "svg")),
+    "lattice-sweep": (cmd_lattice_sweep, ("json",)),
 }
 
 
@@ -392,6 +388,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if not config.input:
         raise IngestionError("no input file given (--input)")
     config.validate()
+    # only a --format given by flag or file: the default, json, is not
+    # what check or anonymize writes
+    if args.formats is not None or file_values.get("formats") is not None:
+        writes = _COMMANDS[args.command][1]
+        unwritten = " ".join(f for f in config.formats if f not in writes)
+        if unwritten:
+            what = "--format " + " or ".join(writes) if writes else "no file"
+            raise IngestionError(f"{args.command} writes {what}, "
+                                 f"not {unwritten}")
     return config
 
 
@@ -399,7 +404,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         config = build_config(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except (IngestionError, ContractViolation, TreeDefinitionError,
             FiltrationSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,35 +4,33 @@ H0 comes from the dataset's merge tree; higher dimensions from one
 boundary matrix per dimension.  Columns are stored as Python ints used
 as bit sets, which keeps the left-to-right reduction exact and fast at
 the scales this package targets.
+
+``Bar`` is also the categorical side's bar, indexed by path position
+instead of eps, so this module loads neither numpy nor ``dataclasses``
+until ``barcode`` runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .complexes import Filtration, facet_ranks, simplex_vertices
-from .geometry import NormalizedDataset
+if TYPE_CHECKING:
+    from .complexes import Filtration
+    from .geometry import NormalizedDataset
 
 # columns whose face rows are made Python lists at once: enough to amortise
 # numpy's per-call cost, few enough that no dimension's lists are all held
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class Bar:
+class Bar(NamedTuple):
     dim: int
     birth: float
     death: float | None    # None encodes +infinity
     # H0 only: piecewise-constant component size, value steps[i][1] from
-    # steps[i][0] up to the next step (or death); None above H0
-    weight_steps: tuple[tuple[float, int], ...] | None = field(
-        default=None, compare=False)
-
-    @property
-    def is_zero_length(self) -> bool:
-        return self.death is not None and self.death == self.birth
+    # steps[i][0] up to the next step (or death), one step per eps;
+    # None above H0
+    weight_steps: tuple[tuple[float, int], ...] | None = None
 
     def weight_at(self, eps: float) -> int:
         w = 0
@@ -42,13 +40,8 @@ class Bar:
         return w
 
 
-@dataclass(frozen=True)
-class Barcode:
+class Barcode(NamedTuple):
     bars: tuple[Bar, ...]
-
-    def display_bars(self) -> list[Bar]:
-        """Bars with positive length; zero-length ones stay in .bars."""
-        return [b for b in self.bars if not b.is_zero_length]
 
     def live_bars(self, eps: float) -> list[Bar]:
         return [b for b in self.bars
@@ -64,7 +57,7 @@ class Barcode:
 def _h0_bars(data: NormalizedDataset) -> list[Bar]:
     """The H0 bars of the dataset's merge tree, by death (ties in row
     order): each merge kills the younger component's bar and the
-    survivor absorbs its weight."""
+    survivor absorbs its weight, in one step per eps."""
     tree = data.merge_tree
     n = data.n_points
     steps = [[(0.0, 1)] for _ in range(n)]
@@ -73,10 +66,13 @@ def _h0_bars(data: NormalizedDataset) -> list[Bar]:
                                   tree.dying.tolist()):
         eps = d / 2.0
         deaths[dying] = eps
-        steps[survivor].append((eps, steps[survivor][-1][1]
-                                + steps[dying][-1][1]))
-    return sorted((Bar(dim=0, birth=0.0, death=deaths[i],
-                       weight_steps=tuple(steps[i])) for i in range(n)),
+        own = steps[survivor]
+        step = (eps, own[-1][1] + steps[dying][-1][1])
+        if own[-1][0] == eps:
+            own[-1] = step
+        else:
+            own.append(step)
+    return sorted((Bar(0, 0.0, deaths[i], tuple(steps[i])) for i in range(n)),
                   key=lambda b: float("inf") if b.death is None else b.death)
 
 
@@ -89,11 +85,16 @@ def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
     1 <= p < dim_cap the columns of the (p+1)-simplices are reduced left
     to right over rows of p-simplices, both indexed within their own
     dimension in filtration order.  A reduced column that becomes a
-    pivot gives the bar from the birth of its lowest p-simplex to the
-    birth of its own (p+1)-simplex.  The filtration holds every
-    simplex up to dim_cap, so it is acyclic in dimensions 1..dim_cap-1
-    and every bar there is finite.
+    pivot pairs its lowest p-simplex with its own (p+1)-simplex; the
+    pair is a bar only when their births differ, since a zero-length
+    bar above H0 depends on which complex is reduced, not on the data.
+    The filtration holds every simplex up to dim_cap, so it is acyclic
+    in dimensions 1..dim_cap-1 and every bar there is finite.
     """
+    import numpy as np
+
+    from .complexes import facet_ranks, simplex_vertices
+
     bars = _h0_bars(data)
     n = data.n_points
     for p in range(1, filt.dim_cap):
@@ -116,21 +117,24 @@ def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
                     other = pivots.get(low)
                     if other is None:
                         pivots[low] = col
-                        bars.append(Bar(dim=p, birth=row_births[low],
-                                        death=death))
+                        if death != row_births[low]:
+                            bars.append(Bar(p, row_births[low], death))
                         break
                     col ^= other
     # stable, so H0 keeps _h0_bars' order of tied deaths (barcode.json's)
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
-    return Barcode(bars=tuple(bars))
+    return Barcode(tuple(bars))
+
+
+def bar_json(bar: Bar) -> dict:
+    """One bar's JSON shape, on both the numeric and categorical side:
+    weight steps as [at, size] pairs, null above H0."""
+    return {"dim": bar.dim, "birth": bar.birth, "death": bar.death,
+            "weight_steps": None if bar.weight_steps is None
+            else [list(step) for step in bar.weight_steps]}
 
 
 def barcode_json(bars: Barcode, n_points: int) -> dict:
-    """The on-disk JSON shape: H0 bars with their weight steps, higher
-    dimensions with null."""
-    return {"bars": [{"dim": b.dim, "birth": b.birth, "death": b.death,
-                      "weight_steps": None if b.weight_steps is None
-                      else [list(step) for step in b.weight_steps]}
-                     for b in bars.bars],
-            "n_points": n_points}
+    """The on-disk JSON shape of a numeric barcode."""
+    return {"bars": [bar_json(b) for b in bars.bars], "n_points": n_points}

@@ -17,7 +17,9 @@ def _x(eps: float, eps_max: float) -> float:
 
 
 def render_barcode_svg(bars: Barcode, regimes, k: int | None) -> str:
-    display = bars.display_bars()
+    # a bar of length 0 has no line to draw: only a duplicate row's H0
+    # bar, since barcode() emits none above H0
+    display = [b for b in bars.bars if b.death != b.birth]
     dims = sorted({b.dim for b in display}) or [0]
     finite = [b.death for b in display if b.death is not None]
     finite += [b.birth for b in display]

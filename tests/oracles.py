@@ -417,7 +417,8 @@ def chain_sweep_elder(rows, trees, path):
     Partitions group rows by their tuples of walked ancestors; the bars
     follow the elder rule with an explicit representative (the smallest
     row id of a bar's class) and member list per bar, merged across
-    steps.  Returns (partitions, bars) in ``ChainReport.h0_bars`` form.
+    steps.  Returns (partitions, bars) in ``ChainReport.h0_bars`` form:
+    H0 ``Bar``s whose birth, death and steps are path positions.
     """
     partitions = []
     for node in path:
@@ -448,8 +449,8 @@ def chain_sweep_elder(rows, trees, path):
             for rid in cls:
                 rep[rid] = survivor
     bars = tuple(sorted(
-        ((0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
-        key=lambda b: (b[1] is None, b[1] or 0, b[2])))
+        (Bar(0, 0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
+        key=lambda b: (b.death is None, b.death or 0, b.weight_steps)))
     return partitions, bars
 
 

@@ -120,7 +120,7 @@ def test_criterion_02_thresholds_match_independent_oracle(sample_data):
     # H1 bars (length > 1e-12) against the frozen oracle output
     filt = build_filtration(sample_data, dim_cap=2)
     bars = barcode(sample_data, filt)
-    h1 = [(b.birth, b.death) for b in bars.display_bars()
+    h1 = [(b.birth, b.death) for b in bars.bars
           if b.dim == 1 and b.death - b.birth > 1e-12]
     want_h1 = [(0.16686548917831662, 0.18006990324570873),
                (0.18344904436849335, 0.18792640630783738),

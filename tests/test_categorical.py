@@ -193,15 +193,8 @@ class TestChainSweep:
         path = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3)]
         report = chain_sweep(EURO_ROWS, trees, path, k=3)
         for idx in range(len(path)):
-            total = 0
-            for birth, death, steps in report.h0_bars:
-                if death is not None and death <= idx:
-                    continue
-                w = 0
-                for at, size in steps:
-                    if at <= idx:
-                        w = size
-                total += w
+            total = sum(bar.weight_at(idx) for bar in report.h0_bars
+                        if bar.death is None or idx < bar.death)
             assert total == len(EURO_ROWS)
 
     def test_matches_elder_rule_oracle_on_random_paths(self):
@@ -241,6 +234,12 @@ class TestChainSweep:
         doc = chain_report_json(chain_sweep(EURO_ROWS, trees, path, k=2))
         assert doc["k"] == 2
         assert [s["levels"] for s in doc["steps"]] == [[0, 0], [0, 1]]
+        # the numeric barcode.json's bar shape, indexed by path position
+        for bar in doc["h0_bars"]:
+            assert set(bar) == {"dim", "birth", "death", "weight_steps"}
+            assert bar["dim"] == 0 and bar["birth"] == 0
+        assert sum(bar["weight_steps"][-1][1] for bar in doc["h0_bars"]
+                   if bar["death"] is None) == len(EURO_ROWS)
 
 
 class TestLatticeSearch:

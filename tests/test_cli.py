@@ -275,6 +275,60 @@ class TestConfigAndFlagErrors:
             f"error: column {name!r} is named twice in --quasi\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "lattice-sweep"])
+    def test_header_column_named_twice_is_input_error(
+            self, tmp_path, trees_yaml, capsys, command):
+        # read into one dict per row, the second column would silently
+        # replace the first
+        path = tmp_path / "twice.csv"
+        path.write_text("gender,gender\nMale,Female\nFemale,Male\n")
+        out = tmp_path / "out"
+        rc = run_cli(command, "--input", str(path), "--quasi", "gender",
+                     "--trees", str(trees_yaml), "--out", str(out))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == (
+            "", f"error: {path}: column 'gender' is named twice in the "
+                f"header\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("lattice-sweep", ["--format", "svg"],
+         "lattice-sweep writes --format json, not svg"),
+        ("check", ["--format", "json"],
+         "check writes no file, not json"),
+        ("anonymize", ["--format", "csv", "json"],
+         "anonymize writes --format csv, not json"),
+    ], ids=["lattice-sweep", "check", "anonymize"])
+    def test_unwritten_format_is_input_error(self, sample_csv, tmp_path,
+                                             trees_yaml, capsys, command,
+                                             flags, message):
+        # the format would be ignored and the command exit 0
+        if command == "lattice-sweep":
+            path = tmp_path / "cat.csv"
+            path.write_text("gender,country\n" + "Male,Spain\n" * 4)
+            inputs = ["--input", str(path), "--quasi", "gender", "country",
+                      "--trees", str(trees_yaml)]
+        else:
+            inputs = ["--input", str(sample_csv), "--quasi", "Age", "ZIP",
+                      "--eps", "0.8"]
+        out = tmp_path / "out"
+        rc = run_cli(command, *inputs, "--k", "2", *flags, "--out", str(out))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_format_from_config_file_is_checked(self, sample_csv, tmp_path,
+                                                capsys):
+        # checked like the flag; the default ["json"] is not checked, or
+        # check and anonymize would reject it
+        assert self.sweep_with(sample_csv, tmp_path,
+                               {"format": ["json"], "k": 3}) == EXIT_OK
+        capsys.readouterr()
+        cfg = tmp_path / "run.yaml"
+        assert run_cli("--config", str(cfg), "anonymize") == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            "error: anonymize writes --format csv, not json\n"
+
     @pytest.mark.parametrize("command", ["sweep", "barcode"])
     def test_csv_format_is_input_error(self, sample_csv, tmp_path, capsys,
                                        command):
@@ -433,6 +487,23 @@ class TestLatticeTreesByName:
         rc, doc = self.run(tmp_path, trees_yaml, "gender,country", "country")
         assert rc == EXIT_OK
         assert doc["nodes"] == [[1]]
+
+    @pytest.mark.parametrize("tree, read_as", [
+        ("gender:\n  root: Person\n  Person: [yes, Female]\n", "True"),
+        ("gender:\n  root: 'yes'\n  yes: [Male, Female]\n", "True"),
+        ("gender:\n  root: null\n  'null': [Male, Female]\n", "None"),
+    ], ids=["child", "parent", "root"])
+    def test_node_name_read_as_boolean_or_null(self, tmp_path, capsys, tree,
+                                               read_as):
+        trees = tmp_path / "yn.yaml"
+        trees.write_text(tree)
+        rc, _ = self.run(tmp_path, trees, "gender,country", "gender")
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: attribute 'gender': node {read_as} is not a string: "
+            f"YAML reads an unquoted yes, no, on, off or null as a boolean "
+            f"or null; quote the name\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, read_as", [
         ("yes", "True"), ("off", "False"), ("null", "None")])

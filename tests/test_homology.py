@@ -57,7 +57,7 @@ def test_equilateral_h1_bar():
     data = dataset(EQUILATERAL)
     filt = build_filtration(data, dim_cap=2)
     bars = barcode(data, filt)
-    h1 = [b for b in bars.display_bars() if b.dim == 1]
+    h1 = [b for b in bars.bars if b.dim == 1]
     assert len(h1) == 1
     assert h1[0].birth == pytest.approx(0.5)
     assert h1[0].death == pytest.approx(1 / math.sqrt(3), rel=1e-9)
@@ -65,7 +65,8 @@ def test_equilateral_h1_bar():
 
 def test_non_acute_triangles_leave_no_h1_bar_to_draw():
     # a triangle that is not acute is born with its longest edge, so the
-    # H1 bar that edge opens has length exactly 0 and is not drawn
+    # pair of that edge and the triangle has length exactly 0 and is no
+    # bar
     rng = random.Random(1729)
     tested = 0
     while tested < 200:
@@ -77,9 +78,7 @@ def test_non_acute_triangles_leave_no_h1_bar_to_draw():
         data = dataset(pts)
         filt = build_filtration(data, dim_cap=2)
         bars = barcode(data, filt)
-        (h1,) = [b for b in bars.bars if b.dim == 1]
-        assert h1.is_zero_length
-        assert all(b.dim == 0 for b in bars.display_bars())
+        assert all(b.dim == 0 for b in bars.bars)
         tested += 1
 
 
@@ -163,15 +162,19 @@ class TestWeightedBarcode:
 
 
 def test_h0_weights_are_component_sizes_on_ties():
-    # on a half-integer grid merges tie and rows repeat, so a bar can gain
-    # several weight steps at one eps; at zero and at every H0 death the
-    # live bars' weights are still the merge tree's component sizes
+    # on a half-integer grid merges tie and rows repeat, so a bar can
+    # absorb several bars at one eps, in one weight step; at zero and at
+    # every H0 death the live bars' weights are still the merge tree's
+    # component sizes
     rng = random.Random(2718)
     for _ in range(100):
         n, d = rng.randint(2, 12), rng.randint(1, 3)
         data = dataset([[rng.randint(0, 4) / 2 for _ in range(d)]
                         for _ in range(n)])
         bars = h0_barcode(data)
+        for b in bars.bars:
+            at = [e for e, _ in b.weight_steps]
+            assert len(set(at)) == len(at), (data.points.tolist(), b)
         tree = data.merge_tree
         for eps in {0.0} | {b.death for b in bars.bars
                             if b.death is not None}:
@@ -213,10 +216,11 @@ def test_complete_filtration_keeps_top_dimension_bars():
 
 def test_barcode_equals_global_reduction_oracle():
     # every bar, H0 from the merge tree included, equals the one found by
-    # reducing the whole filtration over its global index; half the
-    # draws sit on a half-integer grid, for ties and duplicate rows.
-    # Above H0 every p-simplex not paired as a death is paired as a
-    # birth, so no bar there is infinite.
+    # reducing the whole filtration over its global index, less the
+    # oracle's zero-length bars above H0; the oracle computes no weight
+    # steps.  Half the draws sit on a half-integer grid, for ties and
+    # duplicate rows.  Above H0 every p-simplex not paired as a death is
+    # paired as a birth, so no bar there is infinite.
     rng = random.Random(17)
     for trial in range(300):
         n, d = rng.randint(1, 10), rng.randint(1, 3)
@@ -232,10 +236,12 @@ def test_barcode_equals_global_reduction_oracle():
             entries = filtration_entries(data, filt)
             want = oracles.barcode(reduce_matrix(boundary_matrix(entries)),
                                    entries, cap)
-            assert bars == want, (pts, cap)
+            assert [b[:3] for b in bars.bars] == [
+                b[:3] for b in want.bars
+                if b.dim == 0 or b.death != b.birth], (pts, cap)
             paired = n - 1          # the edge columns pair all but one vertex
             for p in range(1, cap):
-                dim_p = [b for b in bars.bars if b.dim == p]
+                dim_p = [b for b in want.bars if b.dim == p]
                 paired = math.comb(n, p + 1) - paired
                 assert len(dim_p) == paired, (pts, cap, p)
                 assert all(b.death is not None for b in dim_p)

@@ -18,3 +18,13 @@ def test_h0_labels_on_tied_deaths():
         svg))
     assert [w for _, w in labels] == [1, 1, 2, 2, 5]
     assert len({x for x, _ in labels}) == 4
+
+
+def test_one_h0_line_per_distinct_row():
+    # a duplicate row's bar dies at 0, where it is born, and is not drawn
+    data = dataset([(0.0,), (1.0,), (0.0,), (3.0,), (1.0,), (1.0,)])
+    bars = barcode(data, build_filtration(data, dim_cap=2))
+    assert sum(b.dim == 0 for b in bars.bars) == 6
+    svg = render_barcode_svg(bars, None, None)
+    assert svg.count('stroke-width="4"') == 3
+    assert sorted(map(int, re.findall(r">w=(\d+)<", svg))) == [1, 3, 6]
