@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -18,9 +17,14 @@ from .errors import ContractViolation, FiltrationSizeError
 from .geometry import NormalizedDataset, min_enclosing_ball
 
 #: most simplices a filtration may hold; on 2 cores, 228 rows at dim_cap 2
-#: (1,949,476 triangles) build in about 1.2 s at 215 MiB peak RSS, and the
-#: H1 reduction of 200 rows (1,313,400 triangles) takes about 18 s
+#: (1,949,476 triangles) build in about 0.3 s at 60 MiB peak RSS, and
+#: their H1 reduction by the cleared coboundary takes about 0.55 s
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
+
+#: simplices whose vertex rows are held at once while a dimension is
+#: walked: enough to amortise numpy's per-call cost, few enough that no
+#: dimension's rows are all held
+BLOCK = 1 << 16
 
 # relative margin over a / 2 that a triangle's computed circumradius must
 # clear to count as acute: above the closed form's rounding (at most 4
@@ -44,31 +48,94 @@ class Filtration:
     dim_cap: int
 
 
-def simplex_vertices(n: int, size: int) -> np.ndarray:
-    """The row positions of every simplex of size vertices on n rows, one
-    simplex per row of the result, in lexicographic order."""
-    flat = chain.from_iterable(combinations(range(n), size))
-    count = math.comb(n, size) * size
-    return np.fromiter(flat, np.intp, count).reshape(-1, size)
+def _binomials(n: int, size: int) -> np.ndarray:
+    """C(m, k) at [m, k], for 0 <= m <= n and 0 <= k <= size, each column
+    summed from the one before it: C(m, k) = sum of C(j, k-1), j < m."""
+    binom = np.zeros((n + 1, size + 1), np.int64)
+    binom[:, 0] = 1
+    for k in range(1, size + 1):
+        binom[1:, k] = np.cumsum(binom[:-1, k - 1])
+    return binom
+
+
+# In the combinatorial number system (as in Ripser), a simplex on n rows
+# with row positions v_0 < ... < v_(size-1) has lexicographic rank
+# C(n, size) - 1 - sum_i C(n - 1 - v_i, size - i): positions reversed
+# (v -> n-1-v) list the simplices in reverse, and there a rank is the
+# sum of those terms.
+
+
+def simplex_vertices(n: int, size: int, ranks=None) -> np.ndarray:
+    """The row positions of the simplices of size vertices on n rows at
+    the given lexicographic ranks (all of them, in order, by default),
+    one simplex per row of the result, in increasing order along it."""
+    binom = _binomials(n, size)
+    if ranks is None:
+        ranks = np.arange(binom[n, size])
+    # each reversed position is the largest one whose term fits in what
+    # is left of the reversed rank, slot by slot
+    left = binom[n, size] - 1 - np.asarray(ranks, np.int64)
+    verts = np.empty((len(left), size), np.intp)
+    for i in range(size):
+        terms = binom[:, size - i]
+        m = np.searchsorted(terms, left, side="right") - 1
+        left -= terms[m]
+        verts[:, i] = n - 1 - m
+    return verts
 
 
 def simplex_rank(n: int, verts: np.ndarray) -> np.ndarray:
     """The lexicographic rank of each simplex on n rows, given its row
     positions in increasing order along a row of verts."""
     size = verts.shape[1]
-    # positions reversed (v -> n-1-v) list the simplices in reverse, and
-    # there a rank is the sum of C(position, slots from this vertex on)
-    binom = np.array([[math.comb(m, size - i) for i in range(size)]
-                      for m in range(n + 1)], np.int64)
-    slots = binom[n - 1 - verts, np.arange(size)]
-    return math.comb(n, size) - 1 - slots.sum(axis=1)
+    binom = _binomials(n, size)
+    terms = binom[n - 1 - verts, size - np.arange(size)]
+    return binom[n, size] - 1 - terms.sum(axis=1)
 
 
 def facet_ranks(n: int, verts: np.ndarray) -> np.ndarray:
     """The ranks of the facets of each simplex in verts; column j is the
-    facet without the simplex's j-th vertex."""
-    return np.column_stack([simplex_rank(n, np.delete(verts, j, axis=1))
-                            for j in range(verts.shape[1])])
+    facet without the simplex's j-th vertex.
+
+    Read from the simplex's own rank terms: in the facet without vertex
+    j, the vertices after j move one slot down and keep their terms,
+    and those before j keep their slots in a simplex one vertex smaller.
+    """
+    size = verts.shape[1]
+    binom = _binomials(n, size)
+    reversed_ = n - 1 - verts
+    own = binom[reversed_, size - np.arange(size)]
+    smaller = binom[reversed_, size - 1 - np.arange(size)]
+    before = np.zeros(len(verts), np.int64)
+    after = own.sum(axis=1)
+    ranks = np.empty(verts.shape, np.int64)
+    for j in range(size):
+        after -= own[:, j]
+        ranks[:, j] = binom[n, size - 1] - 1 - before - after
+        before += smaller[:, j]
+    return ranks
+
+
+def coface_ranks(n: int, verts: np.ndarray) -> np.ndarray:
+    """The ranks of the cofaces of one simplex on n rows, given its row
+    positions in increasing order: one coface per row not in it."""
+    outside = np.ones(n, bool)
+    outside[verts] = False
+    others = np.flatnonzero(outside)
+    cofaces = np.column_stack(
+        [np.broadcast_to(verts, (len(others), len(verts))), others])
+    cofaces.sort(axis=1)
+    return simplex_rank(n, cofaces)
+
+
+def simplex_blocks(n: int, size: int):
+    """(first rank, row positions) of the simplices of size vertices on n
+    rows in consecutive rank blocks, so that no dimension's vertex rows
+    are all held at once."""
+    total = math.comb(n, size)
+    for start in range(0, total, BLOCK):
+        ranks = np.arange(start, min(start + BLOCK, total))
+        yield start, simplex_vertices(n, size, ranks)
 
 
 def _check_budget(n: int, dim_cap: int, budget: int) -> None:
@@ -114,15 +181,19 @@ def build_filtration(data: NormalizedDataset, dim_cap: int,
     _check_budget(n, dim_cap, budget)
     dist = data.pair_distances
     births = [np.zeros(n), dist / 2.0]
-    if dim_cap >= 2:        # edge ranks index the distance array
-        births.append(_triangle_births(
-            dist[facet_ranks(n, simplex_vertices(n, 3))]))
-    for size in range(4, dim_cap + 2):
-        verts = simplex_vertices(n, size)
-        radii = np.fromiter((min_enclosing_ball(data.points[v]).radius
-                             for v in verts), float, count=len(verts))
-        # MEB is monotone over faces; clamping removes the 1-ulp float
-        # noise that could put a coface before a face
-        faces = births[-1][facet_ranks(n, verts)]
-        births.append(np.maximum(radii, faces.max(axis=1)))
+    for size in range(3, dim_cap + 2):
+        born = np.empty(math.comb(n, size))
+        for start, verts in simplex_blocks(n, size):
+            if size == 3:       # edge ranks index the distance array
+                radii = _triangle_births(dist[facet_ranks(n, verts)])
+            else:
+                radii = np.fromiter(
+                    (min_enclosing_ball(data.points[v]).radius
+                     for v in verts), float, count=len(verts))
+                # MEB is monotone over faces; clamping removes the 1-ulp
+                # float noise that could put a coface before a face
+                faces = births[-1][facet_ranks(n, verts)]
+                radii = np.maximum(radii, faces.max(axis=1))
+            born[start:start + len(verts)] = radii
+        births.append(born)
     return Filtration(births=tuple(births), dim_cap=dim_cap)

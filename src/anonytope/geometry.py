@@ -156,16 +156,20 @@ def normalize_dataset(table: NumericTable) -> NormalizedDataset:
 
     Constant columns map to 0: a constant quasi-identifier never
     separates rows, so pinning it costs nothing and keeps the map total.
+    A column whose range overflows a float is scaled from its halves.
     """
     qi = table.quasi_names
     raw = np.array([[float(row[name]) for name in qi] for row in table.rows])
     scale = []
     pts = np.zeros_like(raw)
     for j in range(raw.shape[1]):
-        lo, hi = raw[:, j].min(), raw[:, j].max()
-        scale.append((float(lo), float(hi)))
+        col = raw[:, j]
+        lo, hi = float(col.min()), float(col.max())
+        scale.append((lo, hi))
+        if math.isinf(hi - lo):
+            col, lo, hi = col / 2.0, lo / 2.0, hi / 2.0
         if hi > lo:
-            pts[:, j] = (raw[:, j] - lo) / (hi - lo)
+            pts[:, j] = (col - lo) / (hi - lo)
     return NormalizedDataset(
         points=pts,
         scale_params=tuple(scale),
@@ -252,15 +256,15 @@ def min_enclosing_ball(points) -> Ball:
 
 
 def _sorted_pairs(n: int, dist: np.ndarray):
-    """(i, j, distance) for all pairs i < j of n rows, given their
-    distances in row order, by one stable sort (ties in row order),
-    handed out n pairs at a time."""
+    """(rank, i, j, distance) for all pairs i < j of n rows, given their
+    distances in row order, the rank being a pair's index there, by one
+    stable sort (ties in row order), handed out n pairs at a time."""
     order = np.argsort(dist, kind="stable")
     first, second = np.triu_indices(n, 1)
     for start in range(0, len(order), n):
         block = order[start:start + n]
-        yield from zip(first[block].tolist(), second[block].tolist(),
-                       dist[block].tolist())
+        yield from zip(block.tolist(), first[block].tolist(),
+                       second[block].tolist(), dist[block].tolist())
 
 
 class MergeTree:
@@ -271,9 +275,12 @@ class MergeTree:
     then one union-find pass.  Rows are addressed by position; a
     component is rooted at its first row, and merge j joins the
     component rooted at dying[j] into the elder one rooted at
-    survivor[j] < dying[j], at pairwise distance height[j].  Two rows
+    survivor[j] < dying[j], along the row pair of rank edge[j] (its
+    index in the distances), at pairwise distance height[j].  Two rows
     share a component at radius eps exactly when they are joined by
-    merges of height <= 2 eps.
+    merges of height <= 2 eps.  The filtration orders its edges by the
+    same stable sort of half these distances, so the merge edges are
+    the edges that kill H0 bars there.
     """
 
     def __init__(self, points: np.ndarray, row_ids: tuple[int, ...],
@@ -288,16 +295,18 @@ class MergeTree:
                 root[x] = x = root[root[x]]
             return x
 
-        self.height, survivor, dying = [], [], []
-        for a, b, d in _sorted_pairs(n, distances):
+        self.height, edge, survivor, dying = [], [], [], []
+        for rank, a, b, d in _sorted_pairs(n, distances):
             if len(dying) == n - 1:
                 break
             ra, rb = sorted((find(a), find(b)))
             if ra != rb:
                 root[rb] = ra
                 self.height.append(d)
+                edge.append(rank)
                 survivor.append(ra)
                 dying.append(rb)
+        self.edge = np.array(edge, dtype=np.intp)
         self.survivor = np.array(survivor, dtype=np.intp)
         self.dying = np.array(dying, dtype=np.intp)
         self._radius: dict[tuple[int, int], float] = {}

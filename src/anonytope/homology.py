@@ -1,9 +1,9 @@
 """Persistence over GF(2): one barcode whose H0 bars carry their weights.
 
-H0 comes from the dataset's merge tree; higher dimensions from one
-boundary matrix per dimension.  Columns are stored as Python ints used
-as bit sets, which keeps the left-to-right reduction exact and fast at
-the scales this package targets.
+H0 comes from the dataset's merge tree; each higher dimension from
+reducing its coboundary matrix, with the columns that the dimension
+below already paired cleared, and with most pairs read off before any
+column is built.
 
 ``Bar`` is also the categorical side's bar, indexed by path position
 instead of eps, so this module loads neither numpy nor ``dataclasses``
@@ -15,12 +15,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .complexes import Filtration
     from .geometry import NormalizedDataset
-
-# columns whose face rows are made Python lists at once: enough to amortise
-# numpy's per-call cost, few enough that no dimension's lists are all held
-_BLOCK = 1 << 16
 
 
 class Bar(NamedTuple):
@@ -76,51 +74,97 @@ def _h0_bars(data: NormalizedDataset) -> list[Bar]:
                   key=lambda b: float("inf") if b.death is None else b.death)
 
 
+def _coboundary_pairs(n: int, p: int, faces: np.ndarray,
+                      cofaces: np.ndarray, cleared: np.ndarray
+                      ) -> tuple[dict[int, int], np.ndarray]:
+    """The persistence pairs of the p-simplices with the (p+1)-simplices,
+    given their births by rank, by reducing the coboundary δp.
+
+    Its columns are the p-simplices in reverse filtration order, less
+    the cleared ones, which reduce to zero; a column's rows are its
+    cofaces, and its pivot is its earliest coface in filtration order.
+    Reducing δp pairs the same simplices as reducing ∂(p+1) (de Silva,
+    Morozov & Vejdemo-Johansson 2011).  A column whose earliest coface
+    is no pivot yet is already reduced, so it is paired at once; only
+    when two columns collide are coboundaries built, as sets of coface
+    positions.  Returns {coface position: p-simplex rank} and the
+    cofaces' ranks in filtration order.
+    """
+    import numpy as np
+
+    from .complexes import (coface_ranks, facet_ranks, simplex_blocks,
+                            simplex_vertices)
+
+    order = np.argsort(cofaces, kind="stable")
+    position = np.empty_like(order)     # rank -> filtration position
+    position[order] = np.arange(len(order))
+    earliest = np.full(len(faces), len(order))
+    for start, verts in simplex_blocks(n, p + 2):
+        born = position[start:start + len(verts)]
+        for facet in facet_ranks(n, verts).T:
+            np.minimum.at(earliest, facet, born)
+    live = np.ones(len(faces), bool)
+    live[cleared] = False
+    columns = np.argsort(faces, kind="stable")[::-1]
+    columns = columns[live[columns]]
+
+    def coboundary(sigma: int) -> set[int]:
+        verts = simplex_vertices(n, p + 1, [sigma])[0]
+        return set(position[coface_ranks(n, verts)].tolist())
+
+    # every column has a coface: a p-simplex without one is the whole
+    # simplex on n = p + 1 rows, which the dimension below pairs
+    owner: dict[int, int] = {}          # pivot -> its column's p-simplex
+    built: dict[int, set[int]] = {}     # pivot -> its column, once built
+    for sigma, low in zip(columns.tolist(), earliest[columns].tolist()):
+        if low not in owner:
+            owner[low] = sigma
+            continue
+        col = coboundary(sigma)
+        while col:
+            low = min(col)
+            other = owner.get(low)
+            if other is None:
+                owner[low] = sigma
+                built[low] = col
+                break
+            if low not in built:
+                built[low] = coboundary(other)
+            col ^= built[low]
+    return owner, order
+
+
 def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
     """Bars of every dimension below the filtration's dim_cap.
 
     H0 is the dataset's merge tree: every row is born at 0, each merge
     kills one bar at half its height, one bar never dies, and each H0
-    bar carries its component's weight steps.  For
-    1 <= p < dim_cap the columns of the (p+1)-simplices are reduced left
-    to right over rows of p-simplices, both indexed within their own
-    dimension in filtration order.  A reduced column that becomes a
-    pivot pairs its lowest p-simplex with its own (p+1)-simplex; the
-    pair is a bar only when their births differ, since a zero-length
-    bar above H0 depends on which complex is reduced, not on the data.
-    The filtration holds every simplex up to dim_cap, so it is acyclic
-    in dimensions 1..dim_cap-1 and every bar there is finite.
+    bar carries its component's weight steps.  For 1 <= p < dim_cap the
+    p-simplices are paired with the (p+1)-simplices by reducing the
+    coboundary δp, both ordered within their own dimension by
+    np.argsort(births, kind="stable").  Clearing (Chen & Kerber 2011)
+    skips the p-simplices already paired in dimension p-1: for edges,
+    the merge tree's edges, whose stable order on distances is the
+    filtration's on their halves (a nonzero distance is at least the
+    square root of the least positive float, so halving it is exact).  A pair is
+    a bar only when its births differ, since a zero-length bar above H0
+    depends on which complex is reduced, not on the data.  The
+    filtration holds every simplex up to dim_cap, so it is acyclic in
+    dimensions 1..dim_cap-1 and every bar there is finite.
     """
     import numpy as np
 
-    from .complexes import facet_ranks, simplex_vertices
-
     bars = _h0_bars(data)
-    n = data.n_points
+    cleared = data.merge_tree.edge
     for p in range(1, filt.dim_cap):
-        rows = np.argsort(filt.births[p], kind="stable")
-        row_births = filt.births[p][rows].tolist()
-        position = np.argsort(rows)     # lexicographic rank -> row
-        columns = np.argsort(filt.births[p + 1], kind="stable")
-        verts = simplex_vertices(n, p + 2)
-        pivots: dict[int, int] = {}     # low row -> reduced column
-        for start in range(0, len(columns), _BLOCK):
-            block = columns[start:start + _BLOCK]
-            faces = position[facet_ranks(n, verts[block])].tolist()
-            for death, face_rows in zip(filt.births[p + 1][block].tolist(),
-                                        faces):
-                col = 0
-                for f in face_rows:
-                    col |= 1 << f
-                while col:
-                    low = col.bit_length() - 1
-                    other = pivots.get(low)
-                    if other is None:
-                        pivots[low] = col
-                        if death != row_births[low]:
-                            bars.append(Bar(p, row_births[low], death))
-                        break
-                    col ^= other
+        faces, cofaces = filt.births[p], filt.births[p + 1]
+        owner, order = _coboundary_pairs(data.n_points, p, faces, cofaces,
+                                         cleared)
+        cleared = order[np.fromiter(owner, np.intp, len(owner))]
+        births = faces[np.fromiter(owner.values(), np.intp, len(owner))]
+        bars += (Bar(p, birth, death) for birth, death
+                 in zip(births.tolist(), cofaces[cleared].tolist())
+                 if birth != death)
     # stable, so H0 keeps _h0_bars' order of tied deaths (barcode.json's)
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))

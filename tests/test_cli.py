@@ -398,6 +398,29 @@ class TestCommands:
         assert rc == EXIT_INFEASIBLE
         assert "nearest achievable" in capsys.readouterr().err
 
+    def test_sweep_on_column_whose_range_overflows(self, tmp_path):
+        # 1e308 - (-1e308) overflows a float; scaled from that range the
+        # second column became [nan, 0] and the rows never met
+        path = tmp_path / "huge.csv"
+        path.write_text("q1,q2\n1,1e308\n2,-1e308\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "anonytope", "sweep", "--input", str(path),
+             "--quasi", "q1", "q2", "--k", "2", "--out", str(out)],
+            capture_output=True, text=True, env=package_env(), timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert "k=2: 1 regime(s)" in proc.stdout
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((out / "regimes_k2.json").read_text(),
+                            parse_constant=no_constant)
+        assert report["regimes"][0]["classes"] == [[1, 2]]
+        json.loads((out / "barcode.json").read_text(),
+                   parse_constant=no_constant)
+
     def test_barcode_command(self, sample_csv, tmp_path):
         out = tmp_path / "bc"
         rc = run_cli("barcode", "--input", str(sample_csv),
@@ -628,6 +651,21 @@ def test_barcode_peak_rss_at_100_rows(tmp_path):
         "--quasi", "x", "y", "--dim-cap", "2", "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert peak < 400
+
+
+def test_barcode_peak_rss_at_simplex_budget(tmp_path):
+    # 228 uniform rows in 2D at dim_cap 2 hold 1,949,476 triangles, just
+    # under the 2M simplex budget; reducing their boundary matrix took
+    # 34 s at 208 MiB
+    rng = random.Random(228)
+    path = tmp_path / "uniform.csv"
+    path.write_text("x,y\n" + "".join(
+        f"{rng.random()!r},{rng.random()!r}\n" for _ in range(228)))
+    proc, peak = peak_rss_mib(
+        sys.executable, "-m", "anonytope", "barcode", "--input", str(path),
+        "--quasi", "x", "y", "--dim-cap", "2", "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert peak < 300
 
 
 def test_filtration_peak_rss_at_simplex_budget():

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from anonytope.geometry import (ROLE_QUASI, ROLE_SENSITIVE, Column,
                                 NumericTable, min_enclosing_ball,
                                 normalize_dataset)
 
-from oracles import balls_intersect, dataset, meb_bruteforce
+from anonytope.complexes import build_filtration
+from oracles import (balls_intersect, boundary_matrix, dataset,
+                     filtration_entries, meb_bruteforce, reduce_matrix)
 
 points_2d = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
@@ -126,3 +129,44 @@ class TestBallsIntersect:
     def test_monotone_in_eps(self, pts, eps, bump):
         if balls_intersect(pts, eps):
             assert balls_intersect(pts, eps + bump)
+
+
+def grid_datasets(seed, count):
+    """Rows on a half-integer grid in d = 1, 2 and 3 in turn: merges tie
+    and rows repeat."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n, d = rng.randint(2, 12), trial % 3 + 1
+        yield dataset([[rng.randint(0, 4) / 2 for _ in range(d)]
+                       for _ in range(n)])
+
+
+class TestMergeTreeEdges:
+    def test_edge_distance_is_height(self):
+        for data in grid_datasets(5, 60):
+            tree = data.merge_tree
+            assert data.pair_distances[tree.edge].tolist() == tree.height
+
+    def test_edge_joins_survivor_and_dying(self):
+        for data in grid_datasets(6, 60):
+            tree = data.merge_tree
+            pairs = list(combinations(range(data.n_points), 2))
+            for j, rank in enumerate(tree.edge.tolist()):
+                part = {int(v): c for c, comp
+                        in enumerate(tree.components(j)) for v in comp}
+                ends = {part[v] for v in pairs[rank]}
+                assert ends == {part[int(tree.survivor[j])],
+                                part[int(tree.dying[j])]}
+
+    def test_edges_are_the_oracle_vertex_pairs(self):
+        # the edges that reducing the whole filtration over its global
+        # index pairs with vertices, in filtration order
+        for data in grid_datasets(7, 90):
+            entries = filtration_entries(data,
+                                         build_filtration(data, dim_cap=1))
+            rank = {e: r for r, e in
+                    enumerate(combinations(data.row_ids, 2))}
+            killed = sorted(j for i, j in reduce_matrix(
+                boundary_matrix(entries)).pairs if len(entries[i][1]) == 1)
+            assert data.merge_tree.edge.tolist() == \
+                [rank[entries[j][1]] for j in killed], data.points.tolist()
