@@ -1,0 +1,158 @@
+"""Wall time and peak RSS of the regime table and the MEB primitive at
+scale.
+
+Every run is a fresh interpreter on seeded uniform rows in [0, 1]^d
+(``random.Random(N * 10 + d)``):
+
+- ``anonymize --k 1`` on N = 1,000 rows in d = 2 and d = 5, the run that
+  needs the radius of every component the merge tree forms;
+- in-process ``compute_regimes`` for k = 1, 2, 3, 5, classes included,
+  on N = 2,000 rows in d = 2 and N = 1,000 rows in d = 5, timed after
+  the merge tree is built (its build time is recorded apart);
+- ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
+  each born at the radius of one ``min_enclosing_ball`` call.
+
+Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
+run as it exits.  Several source trees can be measured in one call,
+their runs interleaved so that drift in the machine's speed falls on
+all of them alike; each figure is the median of ``--repeat`` runs.
+
+    python3 scripts/bench_regimes.py --side change=src \\
+        --side parent=../parent/src --out BENCH_regimes.json
+
+Writes one JSON object: the python and numpy versions, ``nproc``, and
+per side and case the median and every run's figures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+# runs the CLI as the console script does, then leaves the process's
+# peak RSS (VmHWM, in KiB) as the last line of stderr
+CLI = """import sys
+from anonytope.cli import main
+try:
+    code = main()
+finally:
+    with open("/proc/self/status") as f:
+        print(next(ln.split()[1] for ln in f if ln.startswith("VmHWM")),
+              file=sys.stderr)
+sys.exit(code)
+"""
+# times the merge tree's build, then compute_regimes for every k on the
+# same dataset; prints both and the regime count
+REGIMES = """import csv, sys, time
+from anonytope.anonymity import compute_regimes
+from anonytope.geometry import NormalizedDataset
+with open(sys.argv[1]) as f:
+    rows = [[float(v) for v in r] for r in list(csv.reader(f))[1:]]
+d = len(rows[0])
+data = NormalizedDataset(rows, ((0.0, 1.0),) * d,
+                         tuple(range(1, len(rows) + 1)),
+                         tuple(f"x{j}" for j in range(d)))
+start = time.perf_counter()
+data.merge_tree
+built = time.perf_counter()
+count = sum(len(compute_regimes(data, k)) for k in (1, 2, 3, 5))
+print(built - start, time.perf_counter() - built, count)
+"""
+# (label, subcommand or None for in-process, N, d, extra arguments)
+CASES = (
+    ("anonymize_k1_n1000_d2", "anonymize", 1000, 2, ["--k", "1"]),
+    ("anonymize_k1_n1000_d5", "anonymize", 1000, 5, ["--k", "1"]),
+    ("compute_regimes_k1235_n2000_d2", None, 2000, 2, []),
+    ("compute_regimes_k1235_n1000_d5", None, 1000, 5, []),
+    ("barcode_cap3_n48_d3", "barcode", 48, 3, ["--dim-cap", "3"]),
+)
+
+
+def write_rows(path: Path, n: int, d: int) -> None:
+    rng = random.Random(n * 10 + d)
+    path.write_text(",".join(f"x{j}" for j in range(d)) + "\n" + "".join(
+        ",".join(repr(rng.random()) for _ in range(d)) + "\n"
+        for _ in range(n)))
+
+
+def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
+    """The figures of one run of a case."""
+    _, command, _, d, extra = case
+    env = dict(os.environ, PYTHONPATH=str(src))
+    if command is None:
+        argv = [sys.executable, "-c", REGIMES, str(csv)]
+    else:
+        argv = [sys.executable, "-c", CLI, command, "--input", str(csv),
+                "--quasi", *(f"x{j}" for j in range(d)), *extra,
+                "--out", str(out)]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=1800)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
+    if command is None:
+        tree_s, regimes_s, count = proc.stdout.split()
+        return {"merge_tree_s": float(tree_s),
+                "compute_regimes_s": float(regimes_s),
+                "regimes": int(count)}
+    return {"wall_s": wall,
+            "peak_rss_mib": int(proc.stderr.split()[-1]) / 1024}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--side", action="append", metavar="LABEL=SRC",
+                        help="a source tree to measure (default: "
+                             "this checkout's src)")
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--out", type=Path,
+                        default=ROOT / "BENCH_regimes.json")
+    args = parser.parse_args()
+    sides = dict(s.split("=", 1) for s in args.side or
+                 [f"worktree={ROOT / 'src'}"])
+    runs = {label: {case[0]: [] for case in CASES} for label in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for case in CASES:
+            write_rows(tmp / f"{case[0]}.csv", case[2], case[3])
+        for _ in range(args.repeat):
+            for case in CASES:
+                for label, src in sides.items():
+                    got = run_once(Path(src).resolve(), case,
+                                   tmp / f"{case[0]}.csv", tmp / "out")
+                    runs[label][case[0]].append(got)
+                    print(f"{label} {case[0]}: {got}", flush=True)
+    doc = {
+        "command": "scripts/bench_regimes.py: uniform rows in [0, 1]^d, "
+                   "random.Random(N * 10 + d)",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+        "repeat": args.repeat,
+        "results": {label: {name: {
+            **{key: round(statistics.median(r[key] for r in by_run), 4)
+               for key in by_run[0]},
+            "runs": [{key: round(value, 4) for key, value in r.items()}
+                     for r in by_run]}
+            for name, by_run in by_case.items()}
+            for label, by_case in runs.items()},
+    }
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,7 @@ simplices of size >= k and all higher homology vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
                      ContractViolation, InfeasibleError)
@@ -21,21 +21,18 @@ FAIL_TOO_SMALL = "component_too_small"
 FAIL_NOT_SIMPLEX = "component_not_simplex"
 
 
-@dataclass(frozen=True)
-class FailureReason:
+class FailureReason(NamedTuple):
     kind: str                      # FAIL_TOO_SMALL or FAIL_NOT_SIMPLEX
     component: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AnonymityVerdict:
+class AnonymityVerdict(NamedTuple):
     achieved: bool
     classes: tuple[tuple[int, ...], ...] | None
     failure_reason: FailureReason | None
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """A maximal eps interval [eps_lo, eps_hi) with a constant
     k-anonymous partition; eps_hi None means unbounded."""
 
@@ -51,8 +48,7 @@ class Regime:
         return self.eps_lo <= eps and (self.eps_hi is None or eps < self.eps_hi)
 
 
-@dataclass(frozen=True)
-class GeneralizedTable:
+class GeneralizedTable(NamedTuple):
     """Per row, each quasi-identifier replaced by a closed interval in
     original units; rows in the same class share identical tuples."""
 
@@ -75,12 +71,14 @@ def check_k_anonymity(data: NormalizedDataset, eps: float,
     if k > data.n_points:
         return _failed(FAIL_TOO_SMALL, data.row_ids)
     tree = data.merge_tree
-    comps = tree.components(tree.cut(eps))
+    merges = tree.cut(eps)
+    comps = tree.components(merges)
     for comp in comps:
         if len(comp) < k:
             return _failed(FAIL_TOO_SMALL, tree.row_ids(comp))
-    for comp in comps:
-        if tree.radius(comp) > eps:
+    # radii are computed only now, for a partition whose sizes pass
+    for comp, radius in zip(comps, tree.radii(merges)):
+        if radius > eps:
             return _failed(FAIL_NOT_SIMPLEX, tree.row_ids(comp))
     return AnonymityVerdict(achieved=True,
                             classes=tuple(map(tree.row_ids, comps)),
@@ -91,28 +89,20 @@ def compute_regimes(data: NormalizedDataset, k: int) -> list[Regime]:
     """Every maximal interval on which k-anonymity holds.
 
     Within an interval of constant partition, the verdict flips at most
-    once, at the largest component MEB radius; so one pass over the
-    merge tree's partitions, with one MEB per component, finds them all.
-    A merge never shrinks the smallest component, so the pass runs from
-    the coarsest partition and stops at the first one too fine for k.
+    once, at the largest component MEB radius, and the partition holds
+    for k while its smallest component has k rows; so every k is a
+    filter of the merge tree's one regime table, and the classes are
+    read off the tree only for the intervals kept.
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
     if k > data.n_points:
         return []
     tree = data.merge_tree
-    regimes = []
-    for lo, hi, merges in reversed(tree.intervals()):
-        comps = tree.components(merges)
-        if any(len(c) < k for c in comps):
-            break
-        start = max(lo, max(map(tree.radius, comps)))
-        if start < hi:
-            regimes.append(Regime(
-                eps_lo=start,
-                eps_hi=None if math.isinf(hi) else hi,
-                classes=tuple(map(tree.row_ids, comps))))
-    return regimes[::-1]
+    return [Regime(eps_lo=start, eps_hi=None if math.isinf(hi) else hi,
+                   classes=tuple(map(tree.row_ids, tree.components(merges))))
+            for lo, hi, merges, smallest, radius in tree.regime_table
+            if smallest >= k and (start := max(lo, radius)) < hi]
 
 
 def minimal_epsilon(data: NormalizedDataset, k: int,

@@ -9,7 +9,7 @@ values (no radii grid needed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ BLOCK = 1 << 16
 _RIGHT_SLACK = 8 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Every simplex of dim <= dim_cap with its exact birth radius.
 
     births[p] holds the MEB radii of all C(N, p+1) p-simplices, each at

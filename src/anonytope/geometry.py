@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,33 +39,33 @@ MEB_REL_TOL = 1e-9
 PAIR_BUDGET = 50_000_000
 
 
-@dataclass(frozen=True)
-class Column:
+# The records below are NamedTuples or plain classes, not dataclasses:
+# ``dataclasses`` costs every numeric command its import.
+
+
+class Column(NamedTuple):
     name: str
-    role: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise IngestionError(f"unknown column role {self.role!r} "
-                                 f"for column {self.name!r}")
+    role: str           # one of ROLES, checked by NumericTable
 
 
-@dataclass
 class NumericTable:
     """A typed table whose quasi-identifier cells are finite reals."""
 
-    columns: list[Column]
-    rows: list[dict]
-
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, columns: list[Column], rows: list[dict]):
+        self.columns = columns
+        self.rows = rows
+        if not rows:
             raise IngestionError("table has no data rows")
-        names = [c.name for c in self.columns]
+        for c in columns:
+            if c.role not in ROLES:
+                raise IngestionError(f"unknown column role {c.role!r} "
+                                     f"for column {c.name!r}")
+        names = [c.name for c in columns]
         if len(set(names)) != len(names):
             raise IngestionError("duplicate column names")
         if not self.quasi_names:
             raise IngestionError("no quasi-identifier columns declared")
-        for i, row in enumerate(self.rows, start=1):
+        for i, row in enumerate(rows, start=1):
             if set(row) != set(names):
                 raise IngestionError(f"row {i} does not match the schema")
             for name in self.quasi_names:
@@ -84,21 +85,28 @@ class NumericTable:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
 class NormalizedDataset:
     """Rows mapped into the unit hypercube, one point per row.
 
     Row ids are stable 1-based indices into the originating table.
+    Immutable, with a read-only ``points`` array; a plain class because
+    ``pair_distances`` and ``merge_tree`` are cached in the instance
+    dict.
     """
 
-    points: np.ndarray                      # shape (N, d), values in [0, 1]
-    scale_params: tuple[tuple[float, float], ...]   # per-column (min, max)
-    row_ids: tuple[int, ...]
-    qi_names: tuple[str, ...]
+    def __init__(self, points, scale_params: tuple[tuple[float, float], ...],
+                 row_ids: tuple[int, ...], qi_names: tuple[str, ...]):
+        points = np.asarray(points, float)      # shape (N, d), in [0, 1]
+        points.setflags(write=False)
+        # scale_params: per-column (min, max) in original units
+        vars(self).update(points=points, scale_params=scale_params,
+                          row_ids=row_ids, qi_names=qi_names)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, float))
-        self.points.setflags(write=False)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n_points(self) -> int:
@@ -142,13 +150,9 @@ class NormalizedDataset:
         return MergeTree(self.points, self.row_ids, self.pair_distances)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(NamedTuple):
     center: np.ndarray
     radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, float))
 
 
 def normalize_dataset(table: NumericTable) -> NormalizedDataset:
@@ -198,29 +202,45 @@ def _pairwise_distances(points: np.ndarray) -> np.ndarray:
 def _ball_from_boundary(boundary: list[np.ndarray]):
     """Smallest ball with all boundary points on its surface.
 
-    For two points this is the diametral ball; larger sets solve the
-    equidistance system restricted to the affine hull (least squares, so
-    affinely dependent boundaries degrade gracefully).
+    Two points give the diametral ball.  Three give the circumcentre in
+    their plane, solved from the 2x2 Gram system by Cramer's rule in any
+    dimension; a degenerate triple (collinear or repeated) has no
+    circumcircle and gets the diametral ball of its farthest pair.  Four
+    or more solve the equidistance system restricted to the affine hull
+    by least squares, so affinely dependent boundaries degrade
+    gracefully.
     """
-    if not boundary:
-        return None
     if len(boundary) == 1:
         return boundary[0], 0.0
     if len(boundary) == 2:
         p, q = boundary
         return (p + q) / 2.0, _dist(p, q) / 2.0
     p0 = boundary[0]
-    diffs = np.array([p - p0 for p in boundary[1:]])
-    rhs = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
-    gram = diffs @ diffs.T
-    y, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    center = p0 + y @ diffs
+    if len(boundary) == 3:
+        a, b = boundary[1] - p0, boundary[2] - p0
+        aa, bb, ab = (float(np.vecdot(u, v)) for u, v in ((a, a), (b, b),
+                                                          (a, b)))
+        det = aa * bb - ab * ab
+        if det <= 1e-12 * aa * bb:
+            return _ball_from_boundary(max(combinations(boundary, 2),
+                                           key=lambda pq: _dist(*pq)))
+        center = p0 + (0.5 * bb * (aa - ab) / det) * a \
+            + (0.5 * aa * (bb - ab) / det) * b
+    else:
+        diffs = np.array([p - p0 for p in boundary[1:]])
+        rhs = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
+        gram = diffs @ diffs.T
+        y, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+        center = p0 + y @ diffs
     radius = max(_dist(center, p) for p in boundary)
     return center, radius
 
 
 def _welzl(pts: list[np.ndarray], boundary: list[np.ndarray], dim: int):
-    ball = _ball_from_boundary(boundary)
+    """(center, radius, support) of the smallest ball holding pts with
+    every boundary point on its surface, support being the boundary it
+    was built from; None when both are empty."""
+    ball = (*_ball_from_boundary(boundary), boundary) if boundary else None
     if len(boundary) == dim + 1:
         return ball
     for i, p in enumerate(pts):
@@ -248,11 +268,39 @@ def min_enclosing_ball(points) -> Ball:
         return Ball((pts[0] + pts[1]) / 2.0, _dist(pts[0], pts[1]) / 2.0)
     order = list(range(n))
     random.Random(0x5EB).shuffle(order)
-    center, radius = _welzl([pts[i] for i in order], [], d)
+    center, radius, _ = _welzl([pts[i] for i in order], [], d)
     # inflating to the farthest point guarantees containment without
     # breaking minimality beyond float noise
     radius = max(radius, max(_dist(center, p) for p in pts))
     return Ball(center, radius)
+
+
+def _enclose(points: np.ndarray, ball):
+    """(radius, center, support) of the smallest ball holding points,
+    given that of some of them.
+
+    While some point lies outside the ball, the farthest one moves to
+    the front of the support and the ball is rebuilt with it on its
+    surface (Welzl move-to-front).  The radius is inflated to the
+    farthest point, as min_enclosing_ball's is, except for two points:
+    their diametral ball is exact, with radius half their distance.
+    """
+    if len(points) == 2:
+        center, radius = _ball_from_boundary(list(points))
+        return radius, center, list(points)
+    radius, center, support = ball
+    front = list(support)
+    # each move adds a point the ball did not hold, so at most len(points)
+    for moved in range(len(points) + 1):
+        diff = points - center
+        square = np.vecdot(diff, diff)
+        far = int(square.argmax())
+        dist = math.sqrt(square[far])   # rounds as np.sqrt does
+        if dist <= radius + _CONTAIN_TOL or moved == len(points):
+            return max(radius, dist), center, support
+        center, radius, support = _welzl(front, [points[far]],
+                                         points.shape[1])
+        front.insert(0, points[far])
 
 
 def _sorted_pairs(n: int, dist: np.ndarray):
@@ -281,6 +329,11 @@ class MergeTree:
     merges of height <= 2 eps.  The filtration orders its edges by the
     same stable sort of half these distances, so the merge edges are
     the edges that kill H0 bars there.
+
+    The MEB of the component each merge forms is computed on first use,
+    grown from the larger of its two children's MEBs, each computed
+    first; so a radius depends on the tree alone, not on the order in
+    which radii are asked for.
     """
 
     def __init__(self, points: np.ndarray, row_ids: tuple[int, ...],
@@ -309,18 +362,13 @@ class MergeTree:
         self.edge = np.array(edge, dtype=np.intp)
         self.survivor = np.array(survivor, dtype=np.intp)
         self.dying = np.array(dying, dtype=np.intp)
-        self._radius: dict[tuple[int, int], float] = {}
+        # per merge, (radius, center, support) of its component's MEB,
+        # once computed
+        self._balls: list[tuple | None] = [None] * len(dying)
 
     def cut(self, eps: float) -> int:
         """How many merges have happened at radius eps (closed balls)."""
         return bisect_right(self.height, 2.0 * eps)
-
-    def intervals(self) -> list[tuple[float, float, int]]:
-        """Maximal eps intervals [lo, hi) of constant partition, as
-        (lo, hi, merges so far); hi is inf for the last one."""
-        starts = sorted({0.0} | {d / 2.0 for d in self.height})
-        return [(lo, hi, self.cut(lo))
-                for lo, hi in zip(starts, starts[1:] + [math.inf])]
 
     def components(self, merges: int) -> list[np.ndarray]:
         """The components after the given number of merges, as ascending
@@ -335,12 +383,106 @@ class MergeTree:
     def row_ids(self, component: np.ndarray) -> tuple[int, ...]:
         return tuple(self.ids[component].tolist())
 
-    def radius(self, component: np.ndarray) -> float:
-        """MEB radius of a component, computed once per component."""
-        # a root's component grows with every merge into it, so its first
-        # row and its size name it
-        key = (int(component[0]), len(component))
-        if key not in self._radius:
-            self._radius[key] = min_enclosing_ball(
-                self.points[component]).radius
-        return self._radius[key]
+    def radii(self, merges: int):
+        """The MEB radius of each component after the given number of
+        merges, in the order of components(merges).  A component's
+        radius, and those below it in the tree, are computed when it is
+        reached."""
+        latest = dict(zip(self.survivor[:merges].tolist(), range(merges)))
+        alive = np.ones(len(self.points), bool)
+        alive[self.dying[:merges]] = False
+        for root in np.flatnonzero(alive).tolist():
+            yield self._ball(latest[root])[0] if root in latest else 0.0
+
+    @cached_property
+    def regime_table(self) -> list[tuple[float, float, int, int, float]]:
+        """Per maximal eps interval [lo, hi) of constant partition (hi is
+        inf for the last one): (lo, hi, merges so far, the smallest
+        component's size, the largest component MEB radius).
+
+        A merge never shrinks a component, and a component's radius is
+        at least its children's, so both columns only grow with the
+        merges: a running count of sizes and a running maximum of the
+        merges' radii give them, and every k is a filter of this table.
+        """
+        n = len(self.points)
+        size, count = [1] * n, [0] * (n + 1)
+        count[1] = n
+        smallest, widest = [1], [0.0]
+        for j, (a, b) in enumerate(zip(self.survivor.tolist(),
+                                       self.dying.tolist())):
+            count[size[a]] -= 1
+            count[size[b]] -= 1
+            size[a] += size[b]
+            count[size[a]] += 1
+            least = smallest[-1]
+            while not count[least]:
+                least += 1
+            smallest.append(least)
+            widest.append(max(widest[-1], self._ball(j)[0]))
+        starts = sorted({0.0} | {d / 2.0 for d in self.height})
+        table = []
+        for lo, hi in zip(starts, starts[1:] + [math.inf]):
+            merges = self.cut(lo)
+            table.append((lo, hi, merges, smallest[merges], widest[merges]))
+        return table
+
+    @cached_property
+    def _children(self) -> list[tuple[int, int]]:
+        """Per merge, the two components it joins, the survivor's first:
+        the merge that formed it, or ~row for a single row."""
+        top = [~row for row in range(len(self.points))]
+        children = []
+        for j, (a, b) in enumerate(zip(self.survivor.tolist(),
+                                       self.dying.tolist())):
+            children.append((top[a], top[b]))
+            top[a] = j
+        return children
+
+    @cached_property
+    def _slices(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The points reordered so that each merge's component is one
+        slice of them, and per merge its (start, stop)."""
+        children = self._children
+        size = []
+        for a, b in children:
+            size.append((size[a] if a >= 0 else 1)
+                        + (size[b] if b >= 0 else 1))
+        start, order = [0] * len(children), [0] * len(self.points)
+        # a merge's slice is placed before its children's: the last
+        # merge holds every row, the survivor's side first
+        for j in reversed(range(len(children))):
+            at = start[j]
+            for child in children[j]:
+                if child >= 0:
+                    start[child] = at
+                    at += size[child]
+                else:
+                    order[at] = ~child
+                    at += 1
+        return (self.points[order],
+                [(s, s + z) for s, z in zip(start, size)])
+
+    def _ball(self, j: int) -> tuple[float, np.ndarray, list[np.ndarray]]:
+        """(radius, center, support) of the component merge j forms,
+        grown from its larger child's ball; each merge below it is
+        computed first."""
+        if self._balls[j] is None:
+            todo, pending = [], [j]
+            while pending:
+                x = pending.pop()
+                todo.append(x)
+                pending += [c for c in self._children[x]
+                            if c >= 0 and self._balls[c] is None]
+            points, spans = self._slices
+            for x in sorted(todo):      # children before their parent
+                kids = [self._balls[c] if c >= 0
+                        else (0.0, self.points[~c], [self.points[~c]])
+                        for c in self._children[x]]
+                start, stop = spans[x]
+                radius, center, support = _enclose(
+                    points[start:stop], max(kids, key=lambda b: b[0]))
+                # MEB is monotone; the children's radii bound float noise
+                self._balls[x] = (max(radius, kids[0][0], kids[1][0]),
+                                  center, support)
+        return self._balls[j]

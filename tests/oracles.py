@@ -4,17 +4,21 @@ Everything here is deliberately naive (exhaustive subset enumeration,
 BFS, set-partition enumeration, parent-link walks, one reduction over
 the whole filtration's global index) and shares no code path with the
 package implementation it checks, except that the fixed-eps anonymity
-complex tests its simplices with the package's min_enclosing_ball and
-the lattice brute force reads the package's per-node partition.
+complex tests its simplices with the package's min_enclosing_ball, the
+per-interval regime sweep reads the merge tree's partitions and runs
+min_enclosing_ball on each component, and the lattice brute force reads
+the package's per-node partition.
 """
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from anonytope.anonymity import Regime
 from anonytope.categorical import generalized_partition_at
 from anonytope.complexes import Filtration
 from anonytope.errors import ContractViolation
@@ -34,6 +38,25 @@ def dataset(points) -> NormalizedDataset:
         row_ids=tuple(range(1, len(pts) + 1)),
         qi_names=tuple(f"q{j}" for j in range(d)),
     )
+
+
+def seeded_points(seed: int, count: int):
+    """count seeded point sets of 2 to 24 rows, in d = 1, 2, 3 and 5 in
+    turn, each kind in turn: uniform, on a 1/4 grid (distances tie and
+    rows repeat), and in tight clusters."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n, d = rng.randint(2, 24), (1, 2, 3, 5)[trial % 4]
+        kind = trial // 4 % 3
+        if kind == 0:
+            yield [[rng.random() for _ in range(d)] for _ in range(n)]
+        elif kind == 1:
+            yield [[rng.randint(0, 4) / 4 for _ in range(d)]
+                   for _ in range(n)]
+        else:
+            centres = [[rng.random() for _ in range(d)] for _ in range(3)]
+            yield [[x + rng.gauss(0, 0.02) for x in rng.choice(centres)]
+                   for _ in range(n)]
 
 
 def dist(p, q) -> float:
@@ -114,6 +137,32 @@ def components_bfs(points, eps):
                     stack.append(w)
         comps.append(sorted(comp))
     return sorted(comps)
+
+
+def regimes_per_interval(data: NormalizedDataset, k: int) -> list[Regime]:
+    """compute_regimes as one pass over the merge tree's partitions, from
+    the coarsest: at each interval of constant partition, its components
+    and one min_enclosing_ball per component (each computed once),
+    stopping at the first partition too fine for k."""
+    if k > data.n_points:
+        return []
+    tree = data.merge_tree
+    starts = sorted({0.0} | {h / 2.0 for h in tree.height})
+    radius, regimes = {}, []
+    for lo, hi in reversed(list(zip(starts, starts[1:] + [math.inf]))):
+        comps = [tuple(c.tolist()) for c in tree.components(tree.cut(lo))]
+        if any(len(c) < k for c in comps):
+            break
+        for c in comps:
+            if c not in radius:
+                radius[c] = min_enclosing_ball(data.points[list(c)]).radius
+        start = max(lo, max(radius[c] for c in comps))
+        if start < hi:
+            regimes.append(Regime(
+                eps_lo=start, eps_hi=None if math.isinf(hi) else hi,
+                classes=tuple(tuple(data.row_ids[i] for i in c)
+                              for c in comps)))
+    return regimes[::-1]
 
 
 def set_partitions(items):

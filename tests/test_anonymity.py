@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
@@ -10,10 +11,14 @@ from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
                                  check_k_anonymity, compute_regimes,
                                  generalize_table, minimal_epsilon,
                                  regime_report)
+from anonytope import geometry
+from anonytope.complexes import build_filtration
 from anonytope.errors import InfeasibleError
+from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, dist,
-                     homology_dims_at, k_anonymity_bruteforce, meb_bruteforce)
+                     homology_dims_at, k_anonymity_bruteforce, meb_bruteforce,
+                     regimes_per_interval, seeded_points)
 
 # Values frozen from scripts/sample_oracle.py (exhaustive MEB + BFS):
 # under per-column min-max scaling the 9-row sample admits, for k = 2..4,
@@ -36,6 +41,17 @@ class TestCheck:
     def test_two_points_at_threshold(self):
         v = check_k_anonymity(dataset([(0, 0), (1, 0)]), 0.5, 2)
         assert v.achieved and v.classes == ((1, 2),)
+
+    def test_two_rows_at_half_their_distance(self):
+        # closed balls: two rows share a class from half their distance
+        # on, though their midpoint's distance to them may round above it
+        rng = random.Random(29)
+        for _ in range(200):
+            d = rng.choice([2, 3, 5])
+            pts = [[rng.random() for _ in range(d)] for _ in range(2)]
+            half = dataset(pts).pair_distances[0] / 2
+            assert check_k_anonymity(dataset(pts), half, 2).achieved
+            assert compute_regimes(dataset(pts), 2)[0].eps_lo == half
 
     def test_sample_component_not_simplex(self, sample_data):
         # at eps = 0.3 the components are {1,2,3,7,8,9} and {4,5,6}, but
@@ -138,6 +154,68 @@ class TestRegimes:
                     assert below.failure_reason.kind == FAIL_NOT_SIMPLEX
                     below_checked += 1
         assert below_checked > 20
+
+
+    def test_regimes_match_per_interval_oracle(self):
+        for pts in seeded_points(21, 240):
+            data = dataset(pts)
+            for k in (1, 2, 3, 5):
+                got = compute_regimes(data, k)
+                want = regimes_per_interval(dataset(pts), k)
+                assert [(r.eps_hi, r.classes) for r in got] == \
+                    [(r.eps_hi, r.classes) for r in want], (pts, k)
+                for r, w in zip(got, want):
+                    assert r.eps_lo == pytest.approx(w.eps_lo, rel=1e-12,
+                                                     abs=0)
+
+    def test_fresh_check_agrees_with_regime_starts(self):
+        # a point check on a fresh dataset computes only the radii of its
+        # own components, and must read the same values as the table
+        below_checked = 0
+        for pts in seeded_points(22, 120):
+            tree = dataset(pts).merge_tree
+            changes = {0.0} | {h / 2.0 for h in tree.height}
+            for k in (1, 2, 3, 5):
+                for r in compute_regimes(dataset(pts), k):
+                    at = check_k_anonymity(dataset(pts), r.eps_lo, k)
+                    assert at.achieved and at.classes == r.classes
+                    if r.eps_lo in changes:
+                        continue
+                    below = check_k_anonymity(
+                        dataset(pts), math.nextafter(r.eps_lo, 0), k)
+                    assert below.failure_reason.kind == FAIL_NOT_SIMPLEX
+                    below_checked += 1
+        assert below_checked > 100
+
+    def test_only_radius_readers_compute_radii(self, monkeypatch,
+                                               sample_data):
+        # barcode reads the merge tree's heights alone, and a check whose
+        # partition fails the size test reads no radius
+        def refuse(*args):
+            raise AssertionError("component MEB computed")
+
+        monkeypatch.setattr(geometry, "_enclose", refuse)
+        barcode(sample_data, build_filtration(sample_data, 2))
+        v = check_k_anonymity(sample_data, 0.05, 3)
+        assert v.failure_reason.kind == FAIL_TOO_SMALL
+
+    def test_planar_regimes_need_no_lstsq(self, monkeypatch):
+        # in 2D no boundary exceeds three points, and those are solved in
+        # closed form
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        planar = [p for p in seeded_points(23, 160) if len(p[0]) == 2]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", refuse)
+            got = [[compute_regimes(dataset(pts), k) for k in (1, 2, 3, 5)]
+                   for pts in planar]
+        want = [[regimes_per_interval(dataset(pts), k) for k in (1, 2, 3, 5)]
+                for pts in planar]
+        assert [[[(r.eps_hi, r.classes) for r in rs] for rs in by_k]
+                for by_k in got] == \
+            [[[(r.eps_hi, r.classes) for r in rs] for rs in by_k]
+             for by_k in want]
 
 
 class TestMinimalEpsilon:

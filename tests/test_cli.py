@@ -617,9 +617,9 @@ def test_each_command_loads_only_what_it_needs(sample_csv, trees_yaml,
     sweep = loaded_modules(
         tmp_path, "sweep", "--input", sample_csv, "--quasi", "Age", "ZIP",
         "--k", "3", "--out", tmp_path / "sweep")
-    # the numeric modules keep their dataclasses: numpy imports inspect
+    # numpy itself imports inspect
     assert sweep == {"import": [], "rc": EXIT_OK,
-                     "run": ["numpy", "dataclasses", "inspect"]}
+                     "run": ["numpy", "inspect"]}
 
 
 def peak_rss_mib(*argv):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from itertools import combinations
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonytope.errors import ContractViolation, IngestionError
-from anonytope.geometry import (ROLE_QUASI, ROLE_SENSITIVE, Column,
-                                NumericTable, min_enclosing_ball,
+from anonytope.geometry import (MEB_REL_TOL, ROLE_QUASI, ROLE_SENSITIVE,
+                                Column, NumericTable, min_enclosing_ball,
                                 normalize_dataset)
 
 from anonytope.complexes import build_filtration
 from oracles import (balls_intersect, boundary_matrix, dataset,
-                     filtration_entries, meb_bruteforce, reduce_matrix)
+                     filtration_entries, meb_bruteforce, reduce_matrix,
+                     seeded_points, triangle_meb_exact)
 
 points_2d = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
@@ -83,6 +85,21 @@ class TestMinEnclosingBall:
     def test_duplicate_points(self):
         ball = min_enclosing_ball([(1, 1)] * 4)
         assert ball.radius == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_collinear_and_repeated_triples(self, d):
+        # a triple with no circumcircle is held by its farthest pair's
+        # diametral ball, in every order, to 1e-12 of exact arithmetic
+        rng = random.Random(3 * d)
+        for trial in range(40):
+            p, v = ([rng.random() for _ in range(d)] for _ in range(2))
+            ts = [0.0, rng.random(), rng.random()] if trial % 2 else \
+                [0.0, 0.0, rng.choice([0.0, rng.random()])]
+            triple = [[x + t * y for x, y in zip(p, v)] for t in ts]
+            want = math.sqrt(triangle_meb_exact(*triple)[0])
+            for order in itertools.permutations(triple):
+                assert min_enclosing_ball(order).radius == \
+                    pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_bruteforce_oracle(self, d):
@@ -170,3 +187,30 @@ class TestMergeTreeEdges:
                 boundary_matrix(entries)).pairs if len(entries[i][1]) == 1)
             assert data.merge_tree.edge.tolist() == \
                 [rank[entries[j][1]] for j in killed], data.points.tolist()
+
+
+class TestMergeRadii:
+    def test_component_radii_match_min_enclosing_ball(self):
+        # every merge's radius, grown from its children's balls, against
+        # one Welzl run over the component's rows
+        for pts in seeded_points(11, 120):
+            data = dataset(pts)
+            tree = data.merge_tree
+            for merges in range(data.n_points):
+                for comp, radius in zip(tree.components(merges),
+                                        tree.radii(merges)):
+                    want = min_enclosing_ball(data.points[comp]).radius
+                    assert radius == pytest.approx(want, rel=MEB_REL_TOL,
+                                                   abs=0), pts
+
+    def test_radii_do_not_depend_on_call_order(self):
+        rng = random.Random(12)
+        for pts in seeded_points(12, 60):
+            table = dataset(pts).merge_tree.regime_table
+            tree = dataset(pts).merge_tree
+            cuts = list(range(len(pts)))
+            rng.shuffle(cuts)
+            shuffled = {m: list(tree.radii(m)) for m in cuts}
+            first = dataset(pts).merge_tree
+            assert shuffled == {m: list(first.radii(m)) for m in sorted(cuts)}
+            assert tree.regime_table == table
