@@ -1,21 +1,28 @@
-"""Wall time and peak RSS of the regime table and the MEB primitive at
-scale.
+"""Wall time and peak RSS of the merge tree, the regime table, the
+filtration and its reduction at scale.
 
 Every run is a fresh interpreter on seeded uniform rows in [0, 1]^d
 (``random.Random(N * 10 + d)``):
 
+- ``check --k 2 --eps 0.01`` and ``anonymize --k 2`` on N = 1,000, 5,000
+  and 20,000 rows in d = 2, which read the merge tree alone;
 - ``anonymize --k 1`` on N = 1,000 rows in d = 2 and d = 5, the run that
   needs the radius of every component the merge tree forms;
 - in-process ``compute_regimes`` for k = 1, 2, 3, 5, classes included,
   on N = 2,000 rows in d = 2 and N = 1,000 rows in d = 5, timed after
   the merge tree is built (its build time is recorded apart);
+- ``barcode --dim-cap 2`` on N = 100, 200 and 228 rows in d = 2 (the
+  last just under the simplex budget), the H1 reduction;
 - ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
   each born at the radius of one ``min_enclosing_ball`` call.
 
 Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
-run as it exits.  Several source trees can be measured in one call,
-their runs interleaved so that drift in the machine's speed falls on
-all of them alike; each figure is the median of ``--repeat`` runs.
+run as it exits.  A command that exits 2 has given its verdict
+("infeasible") and is timed like one that exits 0; one that exits 1
+refused the input, and its ``error:`` line is recorded instead of
+figures.  Several source trees can be measured in one call, their runs
+interleaved so that drift in the machine's speed falls on all of them
+alike; each figure is the median of ``--repeat`` runs.
 
     python3 scripts/bench_regimes.py --side change=src \\
         --side parent=../parent/src --out BENCH_regimes.json
@@ -72,10 +79,16 @@ print(built - start, time.perf_counter() - built, count)
 """
 # (label, subcommand or None for in-process, N, d, extra arguments)
 CASES = (
+    *((f"{command}_k2_n{n}_d2", command, n, 2, ["--k", "2", *extra])
+      for n in (1000, 5000, 20000)
+      for command, extra in (("check", ["--eps", "0.01"]),
+                             ("anonymize", []))),
     ("anonymize_k1_n1000_d2", "anonymize", 1000, 2, ["--k", "1"]),
     ("anonymize_k1_n1000_d5", "anonymize", 1000, 5, ["--k", "1"]),
     ("compute_regimes_k1235_n2000_d2", None, 2000, 2, []),
     ("compute_regimes_k1235_n1000_d5", None, 1000, 5, []),
+    *((f"barcode_cap2_n{n}_d2", "barcode", n, 2, ["--dim-cap", "2"])
+      for n in (100, 200, 228)),
     ("barcode_cap3_n48_d3", "barcode", 48, 3, ["--dim-cap", "3"]),
 )
 
@@ -101,15 +114,32 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           timeout=1800)
     wall = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
     if command is None:
+        if proc.returncode != 0:
+            raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
         tree_s, regimes_s, count = proc.stdout.split()
         return {"merge_tree_s": float(tree_s),
                 "compute_regimes_s": float(regimes_s),
                 "regimes": int(count)}
-    return {"wall_s": wall,
+    if proc.returncode == 1:
+        return {"refused": next(ln for ln in proc.stderr.splitlines()
+                                if ln.startswith("error: "))}
+    if proc.returncode not in (0, 2):
+        raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
+    return {"wall_s": wall, "exit": proc.returncode,
             "peak_rss_mib": int(proc.stderr.split()[-1]) / 1024}
+
+
+def summary(by_run: list[dict]) -> dict:
+    """The median of each figure over the runs of one case and side, and
+    every run's figures; the error line of a refused case."""
+    refused = [r["refused"] for r in by_run if "refused" in r]
+    if refused:
+        return {"refused": refused[0], "runs": by_run}
+    rounded = [{key: round(value, 4) for key, value in r.items()}
+               for r in by_run]
+    return {**{key: round(statistics.median(r[key] for r in by_run), 4)
+               for key in by_run[0]}, "runs": rounded}
 
 
 def main() -> None:
@@ -142,13 +172,9 @@ def main() -> None:
         "numpy": np.__version__,
         "nproc": os.cpu_count(),
         "repeat": args.repeat,
-        "results": {label: {name: {
-            **{key: round(statistics.median(r[key] for r in by_run), 4)
-               for key in by_run[0]},
-            "runs": [{key: round(value, 4) for key, value in r.items()}
-                     for r in by_run]}
-            for name, by_run in by_case.items()}
-            for label, by_case in runs.items()},
+        "results": {label: {name: summary(by_run)
+                            for name, by_run in by_case.items()}
+                    for label, by_case in runs.items()},
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")

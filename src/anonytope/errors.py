@@ -27,8 +27,7 @@ class IngestionError(ValueError):
 
 
 class FiltrationSizeError(RuntimeError):
-    """The requested filtration would exceed the simplex budget, or the
-    table's row pairs the pairwise budget."""
+    """The requested filtration would exceed the simplex budget."""
 
 
 class InfeasibleError(RuntimeError):

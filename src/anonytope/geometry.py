@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, FiltrationSizeError, IngestionError
+from .errors import ContractViolation, IngestionError
 
 ROLE_IDENTIFIER = "identifier"
 ROLE_QUASI = "quasi_identifier"
@@ -33,10 +33,6 @@ _CONTAIN_TOL = 1e-12
 
 #: relative radius accuracy guaranteed by min_enclosing_ball in any dimension
 MEB_REL_TOL = 1e-9
-
-#: most row pairs a dataset may hold; sorting them takes about 32 bytes
-#: each, so this caps that stage near 1.6 GB (N of about 10,000)
-PAIR_BUDGET = 50_000_000
 
 
 # The records below are NamedTuples or plain classes, not dataclasses:
@@ -128,26 +124,20 @@ class NormalizedDataset:
 
     @cached_property
     def pair_distances(self) -> np.ndarray:
-        """Distances of all row pairs i < j in row order, built once.
-
-        The merge tree's heights and the filtration's edge births (half
-        of each) are these values.  Raises FiltrationSizeError, before
-        anything is allocated, when the pairs exceed PAIR_BUDGET.
-        """
-        n = self.n_points
-        pairs = n * (n - 1) // 2
-        if pairs > PAIR_BUDGET:
-            raise FiltrationSizeError(
-                f"{pairs} row pairs for N={n} exceed the pairwise budget "
-                f"of {PAIR_BUDGET}")
-        dist = _pairwise_distances(self.points)
+        """Distances of all row pairs i < j in row order, built once by
+        the kernel of _dist, one row at a time, so no N^2 x d array is
+        held.  The filtration's edge births are half of each."""
+        pts = self.points
+        dist = np.concatenate([np.empty(0)] + [
+            np.sqrt(np.vecdot(diff, diff))
+            for diff in (pts[i] - pts[i + 1:] for i in range(len(pts) - 1))])
         dist.setflags(write=False)
         return dist
 
     @cached_property
     def merge_tree(self) -> "MergeTree":
         """Single linkage of the rows, built on first use and kept."""
-        return MergeTree(self.points, self.row_ids, self.pair_distances)
+        return MergeTree(self.points, self.row_ids)
 
 
 class Ball(NamedTuple):
@@ -185,18 +175,6 @@ def normalize_dataset(table: NumericTable) -> NormalizedDataset:
 def _dist(a, b) -> float:
     diff = a - b
     return float(np.sqrt(np.vecdot(diff, diff)))
-
-
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Distances of all pairs i < j in row order, by the kernel of _dist.
-
-    Built one row block at a time, so no N^2 x d array is held.
-    """
-    blocks = [np.empty(0)]
-    for i in range(len(points) - 1):
-        diff = points[i] - points[i + 1:]
-        blocks.append(np.sqrt(np.vecdot(diff, diff)))
-    return np.concatenate(blocks)
 
 
 def _ball_from_boundary(boundary: list[np.ndarray]):
@@ -303,32 +281,56 @@ def _enclose(points: np.ndarray, ball):
         front.insert(0, points[far])
 
 
-def _sorted_pairs(n: int, dist: np.ndarray):
-    """(rank, i, j, distance) for all pairs i < j of n rows, given their
-    distances in row order, the rank being a pair's index there, by one
-    stable sort (ties in row order), handed out n pairs at a time."""
-    order = np.argsort(dist, kind="stable")
-    first, second = np.triu_indices(n, 1)
-    for start in range(0, len(order), n):
-        block = order[start:start + n]
-        yield from zip(block.tolist(), first[block].tolist(),
-                       second[block].tolist(), dist[block].tolist())
+def _spanning_edges(points: np.ndarray) -> list[tuple[float, int, int]]:
+    """The N-1 edges (distance, i, j), i < j, of the minimum spanning
+    tree under the strict order (distance, pair rank), by Prim: each
+    step adds the row nearest the tree and takes one distance row from
+    it, by pair_distances's kernel up to a sign inside the square, so
+    bit for bit.  Under a strict order the tree is unique: these are the
+    pairs a Kruskal scan of the stably sorted distances keeps."""
+    n = len(points)
+    # the rows outside the tree, in no order, their points, and each
+    # one's nearest row in the tree, at distance gap
+    rest, todo = np.arange(1, n), points[1:].copy()
+    near, gap = np.zeros(n - 1, np.intp), np.full(n - 1, np.inf)
+
+    def key(a, b):                  # orders pairs as their ranks do
+        return np.minimum(a, b) * n + np.maximum(a, b)
+
+    edges, v = [], 0
+    for m in range(n - 1, 0, -1):   # m rows left outside
+        diff = todo[:m] - points[v]
+        dist = np.sqrt(np.vecdot(diff, diff))
+        closer = dist < gap[:m]
+        if len(tied := np.flatnonzero(dist == gap[:m])):
+            closer[tied] = key(v, rest[tied]) < key(near[tied], rest[tied])
+        np.copyto(gap[:m], dist, where=closer)
+        near[:m][closer] = v
+        p = int(gap[:m].argmin())
+        if len(tied := np.flatnonzero(gap[:m] == gap[p])) > 1:
+            p = int(tied[key(near[tied], rest[tied]).argmin()])
+        v, u = int(rest[p]), int(near[p])
+        edges.append((float(gap[p]), min(u, v), max(u, v)))
+        # the last row outside takes p's slot
+        rest[p], near[p], gap[p], todo[p] = \
+            rest[m - 1], near[m - 1], gap[m - 1], todo[m - 1]
+    return edges
 
 
 class MergeTree:
     """Single linkage of a point set: its 0-dimensional persistence.
 
-    One stable sort of the pairwise distances (pairs i < j in row order,
-    as NormalizedDataset.pair_distances holds them; ties in row order),
-    then one union-find pass.  Rows are addressed by position; a
-    component is rooted at its first row, and merge j joins the
-    component rooted at dying[j] into the elder one rooted at
-    survivor[j] < dying[j], along the row pair of rank edge[j] (its
-    index in the distances), at pairwise distance height[j].  Two rows
-    share a component at radius eps exactly when they are joined by
-    merges of height <= 2 eps.  The filtration orders its edges by the
-    same stable sort of half these distances, so the merge edges are
-    the edges that kill H0 bars there.
+    Single linkage is fixed by the minimum spanning tree (Gower & Ross
+    1969): the N-1 edges of _spanning_edges, in their (distance, pair
+    rank) order, replayed through one union-find pass.  Rows are
+    addressed by position; a component is rooted at its first row, and
+    merge j joins the component rooted at dying[j] into the elder one
+    rooted at survivor[j] < dying[j], along the row pair of rank edge[j]
+    (its index in NormalizedDataset.pair_distances), at pairwise
+    distance height[j].  Two rows share a component at radius eps
+    exactly when they are joined by merges of height <= 2 eps.  The
+    filtration orders its edges by a stable sort of half the distances,
+    so the merge edges are the edges that kill H0 bars there.
 
     The MEB of the component each merge forms is computed on first use,
     grown from the larger of its two children's MEBs, each computed
@@ -336,8 +338,7 @@ class MergeTree:
     which radii are asked for.
     """
 
-    def __init__(self, points: np.ndarray, row_ids: tuple[int, ...],
-                 distances: np.ndarray):
+    def __init__(self, points: np.ndarray, row_ids: tuple[int, ...]):
         self.points = points
         self.ids = np.asarray(row_ids)
         n = len(points)
@@ -349,16 +350,14 @@ class MergeTree:
             return x
 
         self.height, edge, survivor, dying = [], [], [], []
-        for rank, a, b, d in _sorted_pairs(n, distances):
-            if len(dying) == n - 1:
-                break
+        # every spanning edge joins two components
+        for d, a, b in sorted(_spanning_edges(points)):
             ra, rb = sorted((find(a), find(b)))
-            if ra != rb:
-                root[rb] = ra
-                self.height.append(d)
-                edge.append(rank)
-                survivor.append(ra)
-                dying.append(rb)
+            root[rb] = ra
+            self.height.append(d)
+            edge.append(a * (2 * n - a - 1) // 2 + b - a - 1)
+            survivor.append(ra)
+            dying.append(rb)
         self.edge = np.array(edge, dtype=np.intp)
         self.survivor = np.array(survivor, dtype=np.intp)
         self.dying = np.array(dying, dtype=np.intp)

@@ -6,8 +6,10 @@ the whole filtration's global index) and shares no code path with the
 package implementation it checks, except that the fixed-eps anonymity
 complex tests its simplices with the package's min_enclosing_ball, the
 per-interval regime sweep reads the merge tree's partitions and runs
-min_enclosing_ball on each component, and the lattice brute force reads
-the package's per-node partition.
+min_enclosing_ball on each component, the Kruskal merge tree reads the
+dataset's pair distances and MergeTree's regime table over its own
+merges, and the lattice brute force reads the package's per-node
+partition.
 """
 
 import itertools
@@ -22,7 +24,8 @@ from anonytope.anonymity import Regime
 from anonytope.categorical import generalized_partition_at
 from anonytope.complexes import Filtration
 from anonytope.errors import ContractViolation
-from anonytope.geometry import NormalizedDataset, min_enclosing_ball
+from anonytope.geometry import (MergeTree, NormalizedDataset,
+                                min_enclosing_ball)
 from anonytope.homology import Bar, Barcode
 
 # simplices are plain sorted tuples of 1-based row ids
@@ -163,6 +166,41 @@ def regimes_per_interval(data: NormalizedDataset, k: int) -> list[Regime]:
                 classes=tuple(tuple(data.row_ids[i] for i in c)
                               for c in comps)))
     return regimes[::-1]
+
+
+def kruskal_tree(points) -> MergeTree:
+    """The merge tree by the all-pairs route: one stable sort of every
+    pair's distance (ties in row order, so in pair rank order) and a
+    Kruskal scan that keeps each pair joining two components, the
+    elder root surviving.  Its merges fill a MergeTree of the points
+    directly, so its regime table and radii are read off them."""
+    data = dataset(points)
+    dist = data.pair_distances
+    n = data.n_points
+    first, second = np.triu_indices(n, 1)
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    height, edge, survivor, dying = [], [], [], []
+    for rank in np.argsort(dist, kind="stable").tolist():
+        ra, rb = sorted((find(int(first[rank])), find(int(second[rank]))))
+        if ra != rb:
+            root[rb] = ra
+            height.append(float(dist[rank]))
+            edge.append(rank)
+            survivor.append(ra)
+            dying.append(rb)
+    tree = MergeTree.__new__(MergeTree)     # not built by Prim
+    tree.points, tree.height = data.points, height
+    tree.ids = np.asarray(data.row_ids)
+    tree.edge, tree.survivor, tree.dying = (
+        np.array(x, dtype=np.intp) for x in (edge, survivor, dying))
+    tree._balls = [None] * len(dying)
+    return tree
 
 
 def set_partitions(items):

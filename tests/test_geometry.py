@@ -15,8 +15,8 @@ from anonytope.geometry import (MEB_REL_TOL, ROLE_QUASI, ROLE_SENSITIVE,
 
 from anonytope.complexes import build_filtration
 from oracles import (balls_intersect, boundary_matrix, dataset,
-                     filtration_entries, meb_bruteforce, reduce_matrix,
-                     seeded_points, triangle_meb_exact)
+                     filtration_entries, kruskal_tree, meb_bruteforce,
+                     reduce_matrix, seeded_points, triangle_meb_exact)
 
 points_2d = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
@@ -187,6 +187,41 @@ class TestMergeTreeEdges:
                 boundary_matrix(entries)).pairs if len(entries[i][1]) == 1)
             assert data.merge_tree.edge.tolist() == \
                 [rank[entries[j][1]] for j in killed], data.points.tolist()
+
+
+def tie_heavy_points(seed, count):
+    """Rows on a half-integer or a 1/5 grid in d = 1, 2 and 3 in turn,
+    a quarter of them repeated: distances tie and rows repeat."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n, d, step = rng.randint(1, 80), trial % 3 + 1, (2, 5)[trial // 3 % 2]
+        pts = [[rng.randint(0, 2 * step) / step for _ in range(d)]
+               for _ in range(n)]
+        pts += [rng.choice(pts) for _ in range(n // 4)]
+        rng.shuffle(pts)
+        yield pts
+
+
+class TestSpanningTree:
+    # Prim's N-1 edges under (distance, pair rank) replayed give the
+    # tree that a stable sort of all pairs and a Kruskal scan give
+    @staticmethod
+    def assert_kruskal_tree(pts):
+        tree, want = dataset(pts).merge_tree, kruskal_tree(pts)
+        assert tree.height == want.height, pts
+        for name in ("edge", "survivor", "dying"):
+            assert getattr(tree, name).tolist() == \
+                getattr(want, name).tolist(), (name, pts)
+        assert tree.regime_table == want.regime_table, pts
+
+    def test_tie_heavy_grids(self):
+        for pts in tie_heavy_points(13, 120):
+            self.assert_kruskal_tree(pts)
+
+    def test_uniform_rows(self):
+        rng = random.Random(1500)
+        self.assert_kruskal_tree([[rng.random(), rng.random()]
+                                  for _ in range(1500)])
 
 
 class TestMergeRadii:

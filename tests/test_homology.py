@@ -3,10 +3,13 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from anonytope.complexes import build_filtration
+from anonytope.complexes import (Filtration, build_filtration, facet_ranks,
+                                 simplex_vertices)
 from anonytope.errors import ContractViolation
+from anonytope.geometry import min_enclosing_ball
 from anonytope.homology import barcode, barcode_json
 
 import oracles
@@ -245,6 +248,35 @@ def test_barcode_equals_global_reduction_oracle():
                 paired = math.comb(n, p + 1) - paired
                 assert len(dim_p) == paired, (pts, cap, p)
                 assert all(b.death is not None for b in dim_p)
+
+
+def test_cap3_births_snap_to_their_latest_facet():
+    # a tetrahedron born within MEB_REL_TOL after its latest facet is
+    # born with it: at cap 3 no bar above H0 is 1e-12 relative long or
+    # less, and every bar over 1e-9 relative is the one of the same
+    # filtration with each tetrahedron only clamped to its facets
+    def above_h0(bars, longer_than):
+        return sorted(b[:3] for b in bars.bars if b.dim > 0
+                      and b.death - b.birth > longer_than * b.death)
+
+    noise = 0
+    for seed in range(16):
+        rng = random.Random(seed)
+        n, d = rng.randint(8, 16), seed % 2 + 2
+        data = dataset([[rng.random() for _ in range(d)] for _ in range(n)])
+        filt = build_filtration(data, dim_cap=3)
+        verts = simplex_vertices(n, 4)
+        clamped = np.maximum(
+            [min_enclosing_ball(data.points[v]).radius for v in verts],
+            filt.births[2][facet_ranks(n, verts)].max(axis=1))
+        unsnapped = barcode(data, Filtration(filt.births[:3] + (clamped,),
+                                             dim_cap=3))
+        bars = barcode(data, filt)
+        assert above_h0(bars, 0.0) == above_h0(bars, 1e-12), seed
+        assert above_h0(bars, 1e-9) == above_h0(unsnapped, 1e-9), seed
+        noise += len(above_h0(unsnapped, 0.0)) - len(
+            above_h0(unsnapped, 1e-12))
+    assert noise > 1000         # the clamp alone left 1,120 such bars
 
 
 def test_determinism(sample_data):
