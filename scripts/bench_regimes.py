@@ -114,18 +114,18 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           timeout=1800)
     wall = time.perf_counter() - start
+    # exit 1 with an error line is a refusal; a traceback also exits 1
+    refusal = [ln for ln in proc.stderr.splitlines()
+               if ln.startswith("error: ")]
+    if proc.returncode == 1 and refusal:
+        return {"refused": refusal[0]}
+    if proc.returncode not in (0, 2):
+        raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
     if command is None:
-        if proc.returncode != 0:
-            raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
         tree_s, regimes_s, count = proc.stdout.split()
         return {"merge_tree_s": float(tree_s),
                 "compute_regimes_s": float(regimes_s),
                 "regimes": int(count)}
-    if proc.returncode == 1:
-        return {"refused": next(ln for ln in proc.stderr.splitlines()
-                                if ln.startswith("error: "))}
-    if proc.returncode not in (0, 2):
-        raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
     return {"wall_s": wall, "exit": proc.returncode,
             "peak_rss_mib": int(proc.stderr.split()[-1]) / 1024}
 
