@@ -6,6 +6,8 @@ Every run is a fresh interpreter on seeded uniform rows in [0, 1]^d
 
 - ``check --k 2 --eps 0.01`` and ``anonymize --k 2`` on N = 1,000, 5,000
   and 20,000 rows in d = 2, which read the merge tree alone;
+- ``sweep --k 2 3 --dim-cap 1`` on N = 1,000, 5,000 and 20,000 rows in
+  d = 2: every k's regimes and the H0 barcode, with no simplex built;
 - ``anonymize --k 1`` on N = 1,000 rows in d = 2 and d = 5, the run that
   needs the radius of every component the merge tree forms;
 - in-process ``compute_regimes`` for k = 1, 2, 3, 5, classes included,
@@ -83,6 +85,8 @@ CASES = (
       for n in (1000, 5000, 20000)
       for command, extra in (("check", ["--eps", "0.01"]),
                              ("anonymize", []))),
+    *((f"sweep_k23_cap1_n{n}_d2", "sweep", n, 2,
+       ["--k", "2", "3", "--dim-cap", "1"]) for n in (1000, 5000, 20000)),
     ("anonymize_k1_n1000_d2", "anonymize", 1000, 2, ["--k", "1"]),
     ("anonymize_k1_n1000_d5", "anonymize", 1000, 5, ["--k", "1"]),
     ("compute_regimes_k1235_n2000_d2", None, 2000, 2, []),

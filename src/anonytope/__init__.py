@@ -15,7 +15,6 @@ _HOMES = {
                     "generalized_partition_at", "lattice_search",
                     "load_trees", "lower_chain", "upper_chain"),
     "cli": ("RunConfig", "ingest_csv"),
-    "complexes": ("Filtration", "build_filtration"),
     "geometry": ("Ball", "Column", "NormalizedDataset", "NumericTable",
                  "min_enclosing_ball", "normalize_dataset"),
     "homology": ("Barcode", "barcode"),
@@ -24,14 +23,13 @@ _HOME_OF = {name: module for module, names in _HOMES.items()
             for name in names}
 
 __all__ = [
-    "AnonymityVerdict", "Ball", "Barcode", "Column", "Filtration",
-    "GeneralizationLattice", "GeneralizationTree", "NormalizedDataset",
-    "NumericTable", "Regime", "RunConfig", "barcode",
-    "build_filtration", "build_lattice", "chain_sweep", "check_k_anonymity",
-    "compute_regimes", "generalize_table", "generalize_value",
-    "generalized_partition_at", "ingest_csv", "lattice_search",
-    "load_trees", "lower_chain", "min_enclosing_ball", "minimal_epsilon",
-    "normalize_dataset", "upper_chain",
+    "AnonymityVerdict", "Ball", "Barcode", "Column", "GeneralizationLattice",
+    "GeneralizationTree", "NormalizedDataset", "NumericTable", "Regime",
+    "RunConfig", "barcode", "build_lattice", "chain_sweep",
+    "check_k_anonymity", "compute_regimes", "generalize_table",
+    "generalize_value", "generalized_partition_at", "ingest_csv",
+    "lattice_search", "load_trees", "lower_chain", "min_enclosing_ball",
+    "minimal_epsilon", "normalize_dataset", "upper_chain",
 ]
 
 __version__ = "0.1.0"

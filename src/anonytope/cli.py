@@ -157,7 +157,6 @@ def _one_k(config: RunConfig, command: str) -> int:
 
 def cmd_sweep(config: RunConfig) -> int:
     from .anonymity import compute_regimes, regime_report
-    from .complexes import build_filtration
     from .geometry import normalize_dataset
     from .homology import barcode, barcode_json
     from .svg import render_barcode_svg
@@ -166,10 +165,11 @@ def cmd_sweep(config: RunConfig) -> int:
     data = normalize_dataset(table)
     out_dir = Path(config.out)
 
-    results = [(k, compute_regimes(data, k)) for k in config.k]
-
-    bars = barcode(data, build_filtration(data, config.dim_cap))
+    # first, so a table over the simplex budget is refused before any
+    # regime is computed
+    bars = barcode(data, config.dim_cap)
     bc_json = barcode_json(bars, data.n_points)
+    results = [(k, compute_regimes(data, k)) for k in config.k]
 
     status = EXIT_OK
     for k, regimes in results:
@@ -255,14 +255,13 @@ def cmd_anonymize(config: RunConfig) -> int:
 
 
 def cmd_barcode(config: RunConfig) -> int:
-    from .complexes import build_filtration
     from .geometry import normalize_dataset
     from .homology import barcode, barcode_json
     from .svg import render_barcode_svg
 
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
-    bars = barcode(data, build_filtration(data, config.dim_cap))
+    bars = barcode(data, config.dim_cap)
     out_dir = Path(config.out)
     if "json" in config.formats:
         path = _write(out_dir, "barcode.json",

@@ -9,16 +9,16 @@ values (no radii grid needed).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, FiltrationSizeError
+from .errors import FiltrationSizeError
 from .geometry import MEB_REL_TOL, NormalizedDataset, min_enclosing_ball
 
-#: most simplices a filtration may hold; on 2 cores, 228 rows at dim_cap 2
-#: (1,949,476 triangles) build in about 0.3 s at 60 MiB peak RSS, and
-#: their H1 reduction by the cleared coboundary takes about 0.55 s
+#: most simplices a barcode may build; on 2 cores, 228 rows at dim_cap 2
+#: (25,878 edges, 1,949,476 triangles) build in about 0.3 s at 60 MiB
+#: peak RSS, and their H1 reduction by the cleared coboundary takes about
+#: 0.55 s
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
 
 #: simplices whose vertex rows are held at once while a dimension is
@@ -30,21 +30,6 @@ BLOCK = 1 << 16
 # clear to count as acute: above the closed form's rounding (at most 4
 # ulps seen on exact right triangles), far below MEB_REL_TOL
 _RIGHT_SLACK = 8 * np.finfo(float).eps
-
-
-class Filtration(NamedTuple):
-    """Every simplex of dim <= dim_cap with its exact birth radius.
-
-    births[p] holds the MEB radii of all C(N, p+1) p-simplices, each at
-    the lexicographic rank of its row positions (the combinatorial number
-    system, as in Ripser); no face is born after its coface.  Within a
-    dimension the filtration order is np.argsort(births[p], kind="stable").
-    Homology is read only below dim_cap: simplices of dimension dim_cap
-    have no cofaces here, so the filtration may be cut short above them.
-    """
-
-    births: tuple[np.ndarray, ...]
-    dim_cap: int
 
 
 def _binomials(n: int, size: int) -> np.ndarray:
@@ -137,12 +122,17 @@ def simplex_blocks(n: int, size: int):
         yield start, simplex_vertices(n, size, ranks)
 
 
-def _check_budget(n: int, dim_cap: int, budget: int) -> None:
-    total = sum(math.comb(n, size) for size in range(1, dim_cap + 2))
-    if total > budget:
+def check_budget(n: int, dim_cap: int) -> None:
+    """Refuse a barcode on n rows whose simplices would exceed the
+    budget: those of 2..dim_cap+1 rows, which it builds; at dim_cap 1 it
+    builds none, since H0 comes from the merge tree."""
+    if dim_cap < 2:
+        return
+    total = sum(math.comb(n, size) for size in range(2, dim_cap + 2))
+    if total > DEFAULT_SIMPLEX_BUDGET:
         raise FiltrationSizeError(
             f"{total} simplices for N={n}, dim_cap={dim_cap} exceeds the "
-            f"budget of {budget}; lower --dim-cap")
+            f"budget of {DEFAULT_SIMPLEX_BUDGET}; lower --dim-cap")
 
 
 def _triangle_births(sides: np.ndarray) -> np.ndarray:
@@ -167,34 +157,32 @@ def _triangle_births(sides: np.ndarray) -> np.ndarray:
     return np.where(radius > half * (1.0 + _RIGHT_SLACK), radius, half)
 
 
-def build_filtration(data: NormalizedDataset, dim_cap: int,
-                     budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
-    """All simplices of dim <= dim_cap with their exact birth radii.
+def simplex_births(data: NormalizedDataset, size: int,
+                   facets: np.ndarray | None = None) -> np.ndarray:
+    """The exact birth radii of all simplices of size >= 2 rows, by
+    lexicographic rank.
 
     Edges and triangles take their births in closed form from the
-    dataset's pairwise distances; larger simplices run Welzl.
+    dataset's pairwise distances; larger simplices run Welzl and need
+    facets, the births of the simplices one row smaller, by rank.
     """
-    if dim_cap < 1:
-        raise ContractViolation("dim_cap must be >= 1")
     n = data.n_points
-    _check_budget(n, dim_cap, budget)
     dist = data.pair_distances
-    births = [np.zeros(n), dist / 2.0]
-    for size in range(3, dim_cap + 2):
-        born = np.empty(math.comb(n, size))
-        for start, verts in simplex_blocks(n, size):
-            if size == 3:       # edge ranks index the distance array
-                radii = _triangle_births(dist[facet_ranks(n, verts)])
-            else:
-                radii = np.fromiter(
-                    (min_enclosing_ball(data.points[v]).radius
-                     for v in verts), float, count=len(verts))
-                # MEB is monotone over faces, and a coface born within
-                # MEB_REL_TOL of its latest facet is born with it: the
-                # gap is float noise, which would show as ulp-long bars
-                latest = births[-1][facet_ranks(n, verts)].max(axis=1)
-                radii = np.where(radii <= latest * (1.0 + MEB_REL_TOL),
-                                 latest, radii)
-            born[start:start + len(verts)] = radii
-        births.append(born)
-    return Filtration(births=tuple(births), dim_cap=dim_cap)
+    if size == 2:
+        return dist / 2.0
+    born = np.empty(math.comb(n, size))
+    for start, verts in simplex_blocks(n, size):
+        if size == 3:           # edge ranks index the distance array
+            radii = _triangle_births(dist[facet_ranks(n, verts)])
+        else:
+            radii = np.fromiter(
+                (min_enclosing_ball(data.points[v]).radius
+                 for v in verts), float, count=len(verts))
+            # MEB is monotone over faces, and a coface born within
+            # MEB_REL_TOL of its latest facet is born with it: the
+            # gap is float noise, which would show as ulp-long bars
+            latest = facets[facet_ranks(n, verts)].max(axis=1)
+            radii = np.where(radii <= latest * (1.0 + MEB_REL_TOL),
+                             latest, radii)
+        born[start:start + len(verts)] = radii
+    return born

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-    from .complexes import Filtration
     from .geometry import NormalizedDataset
 
 
@@ -134,8 +133,9 @@ def _coboundary_pairs(n: int, p: int, faces: np.ndarray,
     return owner, order
 
 
-def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
-    """Bars of every dimension below the filtration's dim_cap.
+def barcode(data: NormalizedDataset, dim_cap: int) -> Barcode:
+    """Bars of every dimension below dim_cap, building only the
+    simplices of 2..dim_cap+1 rows, and none at dim_cap 1.
 
     H0 is the dataset's merge tree: every row is born at 0, each merge
     kills one bar at half its height, one bar never dies, and each H0
@@ -148,23 +148,32 @@ def barcode(data: NormalizedDataset, filt: Filtration) -> Barcode:
     filtration's on their halves (a nonzero distance is at least the
     square root of the least positive float, so halving it is exact).  A pair is
     a bar only when its births differ, since a zero-length bar above H0
-    depends on which complex is reduced, not on the data.  The
-    filtration holds every simplex up to dim_cap, so it is acyclic in
-    dimensions 1..dim_cap-1 and every bar there is finite.
+    depends on which complex is reduced, not on the data.  Every simplex
+    up to dim_cap is reduced, so the complex is acyclic in dimensions
+    1..dim_cap-1 and every bar there is finite.  The simplex budget is
+    checked before anything is built.
     """
     import numpy as np
 
+    from .complexes import check_budget, simplex_births
+    from .errors import ContractViolation
+
+    if dim_cap < 1:
+        raise ContractViolation("dim_cap must be >= 1")
+    n = data.n_points
+    check_budget(n, dim_cap)
     bars = _h0_bars(data)
     cleared = data.merge_tree.edge
-    for p in range(1, filt.dim_cap):
-        faces, cofaces = filt.births[p], filt.births[p + 1]
-        owner, order = _coboundary_pairs(data.n_points, p, faces, cofaces,
-                                         cleared)
+    faces = simplex_births(data, 2) if dim_cap > 1 else None
+    for p in range(1, dim_cap):
+        cofaces = simplex_births(data, p + 2, faces)
+        owner, order = _coboundary_pairs(n, p, faces, cofaces, cleared)
         cleared = order[np.fromiter(owner, np.intp, len(owner))]
         births = faces[np.fromiter(owner.values(), np.intp, len(owner))]
         bars += (Bar(p, birth, death) for birth, death
                  in zip(births.tolist(), cofaces[cleared].tolist())
                  if birth != death)
+        faces = cofaces     # the p-simplices are no longer needed
     # stable, so H0 keeps _h0_bars' order of tied deaths (barcode.json's)
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))

@@ -22,7 +22,7 @@ import numpy as np
 
 from anonytope.anonymity import Regime
 from anonytope.categorical import generalized_partition_at
-from anonytope.complexes import Filtration
+from anonytope.complexes import simplex_births
 from anonytope.errors import ContractViolation
 from anonytope.geometry import (MergeTree, NormalizedDataset,
                                 min_enclosing_ball)
@@ -391,13 +391,24 @@ def homology_dims_at(complex_: SimplicialComplex) -> list[int]:
                           for d in range(cap + 1)])[:cap]
 
 
+def filtration_births(data: NormalizedDataset,
+                      dim_cap: int) -> tuple[np.ndarray, ...]:
+    """The births of every simplex of dim <= dim_cap, one array per
+    dimension by lexicographic rank: zeros for the vertices, then
+    simplex_births for each larger size, given its facets' births."""
+    births = [np.zeros(data.n_points)]
+    for size in range(2, dim_cap + 2):
+        births.append(simplex_births(data, size, births[-1]))
+    return tuple(births)
+
+
 def filtration_entries(data: NormalizedDataset,
-                       filt: Filtration) -> list[tuple[float, Simplex]]:
-    """Every simplex of the filtration as (birth, row-id tuple), sorted
+                       births) -> list[tuple[float, Simplex]]:
+    """Every simplex of a births tuple as (birth, row-id tuple), sorted
     by (birth, dimension, lexicographic row ids).  births[p] is read as
     the p-simplices in the order itertools.combinations lists them."""
-    entries = [(b, s) for p, births in enumerate(filt.births)
-               for b, s in zip(births.tolist(),
+    entries = [(b, s) for p, born in enumerate(births)
+               for b, s in zip(born.tolist(),
                                itertools.combinations(data.row_ids, p + 1),
                                strict=True)]
     return sorted(entries, key=lambda e: (e[0], len(e[1]), e[1]))

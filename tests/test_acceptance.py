@@ -28,12 +28,11 @@ import pytest
 from anonytope.anonymity import (OBJECTIVE_MAX_CLASSES, check_k_anonymity,
                                  compute_regimes)
 from anonytope.cli import EXIT_OK, main as cli_main
-from anonytope.complexes import build_filtration
 from anonytope.geometry import min_enclosing_ball
 from anonytope.homology import barcode
 
 from oracles import (components_bfs, critical_values, dataset, dist,
-                     filtration_entries, homology_dims_at,
+                     filtration_births, filtration_entries, homology_dims_at,
                      k_anonymity_bruteforce, k_anonymity_separated_bruteforce,
                      meb_bruteforce, sublevel)
 
@@ -118,8 +117,7 @@ def test_criterion_02_thresholds_match_independent_oracle(sample_data):
                 details.append(f"k={k}: {g} vs {w}")
 
     # H1 bars (length > 1e-12) against the frozen oracle output
-    filt = build_filtration(sample_data, dim_cap=2)
-    bars = barcode(sample_data, filt)
+    bars = barcode(sample_data, dim_cap=2)
     h1 = [(b.birth, b.death) for b in bars.bars
           if b.dim == 1 and b.death - b.birth > 1e-12]
     want_h1 = [(0.16686548917831662, 0.18006990324570873),
@@ -163,11 +161,10 @@ def test_criterion_04_homology_oracle_equivalence():
         data = dataset([(rng.random(), rng.random()) for _ in range(n)])
         # cap = n leaves an empty top layer so every Betti number of the
         # full complex is reported, not just the ones below the cap
-        filt = build_filtration(data, dim_cap=n)
-        bars = barcode(data, filt)
-        entries = filtration_entries(data, filt)
+        bars = barcode(data, dim_cap=n)
+        entries = filtration_entries(data, filtration_births(data, n))
         for eps in critical_values(entries):
-            cx = sublevel(entries, eps, filt.dim_cap)
+            cx = sublevel(entries, eps, n)
             betti = bars.betti_at(eps)
             want = homology_dims_at(cx)
             got = [betti.get(d, 0) for d in range(len(want))]
@@ -261,7 +258,7 @@ def test_criterion_08_weighted_barcode_conservation(sample_data):
         datasets.append(dataset([(rng.random(), rng.random())
                                  for _ in range(n)]))
     for data in datasets:
-        bars = barcode(data, build_filtration(data, dim_cap=1))
+        bars = barcode(data, dim_cap=1)
         infinite = [b for b in bars.bars if b.death is None]
         assert len(infinite) == 1
         eps_values = {0.0} | {b.death for b in bars.bars

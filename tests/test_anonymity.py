@@ -12,7 +12,6 @@ from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
                                  generalize_table, minimal_epsilon,
                                  regime_report)
 from anonytope import geometry
-from anonytope.complexes import build_filtration
 from anonytope.errors import InfeasibleError
 from anonytope.homology import barcode
 
@@ -195,7 +194,7 @@ class TestRegimes:
             raise AssertionError("component MEB computed")
 
         monkeypatch.setattr(geometry, "_enclose", refuse)
-        barcode(sample_data, build_filtration(sample_data, 2))
+        barcode(sample_data, 2)
         v = check_k_anonymity(sample_data, 0.05, 3)
         assert v.failure_reason.kind == FAIL_TOO_SMALL
 

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import anonytope
+from anonytope import anonymity
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
                            RunConfig, ingest_csv, main)
 from anonytope.errors import IngestionError, read_yaml
@@ -113,6 +114,27 @@ class TestExitPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "lower --dim-cap" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_sweep_refuses_before_any_regime(
+            self, tmp_path, capsys, monkeypatch):
+        # 229 rows at dim_cap 2 have C(229, 2) + C(229, 3) = 2,001,460
+        # edges and triangles, just over the budget; computing every k's
+        # regimes first took 9.2 s on 20,000 rows before the refusal
+        def refuse(*args):
+            raise AssertionError("regimes computed")
+
+        monkeypatch.setattr(anonymity, "compute_regimes", refuse)
+        rng = random.Random(229)
+        path = tmp_path / "uniform.csv"
+        path.write_text("x,y\n" + "".join(
+            f"{rng.random()!r},{rng.random()!r}\n" for _ in range(229)))
+        rc = run_cli("sweep", "--input", str(path), "--quasi", "x", "y",
+                     "--dim-cap", "2", "--out", str(tmp_path / "out"))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == (
+            "", "error: 2001460 simplices for N=229, dim_cap=2 exceeds the "
+                "budget of 2000000; lower --dim-cap\n")
         assert not (tmp_path / "out").exists()
 
     def test_nan_eps_is_input_error(self, sample_csv, capsys):
@@ -660,7 +682,9 @@ def test_barcode_peak_rss_at_simplex_budget(tmp_path):
 def test_verdicts_at_ten_thousand_rows(tmp_path):
     # 10,001 rows have 50,005,000 pairs: sorting them all for the merge
     # tree took over 1 GB, and the table was refused; its N-1 spanning
-    # edges are found one distance row at a time
+    # edges are found one distance row at a time.  At dim_cap 1 a sweep
+    # builds no simplex, since every bar comes from the merge tree; a
+    # filtration of all 50,005,000 edges once refused it too
     path = tmp_path / "big.csv"
     path.write_text("x,y\n" + "".join(f"{i},{i % 97}\n"
                                        for i in range(10_001)))
@@ -675,6 +699,12 @@ def test_verdicts_at_ten_thousand_rows(tmp_path):
     assert peak < 150
     with open(out / "anonymized_k2.csv") as fh:
         assert len(list(csv.reader(fh))) == 10_002
+    proc, peak = peak_rss_mib(*run, "sweep", *given, "--dim-cap", "1",
+                              "--out", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert peak < 150
+    bars = json.loads((out / "barcode.json").read_text())["bars"]
+    assert len(bars) == 10_001 and all(b["dim"] == 0 for b in bars)
 
 
 def test_filtration_peak_rss_at_simplex_budget():
@@ -682,12 +712,12 @@ def test_filtration_peak_rss_at_simplex_budget():
     # under the 2M simplex budget; with a (birth, vertex tuple) pair per
     # simplex the build peaked at 587 MiB
     build = ("import numpy as np; "
-             "from anonytope.complexes import build_filtration; "
+             "from anonytope.complexes import simplex_births; "
              "from anonytope.geometry import NormalizedDataset; "
              "pts = np.random.default_rng(228).random((228, 2)); "
              "data = NormalizedDataset(pts, ((0.0, 1.0),) * 2, "
              "tuple(range(1, 229)), ('x', 'y')); "
-             "print(len(build_filtration(data, 2).births[2]))")
+             "print(len(simplex_births(data, 3)))")
     proc, peak = peak_rss_mib(sys.executable, "-c", build)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.split()[0] == "1949476"

@@ -6,12 +6,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from anonytope.complexes import (build_filtration, facet_ranks,
+from anonytope.complexes import (facet_ranks, simplex_births,
                                  simplex_rank, simplex_vertices)
 from anonytope.errors import ContractViolation, FiltrationSizeError
+from anonytope.homology import barcode
 
-from oracles import (build_anonymity_complex, dataset, filtration_entries,
-                     is_anonymity_simplex, sublevel, triangle_meb_exact)
+from oracles import (build_anonymity_complex, dataset, filtration_births,
+                     filtration_entries, is_anonymity_simplex, sublevel,
+                     triangle_meb_exact)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -36,23 +38,25 @@ def test_equilateral_edges_without_fill():
 
 
 def test_filtration_single_point():
-    filt = build_filtration(dataset([(0.2, 0.4)]), dim_cap=1)
-    assert [b.tolist() for b in filt.births] == [[0.0], []]
+    births = filtration_births(dataset([(0.2, 0.4)]), dim_cap=1)
+    assert [b.tolist() for b in births] == [[0.0], []]
 
 
 def test_filtration_two_points():
-    filt = build_filtration(dataset([(0, 0), (1, 0)]), dim_cap=1)
-    assert [b.tolist() for b in filt.births] == [[0.0, 0.0], [0.5]]
+    births = filtration_births(dataset([(0, 0), (1, 0)]), dim_cap=1)
+    assert [b.tolist() for b in births] == [[0.0, 0.0], [0.5]]
 
 
 def test_filtration_equilateral_births():
-    filt = build_filtration(dataset(EQUILATERAL), dim_cap=2)
-    assert filt.births[1][0] == pytest.approx(0.5)      # edge (1, 2)
-    assert filt.births[2][0] == pytest.approx(1 / math.sqrt(3), rel=1e-9)
+    data = dataset(EQUILATERAL)
+    assert simplex_births(data, 2)[0] == pytest.approx(0.5)  # edge (1, 2)
+    assert simplex_births(data, 3)[0] == \
+        pytest.approx(1 / math.sqrt(3), rel=1e-9)
 
 
-def births_by_simplex(data, filt):
-    return {s: b for b, s in filtration_entries(data, filt)}
+def births_by_simplex(data, dim_cap):
+    return {s: b for b, s in
+            filtration_entries(data, filtration_births(data, dim_cap))}
 
 
 def test_simplex_indexing_is_lexicographic_rank():
@@ -74,7 +78,7 @@ def test_simplex_indexing_is_lexicographic_rank():
 def test_filtration_budget_guard():
     data = dataset([(i / 40, 0.0) for i in range(30)])
     with pytest.raises(FiltrationSizeError, match="dim_cap"):
-        build_filtration(data, dim_cap=10, budget=1000)
+        barcode(data, dim_cap=10)
 
 
 def test_anonymity_simplex_counts_points_not_dimension():
@@ -105,7 +109,7 @@ def test_sublevel_matches_direct_construction():
         n = rng.randint(1, 8)
         pts = [(rng.random(), rng.random()) for _ in range(n)]
         data = dataset(pts)
-        entries = filtration_entries(data, build_filtration(data, dim_cap=2))
+        entries = filtration_entries(data, filtration_births(data, 2))
         for _ in range(10):
             eps = rng.random() * 0.8
             assert sublevel(entries, eps, dim_cap=2).simplices == \
@@ -116,7 +120,7 @@ def test_downward_closure_at_every_birth():
     rng = random.Random(7)
     pts = [(rng.random(), rng.random()) for _ in range(7)]
     data = dataset(pts)
-    births = births_by_simplex(data, build_filtration(data, dim_cap=3))
+    births = births_by_simplex(data, dim_cap=3)
     for s, b in births.items():
         for f in combinations(s, len(s) - 1):
             if f:
@@ -175,8 +179,7 @@ def test_triangle_births_match_exact_oracle():
         for d in (1, 2, 3, 5):
             for kind, pts in special_triangles(rng, d):
                 data = dataset(pts)
-                births = births_by_simplex(
-                    data, build_filtration(data, dim_cap=2))
+                births = births_by_simplex(data, dim_cap=2)
                 assert [births[e] for e in combinations((1, 2, 3), 2)] == \
                     (data.pair_distances / 2).tolist()
                 kinds[kind, check_triangle_birth(births, (1, 2, 3), pts)] += 1
@@ -193,7 +196,7 @@ def test_births_read_distance_array_in_row_order():
         pts = rng.integers(0, 5, (n, d)) / 8 if trial % 2 else \
             rng.random((n, d))              # half on a grid, for ties
         data = dataset(pts)
-        births = births_by_simplex(data, build_filtration(data, dim_cap=3))
+        births = births_by_simplex(data, dim_cap=3)
         ids = data.row_ids
         assert [births[e] for e in combinations(ids, 2)] == \
             (data.pair_distances / 2).tolist()

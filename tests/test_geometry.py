@@ -13,10 +13,10 @@ from anonytope.geometry import (MEB_REL_TOL, ROLE_QUASI, ROLE_SENSITIVE,
                                 Column, NumericTable, min_enclosing_ball,
                                 normalize_dataset)
 
-from anonytope.complexes import build_filtration
 from oracles import (balls_intersect, boundary_matrix, dataset,
-                     filtration_entries, kruskal_tree, meb_bruteforce,
-                     reduce_matrix, seeded_points, triangle_meb_exact)
+                     filtration_births, filtration_entries, kruskal_tree,
+                     meb_bruteforce, reduce_matrix, seeded_points,
+                     triangle_meb_exact)
 
 points_2d = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
@@ -180,7 +180,7 @@ class TestMergeTreeEdges:
         # index pairs with vertices, in filtration order
         for data in grid_datasets(7, 90):
             entries = filtration_entries(data,
-                                         build_filtration(data, dim_cap=1))
+                                         filtration_births(data, dim_cap=1))
             rank = {e: r for r, e in
                     enumerate(combinations(data.row_ids, 2))}
             killed = sorted(j for i, j in reduce_matrix(

@@ -6,23 +6,22 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from anonytope.complexes import (Filtration, build_filtration, facet_ranks,
-                                 simplex_vertices)
+from anonytope.complexes import facet_ranks, simplex_vertices
 from anonytope.errors import ContractViolation
 from anonytope.geometry import min_enclosing_ball
 from anonytope.homology import barcode, barcode_json
 
 import oracles
 from oracles import (SimplicialComplex, boundary_matrix, critical_values,
-                     dataset, filtration_entries, homology_dims_at,
-                     reduce_matrix, sublevel)
+                     dataset, filtration_births, filtration_entries,
+                     homology_dims_at, reduce_matrix, sublevel)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
 
 def entries_of(points, dim_cap):
     data = dataset(points)
-    return filtration_entries(data, build_filtration(data, dim_cap))
+    return filtration_entries(data, filtration_births(data, dim_cap))
 
 
 def test_boundary_matrix_single_vertex():
@@ -42,9 +41,6 @@ def test_boundary_matrix_triangle_lists_three_edges():
 
 
 def test_reduce_isolated_vertices():
-    data = dataset([(0, 0), (0.4, 0.9), (0.9, 0.1)])
-    filt = build_filtration(data, dim_cap=1)
-    # keep only vertices: restrict via sublevel at 0
     pairs = reduce_matrix(boundary_matrix(entries_of([(0, 0)], dim_cap=1)))
     assert pairs.unpaired == (0,)
 
@@ -58,8 +54,7 @@ def test_reduce_two_points_pairs_younger_vertex_with_edge():
 
 def test_equilateral_h1_bar():
     data = dataset(EQUILATERAL)
-    filt = build_filtration(data, dim_cap=2)
-    bars = barcode(data, filt)
+    bars = barcode(data, dim_cap=2)
     h1 = [b for b in bars.bars if b.dim == 1]
     assert len(h1) == 1
     assert h1[0].birth == pytest.approx(0.5)
@@ -79,23 +74,28 @@ def test_non_acute_triangles_leave_no_h1_bar_to_draw():
         if b2 + c2 > a2 * (1 - 1e-9):   # acute or nearly right
             continue
         data = dataset(pts)
-        filt = build_filtration(data, dim_cap=2)
-        bars = barcode(data, filt)
+        bars = barcode(data, dim_cap=2)
         assert all(b.dim == 0 for b in bars.bars)
         tested += 1
 
 
 def test_single_point_infinite_bar():
     data = dataset([(0.1, 0.9)])
-    filt = build_filtration(data, dim_cap=1)
-    bars = barcode(data, filt)
+    bars = barcode(data, dim_cap=1)
     assert len(bars.bars) == 1
     assert bars.bars[0].death is None and bars.bars[0].dim == 0
 
 
+def test_cap_one_builds_no_pair_distances():
+    # every bar below cap 1 comes from the merge tree's spanning edges
+    data = dataset([(0, 0), (0.4, 0.9), (0.9, 0.1)])
+    barcode(data, dim_cap=1)
+    assert "merge_tree" in vars(data)
+    assert "pair_distances" not in vars(data)
+
+
 def test_exactly_one_infinite_h0_bar(sample_data):
-    filt = build_filtration(sample_data, dim_cap=2)
-    bars = barcode(sample_data, filt)
+    bars = barcode(sample_data, dim_cap=2)
     infinite = [b for b in bars.bars if b.death is None]
     assert [b.dim for b in infinite] == [0]
 
@@ -118,8 +118,8 @@ class TestBettiAt:
 
 
 def h0_barcode(data):
-    """The barcode of a cap-1 filtration: its H0 bars only."""
-    return barcode(data, build_filtration(data, dim_cap=1))
+    """The barcode at cap 1: its H0 bars only."""
+    return barcode(data, dim_cap=1)
 
 
 class TestWeightedBarcode:
@@ -195,10 +195,9 @@ def test_barcode_betti_matches_rank_nullity():
         pts = [(rng.random(), rng.random()) for _ in range(n)]
         data = dataset(pts)
         for cap in (1, 2, 3):
-            filt = build_filtration(data, dim_cap=cap)
-            bars = barcode(data, filt)
+            bars = barcode(data, cap)
             assert all(b.dim < cap for b in bars.bars)
-            entries = filtration_entries(data, filt)
+            entries = filtration_entries(data, filtration_births(data, cap))
             for eps in critical_values(entries):
                 betti = bars.betti_at(eps)
                 want = homology_dims_at(sublevel(entries, eps, cap))
@@ -234,9 +233,8 @@ def test_barcode_equals_global_reduction_oracle():
             pts = [[rng.random() for _ in range(d)] for _ in range(n)]
         data = dataset(pts)
         for cap in (1, 2, 3, 4):
-            filt = build_filtration(data, dim_cap=cap)
-            bars = barcode(data, filt)
-            entries = filtration_entries(data, filt)
+            bars = barcode(data, cap)
+            entries = filtration_entries(data, filtration_births(data, cap))
             want = oracles.barcode(reduce_matrix(boundary_matrix(entries)),
                                    entries, cap)
             assert [b[:3] for b in bars.bars] == [
@@ -253,8 +251,9 @@ def test_barcode_equals_global_reduction_oracle():
 def test_cap3_births_snap_to_their_latest_facet():
     # a tetrahedron born within MEB_REL_TOL after its latest facet is
     # born with it: at cap 3 no bar above H0 is 1e-12 relative long or
-    # less, and every bar over 1e-9 relative is the one of the same
-    # filtration with each tetrahedron only clamped to its facets
+    # less, and every bar over 1e-9 relative is the one that the global
+    # index reduction finds in the same filtration with each tetrahedron
+    # only clamped to its facets
     def above_h0(bars, longer_than):
         return sorted(b[:3] for b in bars.bars if b.dim > 0
                       and b.death - b.birth > longer_than * b.death)
@@ -264,14 +263,15 @@ def test_cap3_births_snap_to_their_latest_facet():
         rng = random.Random(seed)
         n, d = rng.randint(8, 16), seed % 2 + 2
         data = dataset([[rng.random() for _ in range(d)] for _ in range(n)])
-        filt = build_filtration(data, dim_cap=3)
+        births = filtration_births(data, dim_cap=2)
         verts = simplex_vertices(n, 4)
         clamped = np.maximum(
             [min_enclosing_ball(data.points[v]).radius for v in verts],
-            filt.births[2][facet_ranks(n, verts)].max(axis=1))
-        unsnapped = barcode(data, Filtration(filt.births[:3] + (clamped,),
-                                             dim_cap=3))
-        bars = barcode(data, filt)
+            births[2][facet_ranks(n, verts)].max(axis=1))
+        entries = filtration_entries(data, births + (clamped,))
+        unsnapped = oracles.barcode(reduce_matrix(boundary_matrix(entries)),
+                                    entries, dim_cap=3)
+        bars = barcode(data, dim_cap=3)
         assert above_h0(bars, 0.0) == above_h0(bars, 1e-12), seed
         assert above_h0(bars, 1e-9) == above_h0(unsnapped, 1e-9), seed
         noise += len(above_h0(unsnapped, 0.0)) - len(
@@ -280,18 +280,15 @@ def test_cap3_births_snap_to_their_latest_facet():
 
 
 def test_determinism(sample_data):
-    filt = build_filtration(sample_data, dim_cap=2)
-    filt2 = build_filtration(sample_data, dim_cap=2)
-    one = barcode(sample_data, filt)
-    two = barcode(sample_data, filt2)
+    one = barcode(sample_data, dim_cap=2)
+    two = barcode(sample_data, dim_cap=2)
     a = json.dumps(barcode_json(one, sample_data.n_points))
     b = json.dumps(barcode_json(two, sample_data.n_points))
     assert a == b
 
 
 def test_barcode_json_schema(sample_data):
-    filt = build_filtration(sample_data, dim_cap=2)
-    bars = barcode(sample_data, filt)
+    bars = barcode(sample_data, dim_cap=2)
     doc = barcode_json(bars, sample_data.n_points)
     assert doc["n_points"] == 9
     for bar in doc["bars"]:
