@@ -1,8 +1,22 @@
 """Wall time and peak RSS of the merge tree, the regime table, the
-filtration and its reduction at scale.
+filtration and its reduction at scale, and of the fixed cost that every
+CLI answer pays.
 
 Every run is a fresh interpreter on seeded uniform rows in [0, 1]^d
-(``random.Random(N * 10 + d)``):
+(``random.Random(N * 10 + d)``).  The fixed-cost cases, each run
+``FIXED_REPEAT`` times:
+
+- the bare interpreter, then ``import numpy`` with OpenBLAS's default
+  thread pool and with ``OPENBLAS_NUM_THREADS=1``, and
+  ``import anonytope.cli``;
+- ``sweep --k 2 3 5 --format json svg``, ``check --k 2 --eps 0.1`` and
+  ``barcode --dim-cap 2`` on N = 26 rows in d = 2, the size of a
+  ``perfbench`` sweep;
+- the same sweep in-process, OpenBLAS pinned to one thread: the time of
+  ``import numpy``, of the package's numeric modules after it, and of
+  ``main`` once both are loaded.
+
+The cases at scale, each run ``--repeat`` times:
 
 - ``check --k 2 --eps 0.01`` and ``anonymize --k 2`` on N = 1,000, 5,000
   and 20,000 rows in d = 2, which read the merge tree alone;
@@ -22,15 +36,18 @@ Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
 run as it exits.  A command that exits 2 has given its verdict
 ("infeasible") and is timed like one that exits 0; one that exits 1
 refused the input, and its ``error:`` line is recorded instead of
-figures.  Several source trees can be measured in one call, their runs
-interleaved so that drift in the machine's speed falls on all of them
-alike; each figure is the median of ``--repeat`` runs.
+figures.  Each run starts without the caller's ``OPENBLAS_NUM_THREADS``,
+so the shell it is started from cannot bias it.  Several source trees
+can be measured in one call, their runs interleaved, and the side that
+goes first alternating, so that drift in the machine's speed falls on
+all of them alike; each figure is the median of its case's runs.
 
     python3 scripts/bench_regimes.py --side change=src \\
         --side parent=../parent/src --out BENCH_regimes.json
 
-Writes one JSON object: the python and numpy versions, ``nproc``, and
-per side and case the median and every run's figures.
+Writes one JSON object: the python and numpy versions, the BLAS numpy
+was built with, ``nproc``, and per side and case the median and every
+run's figures.
 """
 
 from __future__ import annotations
@@ -50,16 +67,29 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# runs the CLI as the console script does, then leaves the process's
-# peak RSS (VmHWM, in KiB) as the last line of stderr
-CLI = """import sys
+# leaves the process's peak RSS (VmHWM, in KiB) as the last line of
+# stderr
+PEAK = """import sys
+with open("/proc/self/status") as f:
+    print(next(ln.split()[1] for ln in f if ln.startswith("VmHWM")),
+          file=sys.stderr)
+"""
+# runs the CLI as the console script does
+CLI = """from anonytope.cli import main
+code = main()
+""" + PEAK + "sys.exit(code)\n"
+# times import numpy, then the package's numeric modules, then one CLI
+# answer with both loaded; prints the three
+PHASES = """import sys, time
+start = time.perf_counter()
+import numpy
+numpy_s = time.perf_counter()
+import anonytope.anonymity, anonytope.geometry, anonytope.homology
+import anonytope.svg
 from anonytope.cli import main
-try:
-    code = main()
-finally:
-    with open("/proc/self/status") as f:
-        print(next(ln.split()[1] for ln in f if ln.startswith("VmHWM")),
-              file=sys.stderr)
+package_s = time.perf_counter()
+code = main(sys.argv[1:])
+print(numpy_s - start, package_s - numpy_s, time.perf_counter() - package_s)
 sys.exit(code)
 """
 # times the merge tree's build, then compute_regimes for every k on the
@@ -79,8 +109,26 @@ built = time.perf_counter()
 count = sum(len(compute_regimes(data, k)) for k in (1, 2, 3, 5))
 print(built - start, time.perf_counter() - built, count)
 """
-# (label, subcommand or None for in-process, N, d, extra arguments)
-CASES = (
+PINNED = {"OPENBLAS_NUM_THREADS": "1"}
+SWEEP = ["--k", "2", "3", "5", "--format", "json", "svg"]
+# the quartiles of 31 runs of a 0.2-0.3 s answer lie 20-30 ms apart on
+# 2 cores, so a 50 ms shift of the median shows
+FIXED_REPEAT = 31
+# (label, kind, N, d, arguments, environment): kind is a CLI subcommand,
+# "import" (arguments: the modules), "phases" (arguments: the CLI's) or
+# None (compute_regimes in-process)
+FIXED_CASES = (
+    ("interpreter", "import", 0, 0, [], {}),
+    ("import_numpy_pool", "import", 0, 0, ["numpy"], {}),
+    ("import_numpy_pinned", "import", 0, 0, ["numpy"], PINNED),
+    ("import_anonytope_cli", "import", 0, 0, ["anonytope.cli"], {}),
+    ("sweep_k235_json_svg_n26_d2", "sweep", 26, 2, SWEEP, {}),
+    ("check_k2_n26_d2", "check", 26, 2, ["--k", "2", "--eps", "0.1"], {}),
+    ("barcode_cap2_n26_d2", "barcode", 26, 2, ["--dim-cap", "2"], {}),
+    ("sweep_phases_n26_d2_pinned", "phases", 26, 2, ["sweep", *SWEEP],
+     PINNED),
+)
+SCALE_CASES = tuple(case + ({},) for case in (
     *((f"{command}_k2_n{n}_d2", command, n, 2, ["--k", "2", *extra])
       for n in (1000, 5000, 20000)
       for command, extra in (("check", ["--eps", "0.01"]),
@@ -94,7 +142,7 @@ CASES = (
     *((f"barcode_cap2_n{n}_d2", "barcode", n, 2, ["--dim-cap", "2"])
       for n in (100, 200, 228)),
     ("barcode_cap3_n48_d3", "barcode", 48, 3, ["--dim-cap", "3"]),
-)
+))
 
 
 def write_rows(path: Path, n: int, d: int) -> None:
@@ -106,13 +154,21 @@ def write_rows(path: Path, n: int, d: int) -> None:
 
 def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     """The figures of one run of a case."""
-    _, command, _, d, extra = case
+    _, command, _, d, extra, case_env = case
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(case_env)
+    table = ["--input", str(csv), "--quasi", *(f"x{j}" for j in range(d))]
     if command is None:
         argv = [sys.executable, "-c", REGIMES, str(csv)]
+    elif command == "import":
+        argv = [sys.executable, "-c",
+                "".join(f"import {m}\n" for m in extra) + PEAK]
+    elif command == "phases":
+        argv = [sys.executable, "-c", PHASES, *extra, *table,
+                "--out", str(out)]
     else:
-        argv = [sys.executable, "-c", CLI, command, "--input", str(csv),
-                "--quasi", *(f"x{j}" for j in range(d)), *extra,
+        argv = [sys.executable, "-c", CLI, command, *table, *extra,
                 "--out", str(out)]
     start = time.perf_counter()
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
@@ -130,6 +186,11 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
         return {"merge_tree_s": float(tree_s),
                 "compute_regimes_s": float(regimes_s),
                 "regimes": int(count)}
+    if command == "phases":
+        numpy_s, package_s, main_s = proc.stdout.splitlines()[-1].split()
+        return {"import_numpy_s": float(numpy_s),
+                "import_package_s": float(package_s),
+                "main_s": float(main_s)}
     return {"wall_s": wall, "exit": proc.returncode,
             "peak_rss_mib": int(proc.stderr.split()[-1]) / 1024}
 
@@ -151,31 +212,41 @@ def main() -> None:
     parser.add_argument("--side", action="append", metavar="LABEL=SRC",
                         help="a source tree to measure (default: "
                              "this checkout's src)")
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="runs of each case at scale")
     parser.add_argument("--out", type=Path,
                         default=ROOT / "BENCH_regimes.json")
     args = parser.parse_args()
     sides = dict(s.split("=", 1) for s in args.side or
                  [f"worktree={ROOT / 'src'}"])
-    runs = {label: {case[0]: [] for case in CASES} for label in sides}
+    cases = [(case, FIXED_REPEAT) for case in FIXED_CASES] + [
+        (case, args.repeat) for case in SCALE_CASES]
+    runs = {label: {case[0]: [] for case, _ in cases} for label in sides}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for case in CASES:
-            write_rows(tmp / f"{case[0]}.csv", case[2], case[3])
-        for _ in range(args.repeat):
-            for case in CASES:
-                for label, src in sides.items():
+        for case, _ in cases:
+            if case[2]:
+                write_rows(tmp / f"{case[0]}.csv", case[2], case[3])
+        for round_ in range(max(n for _, n in cases)):
+            order = list(sides.items())[::-1 if round_ % 2 else 1]
+            for case, repeat in cases:
+                if round_ >= repeat:
+                    continue
+                for label, src in order:
                     got = run_once(Path(src).resolve(), case,
                                    tmp / f"{case[0]}.csv", tmp / "out")
                     runs[label][case[0]].append(got)
                     print(f"{label} {case[0]}: {got}", flush=True)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
         "command": "scripts/bench_regimes.py: uniform rows in [0, 1]^d, "
                    "random.Random(N * 10 + d)",
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in
+                 ("name", "version", "openblas configuration")},
         "nproc": os.cpu_count(),
-        "repeat": args.repeat,
+        "repeat": {"fixed_cost": FIXED_REPEAT, "at_scale": args.repeat},
         "results": {label: {name: summary(by_run)
                             for name, by_run in by_case.items()}
                     for label, by_case in runs.items()},

@@ -44,9 +44,6 @@ class Regime(NamedTuple):
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def contains(self, eps: float) -> bool:
-        return self.eps_lo <= eps and (self.eps_hi is None or eps < self.eps_hi)
-
 
 class GeneralizedTable(NamedTuple):
     """Per row, each quasi-identifier replaced by a closed interval in

@@ -335,7 +335,6 @@ class LatticeSearchResult(NamedTuple):
     nodes: tuple[LatticeNode, ...]          # earliest k-anonymous nodes
     reports: tuple[ChainReport, ...]
     upper_chain_skipped: bool
-    conclusive: bool
     note: str
 
 
@@ -346,8 +345,9 @@ def lattice_search(rows, trees, k: int,
 
     lower_then_upper sweeps the diagram's lower chain first; success
     there carries over to the upper chain by inclusion, so the upper
-    sweep is skipped.  A double failure is NOT a proof of infeasibility:
-    nodes off both chains remain unexplored, and the result says so.
+    sweep is skipped.  A double failure proves infeasibility: the upper
+    chain ends at the top node, where every attribute is at its root and
+    all rows form one class, so there are fewer than k rows.
     exhaustive returns every k-anonymous node of least level sum, in
     lexicographic order; minimal nodes of a larger sum are not reported.
     It counts class sizes node by node in ascending level sum and stops
@@ -365,12 +365,12 @@ def lattice_search(rows, trees, k: int,
             if minimal:
                 return LatticeSearchResult(
                     strategy=strategy, nodes=minimal, reports=(),
-                    upper_chain_skipped=False, conclusive=True,
+                    upper_chain_skipped=False,
                     note=("exhaustive search in ascending level sum, stopped "
                           "after the least sum with a k-anonymous node"))
         return LatticeSearchResult(
             strategy=strategy, nodes=(), reports=(),
-            upper_chain_skipped=False, conclusive=True,
+            upper_chain_skipped=False,
             note=f"no lattice node achieves {k}-anonymity")
 
     if strategy != STRATEGY_LOWER_THEN_UPPER:
@@ -382,14 +382,14 @@ def lattice_search(rows, trees, k: int,
     if hit is not None:
         return LatticeSearchResult(
             strategy=strategy, nodes=(hit,), reports=(lower_report,),
-            upper_chain_skipped=True, conclusive=True,
+            upper_chain_skipped=True,
             note="lower chain achieved k-anonymity; upper chain skipped")
 
     upper = upper_chain(lattice)
     if upper == lower:
         return LatticeSearchResult(
             strategy=strategy, nodes=(), reports=(lower_report,),
-            upper_chain_skipped=True, conclusive=True,
+            upper_chain_skipped=True,
             note=f"the single chain never achieves {k}-anonymity")
     upper_report = chain_sweep(rows, trees, upper, k)
     hit = upper_report.first_anonymous_node
@@ -397,15 +397,14 @@ def lattice_search(rows, trees, k: int,
         return LatticeSearchResult(
             strategy=strategy, nodes=(hit,),
             reports=(lower_report, upper_report),
-            upper_chain_skipped=False, conclusive=True,
+            upper_chain_skipped=False,
             note="upper chain achieved k-anonymity after the lower failed")
     return LatticeSearchResult(
         strategy=strategy, nodes=(),
         reports=(lower_report, upper_report),
-        upper_chain_skipped=False, conclusive=False,
-        note=("neither chain achieves k-anonymity; this does not prove the "
-              "data cannot be k-anonymized, since nodes off both chains "
-              "were not evaluated"))
+        upper_chain_skipped=False,
+        note=(f"no lattice node achieves {k}-anonymity: the top node puts "
+              f"all {len(rows)} rows in one class"))
 
 
 def chain_report_json(report: ChainReport) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -297,7 +298,6 @@ def cmd_lattice_sweep(config: RunConfig) -> int:
         "k": k,
         "strategy": result.strategy,
         "nodes": [list(n) for n in result.nodes],
-        "conclusive": result.conclusive,
         "upper_chain_skipped": result.upper_chain_skipped,
         "note": result.note,
         "chains": [chain_report_json(r) for r in result.reports],
@@ -400,6 +400,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    # before numpy loads, or OpenBLAS starts nproc - 1 busy-waiting workers
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _parser().parse_args(argv)
         config = build_config(args)

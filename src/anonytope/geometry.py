@@ -113,16 +113,6 @@ class NormalizedDataset:
         return self.points.shape[1]
 
     @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {r: i for i, r in enumerate(self.row_ids)}
-
-    def subset(self, row_ids) -> np.ndarray:
-        try:
-            return self.points[[self._positions[r] for r in row_ids]]
-        except KeyError as exc:
-            raise ContractViolation(f"unknown row id {exc.args[0]}") from None
-
-    @cached_property
     def pair_distances(self) -> np.ndarray:
         """Distances of all row pairs i < j in row order, built once by
         the kernel of _dist, one row at a time, so no N^2 x d array is

@@ -44,12 +44,6 @@ class Barcode(NamedTuple):
         return [b for b in self.bars
                 if b.birth <= eps and (b.death is None or eps < b.death)]
 
-    def betti_at(self, eps: float) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for b in self.live_bars(eps):
-            out[b.dim] = out.get(b.dim, 0) + 1
-        return out
-
 
 def _h0_bars(data: NormalizedDataset) -> list[Bar]:
     """The H0 bars of the dataset's merge tree, by death (ties in row

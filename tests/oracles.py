@@ -15,6 +15,7 @@ partition.
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,26 @@ def dataset(points) -> NormalizedDataset:
         row_ids=tuple(range(1, len(pts) + 1)),
         qi_names=tuple(f"q{j}" for j in range(d)),
     )
+
+
+def subset(data: NormalizedDataset, row_ids) -> np.ndarray:
+    """The points of these 1-based row ids, in the order given."""
+    positions = {r: i for i, r in enumerate(data.row_ids)}
+    try:
+        return data.points[[positions[r] for r in row_ids]]
+    except KeyError as exc:
+        raise ContractViolation(f"unknown row id {exc.args[0]}") from None
+
+
+def regime_contains(regime: Regime, eps: float) -> bool:
+    """Is eps in the regime's half-open interval [eps_lo, eps_hi)?"""
+    return regime.eps_lo <= eps and (regime.eps_hi is None
+                                     or eps < regime.eps_hi)
+
+
+def betti_at(bars: Barcode, eps: float) -> dict[int, int]:
+    """The number of bars alive at eps, per dimension."""
+    return dict(Counter(b.dim for b in bars.live_bars(eps)))
 
 
 def seeded_points(seed: int, count: int):
@@ -363,25 +384,25 @@ def build_anonymity_complex(data: NormalizedDataset, eps: float,
                 if cand in seen:
                     continue
                 seen.add(cand)
-                if balls_intersect(data.subset(cand), eps):
+                if balls_intersect(subset(data, cand), eps):
                     nxt.append(cand)
         simplices.update(nxt)
         current = nxt
     return SimplicialComplex(simplices=frozenset(simplices), dim_cap=dim_cap)
 
 
-def is_anonymity_simplex(data: NormalizedDataset, subset, eps: float,
+def is_anonymity_simplex(data: NormalizedDataset, rows, eps: float,
                          k: int) -> bool:
     """Can these rows be generalized together at radius eps as a group
     of at least k?  (Point count, not simplex dimension, compares to k.)
     """
-    subset = tuple(sorted(subset))
-    if not subset:
+    rows = tuple(sorted(rows))
+    if not rows:
         raise ContractViolation("subset must be nonempty")
     if k < 1:
         raise ContractViolation("k must be >= 1")
-    pts = data.subset(subset)
-    return len(subset) >= k and balls_intersect(pts, eps)
+    pts = subset(data, rows)
+    return len(rows) >= k and balls_intersect(pts, eps)
 
 
 def homology_dims_at(complex_: SimplicialComplex) -> list[int]:

@@ -31,10 +31,11 @@ from anonytope.cli import EXIT_OK, main as cli_main
 from anonytope.geometry import min_enclosing_ball
 from anonytope.homology import barcode
 
-from oracles import (components_bfs, critical_values, dataset, dist,
-                     filtration_births, filtration_entries, homology_dims_at,
-                     k_anonymity_bruteforce, k_anonymity_separated_bruteforce,
-                     meb_bruteforce, sublevel)
+from oracles import (betti_at, components_bfs, critical_values, dataset,
+                     dist, filtration_births, filtration_entries,
+                     homology_dims_at, k_anonymity_bruteforce,
+                     k_anonymity_separated_bruteforce, meb_bruteforce,
+                     regime_contains, sublevel)
 
 # printed by scripts/sample_oracle.py: the sample's only k=3 regime, all
 # nine rows from the MEB radius of rows 2 and 5 at (0,0) and (1,1)
@@ -165,7 +166,7 @@ def test_criterion_04_homology_oracle_equivalence():
         entries = filtration_entries(data, filtration_births(data, n))
         for eps in critical_values(entries):
             cx = sublevel(entries, eps, n)
-            betti = bars.betti_at(eps)
+            betti = betti_at(bars, eps)
             want = homology_dims_at(cx)
             got = [betti.get(d, 0) for d in range(len(want))]
             assert got == want, (data.points, eps)
@@ -303,7 +304,7 @@ def test_criterion_10_grid_exact_consistency():
         regimes = compute_regimes(data, k)
         for g in range(0, 1001):
             eps = g * 1e-3
-            exact = any(r.contains(eps) for r in regimes)
+            exact = any(regime_contains(r, eps) for r in regimes)
             grid = check_k_anonymity(data, eps, k).achieved
             assert exact == grid, (data.points, k, eps)
     report(10, True, "20 datasets agree at every 1e-3 grid point")

@@ -17,7 +17,7 @@ from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, dist,
                      homology_dims_at, k_anonymity_bruteforce, meb_bruteforce,
-                     regimes_per_interval, seeded_points)
+                     regime_contains, regimes_per_interval, seeded_points)
 
 # Values frozen from scripts/sample_oracle.py (exhaustive MEB + BFS):
 # under per-column min-max scaling the 9-row sample admits, for k = 2..4,
@@ -120,7 +120,7 @@ class TestRegimes:
             for g in range(0, 1100, 7):
                 eps = g * 1e-3
                 want = check_k_anonymity(data, eps, k).achieved
-                got = any(r.contains(eps) for r in regimes)
+                got = any(regime_contains(r, eps) for r in regimes)
                 assert got == want
 
     def test_regime_starts_are_exact_thresholds(self):

@@ -252,7 +252,6 @@ class TestLatticeSearch:
     def test_exhaustive_minimal_nodes(self, trees):
         result = lattice_search(EURO_ROWS, trees, 3, STRATEGY_EXHAUSTIVE)
         assert result.nodes == ((1, 2),)
-        assert result.conclusive
 
     def test_country_only_succeeds_on_single_chain(self, country):
         rows = [("Portugal",), ("Spain",), ("Hungary",)]
@@ -270,12 +269,36 @@ class TestLatticeSearch:
         assert result.nodes == ((1, 2),)
         assert len(result.reports) == 2
 
-    def test_double_failure_is_inconclusive(self, trees):
+    def test_double_failure_is_conclusive(self, trees):
+        # the upper chain ends at the top node, where the three rows form
+        # one class, so no node of the lattice is 4-anonymous
         result = lattice_search(EURO_ROWS, trees, 4,
                                 STRATEGY_LOWER_THEN_UPPER)
         assert result.nodes == ()
-        assert not result.conclusive
-        assert "does not prove" in result.note
+        assert result.reports[-1].steps[-1].node == (1, 3)
+        assert result.note == ("no lattice node achieves 4-anonymity: the "
+                               "top node puts all 3 rows in one class")
+        assert exhaustive_nodes(EURO_ROWS, trees, 4) == ()
+
+    def test_lower_then_upper_fails_only_when_no_node_can(self):
+        rng = random.Random(53)
+        found = failed = 0
+        for _ in range(300):
+            trees = [random_tree(rng, f"t{a}", rng.randint(0, 3))
+                     for a in range(rng.randint(1, 3))]
+            rows = [tuple(rng.choice(t.leaves) for t in trees)
+                    for _ in range(rng.randint(1, 12))]
+            k = rng.randint(1, len(rows) + 2)
+            result = lattice_search(rows, trees, k,
+                                    STRATEGY_LOWER_THEN_UPPER)
+            assert (result.nodes == ()) == (
+                exhaustive_nodes(rows, trees, k) == ()), (rows, k)
+            for node in result.nodes:
+                assert all(len(c) >= k for c in
+                           generalized_partition_at(rows, trees, node))
+            found += bool(result.nodes)
+            failed += not result.nodes
+        assert found >= 100 and failed >= 50
 
     def test_exhaustive_matches_bruteforce(self, trees):
         import itertools
@@ -306,7 +329,7 @@ class TestLatticeSearch:
                 result = lattice_search(rows, trees, k, STRATEGY_EXHAUSTIVE)
                 expected = exhaustive_nodes(rows, trees, k)
                 assert result.nodes == expected
-                assert result.conclusive and result.reports == ()
+                assert result.reports == ()
                 infeasible += expected == ()
                 beyond_bottom += bool(expected) and any(expected[0])
                 ties += len(expected) > 1

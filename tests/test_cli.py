@@ -633,6 +633,46 @@ def test_each_command_loads_only_what_it_needs(sample_csv, trees_yaml,
                      "run": ["numpy", "inspect"]}
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc")
+@pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)])
+def test_cli_starts_no_blas_worker(sample_csv, tmp_path, caller, threads):
+    # OpenBLAS starts one thread per usable CPU unless told otherwise,
+    # and a count the caller sets wins over the CLI's own
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip("OpenBLAS starts no more threads than usable CPUs")
+    env = package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    probe = (
+        "import sys\n"
+        "from anonytope.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(rc, next(ln.split()[1] for ln in f\n"
+        "                   if ln.startswith('Threads:')))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "sweep", "--input", str(sample_csv),
+         "--quasi", "Age", "ZIP", "--k", "3", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} {threads}"
+
+
+def test_library_imports_leave_the_environment_alone(tmp_path):
+    env = package_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    probe = ("import os\n"
+             "before = dict(os.environ)\n"
+             "import anonytope, anonytope.geometry, anonytope.cli\n"
+             "print(dict(os.environ) == before)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
+
+
 def peak_rss_mib(*argv):
     """Run argv with this package importable; return the process and the
     peak resident memory of the run in MiB."""

@@ -12,8 +12,8 @@ from anonytope.errors import ContractViolation, FiltrationSizeError
 from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, filtration_births,
-                     filtration_entries, is_anonymity_simplex, sublevel,
-                     triangle_meb_exact)
+                     filtration_entries, is_anonymity_simplex, subset,
+                     sublevel, triangle_meb_exact)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -201,4 +201,4 @@ def test_births_read_distance_array_in_row_order():
         assert [births[e] for e in combinations(ids, 2)] == \
             (data.pair_distances / 2).tolist()
         for tri in combinations(ids, 3):
-            check_triangle_birth(births, tri, data.subset(tri))
+            check_triangle_birth(births, tri, subset(data, tri))

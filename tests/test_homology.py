@@ -199,7 +199,7 @@ def test_barcode_betti_matches_rank_nullity():
             assert all(b.dim < cap for b in bars.bars)
             entries = filtration_entries(data, filtration_births(data, cap))
             for eps in critical_values(entries):
-                betti = bars.betti_at(eps)
+                betti = oracles.betti_at(bars, eps)
                 want = homology_dims_at(sublevel(entries, eps, cap))
                 assert [betti.get(d, 0) for d in range(cap)] == want
 
