@@ -30,7 +30,8 @@ The cases at scale, each run ``--repeat`` times:
 - ``barcode --dim-cap 2`` on N = 100, 200 and 228 rows in d = 2 (the
   last just under the simplex budget), the H1 reduction;
 - ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
-  each born at the radius of one ``min_enclosing_ball`` call.
+  each born at its circumradius or with its latest facet, from one
+  batched Gram solve per 65,536 tetrahedra.
 
 Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
 run as it exits.  A command that exits 2 has given its verdict

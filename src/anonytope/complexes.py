@@ -9,11 +9,12 @@ values (no radii grid needed).
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from .errors import FiltrationSizeError
-from .geometry import MEB_REL_TOL, NormalizedDataset, min_enclosing_ball
+from .geometry import NormalizedDataset
 
 #: most simplices a barcode may build; on 2 cores, 228 rows at dim_cap 2
 #: (25,878 edges, 1,949,476 triangles) build in about 0.3 s at 60 MiB
@@ -26,9 +27,9 @@ DEFAULT_SIMPLEX_BUDGET = 2_000_000
 #: dimension's rows are all held
 BLOCK = 1 << 16
 
-# relative margin over a / 2 that a triangle's computed circumradius must
-# clear to count as acute: above the closed form's rounding (at most 4
-# ulps seen on exact right triangles), far below MEB_REL_TOL
+# relative margin over its latest facet's birth that a simplex's computed
+# circumradius must clear to count: above the closed forms' rounding (at
+# most 4 ulps seen on exact right triangles)
 _RIGHT_SLACK = 8 * np.finfo(float).eps
 
 
@@ -135,17 +136,11 @@ def check_budget(n: int, dim_cap: int) -> None:
             f"budget of {DEFAULT_SIMPLEX_BUDGET}; lower --dim-cap")
 
 
-def _triangle_births(sides: np.ndarray) -> np.ndarray:
-    """MEB radii of triangles from rows of side lengths, sorted in place.
-
-    With sides a >= b >= c, a triangle that is not acute (b^2 + c^2 <=
-    a^2), or has no area, is born at a / 2, the birth of its longest
-    edge; an acute one at its circumradius abc / (4K), with the area K
-    from Kahan's stable form of Heron's formula.  Float sides cannot
-    tell a right triangle from a nearly right acute one, whose
-    circumradius is a / 2 to within the formula's few ulps, so a
-    circumradius that close to a / 2 is taken as a / 2.  Every triangle
-    is thus born exactly with its longest edge or after it.
+def _triangle_circumradii(sides: np.ndarray) -> np.ndarray:
+    """Circumradii of triangles from rows of side lengths, sorted in
+    place, or 0 for one that is not acute.  With sides a >= b >= c, one
+    with area is acute when b^2 + c^2 > a^2, and its circumradius is
+    abc / (4K), the area K from Kahan's stable form of Heron's formula.
     """
     sides.sort(axis=1)
     c, b, a = sides.T
@@ -153,8 +148,23 @@ def _triangle_births(sides: np.ndarray) -> np.ndarray:
     acute = (b * b + c * c > a * a) & (heron16 > 0)
     radius = np.zeros_like(a)
     radius[acute] = a[acute] * b[acute] * c[acute] / np.sqrt(heron16[acute])
-    half = a / 2.0
-    return np.where(radius > half * (1.0 + _RIGHT_SLACK), radius, half)
+    return radius
+
+
+def _circumradii(points: np.ndarray) -> np.ndarray:
+    """Circumradii of simplices from (m, size, d) blocks of their points,
+    or 0 where the circumcentre, the first point plus y V for the edge
+    vectors V from it and G y = diag(G) / 2 with G = V V^T, is not
+    strictly inside (its barycentric weights are y and 1 - sum(y)); a
+    det(G) of at most 1e-12 of diag(G)'s product counts as dependent."""
+    edges = points[:, 1:] - points[:, :1]
+    gram = edges @ edges.transpose(0, 2, 1)
+    half = np.diagonal(gram, axis1=1, axis2=2) / 2.0
+    solid = np.linalg.det(gram) > 1e-12 * (2.0 * half).prod(axis=1)
+    gram[~solid] = np.eye(gram.shape[1])    # any solvable system
+    y = np.linalg.solve(gram, half[..., None])[..., 0]
+    inside = solid & (y > 0).all(axis=1) & (y.sum(axis=1) < 1)
+    return np.where(inside, np.sqrt(np.vecdot(y, half)), 0.0)
 
 
 def simplex_births(data: NormalizedDataset, size: int,
@@ -162,9 +172,12 @@ def simplex_births(data: NormalizedDataset, size: int,
     """The exact birth radii of all simplices of size >= 2 rows, by
     lexicographic rank.
 
-    Edges and triangles take their births in closed form from the
-    dataset's pairwise distances; larger simplices run Welzl and need
-    facets, the births of the simplices one row smaller, by rank.
+    An edge is born at half its length.  A larger simplex is born at its
+    circumradius if its circumcentre is strictly inside it, else with its
+    latest facet, where its MEB's support lies (Welzl 1991); facets holds
+    the births one row smaller, by rank.  A circumradius within
+    _RIGHT_SLACK of that birth, the float noise of a centre on the
+    facet, is taken as it.
     """
     n = data.n_points
     dist = data.pair_distances
@@ -172,17 +185,14 @@ def simplex_births(data: NormalizedDataset, size: int,
         return dist / 2.0
     born = np.empty(math.comb(n, size))
     for start, verts in simplex_blocks(n, size):
+        ranks = facet_ranks(n, verts)
+        radius = 0.0            # more than d + 1 points are dependent
         if size == 3:           # edge ranks index the distance array
-            radii = _triangle_births(dist[facet_ranks(n, verts)])
-        else:
-            radii = np.fromiter(
-                (min_enclosing_ball(data.points[v]).radius
-                 for v in verts), float, count=len(verts))
-            # MEB is monotone over faces, and a coface born within
-            # MEB_REL_TOL of its latest facet is born with it: the
-            # gap is float noise, which would show as ulp-long bars
-            latest = facets[facet_ranks(n, verts)].max(axis=1)
-            radii = np.where(radii <= latest * (1.0 + MEB_REL_TOL),
-                             latest, radii)
-        born[start:start + len(verts)] = radii
+            radius = _triangle_circumradii(dist[ranks])
+        elif size <= data.dim + 1:
+            radius = _circumradii(data.points[verts])
+        # column by column: a max along a short last axis is 10x slower
+        latest = reduce(np.maximum, facets[ranks].T)
+        born[start:start + len(verts)] = np.where(
+            radius > latest * (1.0 + _RIGHT_SLACK), radius, latest)
     return born

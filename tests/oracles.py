@@ -138,6 +138,63 @@ def triangle_meb_exact(p, q, r) -> tuple[Fraction, bool]:
                            - a2 ** 2 - b2 ** 2 - c2 ** 2), True
 
 
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss' fraction-free
+    elimination, every division exact."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def simplex_meb_exact(points) -> tuple[Fraction, bool]:
+    """Squared MEB radius of a point set and whether its support is all
+    of the points, without rounding.  The float coordinates are scaled
+    to integers by their common power-of-two denominator; every subset
+    of at most d + 1 affinely independent points has its circumcentre
+    in its own affine hull solved by Cramer's rule, and the least ball
+    so found that holds every point is the MEB.  Subsets are tried from
+    the smallest, so a support is all of the points only when no
+    proper subset's ball is as small."""
+    exact = [[float(x).as_integer_ratio() for x in pt] for pt in points]
+    scale = max(den for pt in exact for _, den in pt)
+    pts = [[num * (scale // den) for num, den in pt] for pt in exact]
+    best = None
+    for size in range(1, min(len(pts), len(pts[0]) + 1) + 1):
+        for sub in itertools.combinations(pts, size):
+            edges = [[a - b for a, b in zip(q, sub[0])] for q in sub[1:]]
+            gram = [[sum(a * b for a, b in zip(u, v)) for v in edges]
+                    for u in edges]
+            det = _int_det(gram)
+            if det == 0:
+                continue
+            # the circumcentre is sub[0] + sum_i y_i edges[i], with
+            # gram y = diag(gram) / 2, so y_i = cramer[i] / (2 det)
+            diag = [gram[i][i] for i in range(len(gram))]
+            cramer = [_int_det([row[:i] + [d] + row[i + 1:]
+                                for row, d in zip(gram, diag)])
+                      for i in range(len(gram))]
+            offset = [sum(c * e[j] for c, e in zip(cramer, edges))
+                      for j in range(len(sub[0]))]
+            centre = [2 * det * a + o for a, o in zip(sub[0], offset)]
+            r2 = sum(o * o for o in offset)     # scaled by (2 det)^2
+            if all(sum((2 * det * a - c) ** 2 for a, c in zip(q, centre))
+                   <= r2 for q in pts):
+                r2 = Fraction(r2, (2 * det * scale) ** 2)
+                if best is None or r2 < best[0]:
+                    best = r2, size == len(pts)
+    return best
+
+
 def components_bfs(points, eps):
     """Connected components (0-based) of the eps-neighborhood graph."""
     n = len(points)

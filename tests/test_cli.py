@@ -757,7 +757,7 @@ def test_filtration_peak_rss_at_simplex_budget():
              "pts = np.random.default_rng(228).random((228, 2)); "
              "data = NormalizedDataset(pts, ((0.0, 1.0),) * 2, "
              "tuple(range(1, 229)), ('x', 'y')); "
-             "print(len(simplex_births(data, 3)))")
+             "print(len(simplex_births(data, 3, simplex_births(data, 2))))")
     proc, peak = peak_rss_mib(sys.executable, "-c", build)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.split()[0] == "1949476"

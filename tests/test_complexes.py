@@ -13,7 +13,7 @@ from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, filtration_births,
                      filtration_entries, is_anonymity_simplex, subset,
-                     sublevel, triangle_meb_exact)
+                     simplex_meb_exact, sublevel, triangle_meb_exact)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -49,8 +49,9 @@ def test_filtration_two_points():
 
 def test_filtration_equilateral_births():
     data = dataset(EQUILATERAL)
-    assert simplex_births(data, 2)[0] == pytest.approx(0.5)  # edge (1, 2)
-    assert simplex_births(data, 3)[0] == \
+    edges = simplex_births(data, 2)
+    assert edges[0] == pytest.approx(0.5)  # edge (1, 2)
+    assert simplex_births(data, 3, edges)[0] == \
         pytest.approx(1 / math.sqrt(3), rel=1e-9)
 
 
@@ -202,3 +203,50 @@ def test_births_read_distance_array_in_row_order():
             (data.pair_distances / 2).tolist()
         for tri in combinations(ids, 3):
             check_triangle_birth(births, tri, subset(data, tri))
+
+
+def special_simplices(rng, size, d):
+    """One seeded simplex of size points in R^d of each kind the births
+    must get right, as (kind, size x d points)."""
+    p = rng.random((size, d))
+    yield "uniform", p
+    yield "duplicate", np.vstack([p[:-1], p[:1]])
+    yield "grid", rng.integers(-8, 9, (size, d)) / 8
+    u, w = rng.integers(-4, 5, (2, d))
+    s, t = rng.integers(-4, 5, (2, size, 1))
+    yield "coplanar", (rng.integers(-8, 9, d) + s * u + t * w) / 8
+    e = rng.normal(size=d)
+    e /= np.linalg.norm(e)
+    width = 10.0 ** -rng.integers(3, 10)
+    yield "needle", p[:1] + rng.random((size, 1)) * e + \
+        width * rng.normal(size=(size, d))
+    if size > d + 1:
+        return
+    # a sliver: points nearly on a sphere in a flat of dimension size - 2,
+    # lifted off it by small heights of alternating sign, so that their
+    # circumcentre is the sphere's centre, often inside them
+    basis = np.linalg.qr(rng.normal(size=(d, size - 1)))[0].T
+    on_sphere = rng.normal(size=(size, size - 2))
+    on_sphere /= np.linalg.norm(on_sphere, axis=1, keepdims=True)
+    height = 10.0 ** -rng.integers(3, 8) * (-1) ** np.arange(size)[:, None]
+    yield "sliver", p[0] + np.hstack([on_sphere, height]) @ basis
+
+
+def test_simplex_births_match_exact_oracle():
+    rng = np.random.default_rng(1729)
+    kinds = Counter()
+    for _ in range(12):
+        for d in (2, 3, 4, 5):
+            for size in (4, 5, 6):
+                for kind, pts in special_simplices(rng, size, d):
+                    births = filtration_births(dataset(pts), size - 1)
+                    (birth,), latest = births[-1], births[-2].max()
+                    r2, full = simplex_meb_exact(pts)
+                    exact = math.sqrt(r2)
+                    assert abs(birth - exact) <= 1e-12 * exact, (kind, pts)
+                    if not full:
+                        assert birth == latest, (kind, pts)
+                    kinds[kind, full] += 1
+    assert sum(kinds.values()) == 792
+    for kind in ("uniform", "grid", "sliver"):
+        assert min(kinds[kind, False], kinds[kind, True]) >= 5

@@ -14,7 +14,8 @@ from anonytope.homology import barcode, barcode_json
 import oracles
 from oracles import (SimplicialComplex, boundary_matrix, critical_values,
                      dataset, filtration_births, filtration_entries,
-                     homology_dims_at, reduce_matrix, sublevel)
+                     homology_dims_at, reduce_matrix, simplex_meb_exact,
+                     sublevel)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -77,6 +78,24 @@ def test_non_acute_triangles_leave_no_h1_bar_to_draw():
         bars = barcode(data, dim_cap=2)
         assert all(b.dim == 0 for b in bars.bars)
         tested += 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n, d, cap, flat", [
+    (60, 2, 3, False), (40, 3, 3, True), (22, 3, 4, False)])
+def test_points_in_r_d_leave_no_h_d_bar(seed, n, d, cap, flat):
+    # by the nerve theorem the union of balls in R^d, or in a plane of
+    # it, has no homology in dimension d or above: each simplex of more
+    # than d + 1 rows is born with its latest facet, and a slanted plane
+    # in R^3 leaves no H2 bar either, though float rows are only nearly
+    # on it
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))
+    if flat:
+        pts[:, 2] = (pts[:, 0] + 2 * pts[:, 1]) / 3
+    bars = barcode(dataset(pts), dim_cap=cap)
+    assert [b for b in bars.bars if b.dim >= (2 if flat else d)] == []
+    assert any(b.dim == cap - 2 for b in bars.bars)
 
 
 def test_single_point_infinite_bar():
@@ -248,15 +267,25 @@ def test_barcode_equals_global_reduction_oracle():
                 assert all(b.death is not None for b in dim_p)
 
 
-def test_cap3_births_snap_to_their_latest_facet():
-    # a tetrahedron born within MEB_REL_TOL after its latest facet is
-    # born with it: at cap 3 no bar above H0 is 1e-12 relative long or
-    # less, and every bar over 1e-9 relative is the one that the global
-    # index reduction finds in the same filtration with each tetrahedron
-    # only clamped to its facets
+def test_cap3_births_leave_no_ulp_long_bars():
+    # at cap 3 no bar above H0 is 1e-12 relative long or less, and the
+    # bars over 1e-9 relative are those that the global index reduction
+    # finds with each tetrahedron born at its exact rational MEB radius,
+    # rounded to a float and clamped to its facets: as many in each
+    # dimension, each endpoint within 1e-12 relative.  Born at its Welzl
+    # radius, only clamped, each tetrahedron leaves bars of float noise
     def above_h0(bars, longer_than):
         return sorted(b[:3] for b in bars.bars if b.dim > 0
                       and b.death - b.birth > longer_than * b.death)
+
+    def reduced(data, births, tetrahedra):
+        verts = simplex_vertices(data.n_points, 4)
+        clamped = np.maximum(
+            [tetrahedra(data.points[v]) for v in verts],
+            births[2][facet_ranks(data.n_points, verts)].max(axis=1))
+        entries = filtration_entries(data, births + (clamped,))
+        return oracles.barcode(reduce_matrix(boundary_matrix(entries)),
+                               entries, dim_cap=3)
 
     noise = 0
     for seed in range(16):
@@ -264,18 +293,18 @@ def test_cap3_births_snap_to_their_latest_facet():
         n, d = rng.randint(8, 16), seed % 2 + 2
         data = dataset([[rng.random() for _ in range(d)] for _ in range(n)])
         births = filtration_births(data, dim_cap=2)
-        verts = simplex_vertices(n, 4)
-        clamped = np.maximum(
-            [min_enclosing_ball(data.points[v]).radius for v in verts],
-            births[2][facet_ranks(n, verts)].max(axis=1))
-        entries = filtration_entries(data, births + (clamped,))
-        unsnapped = oracles.barcode(reduce_matrix(boundary_matrix(entries)),
-                                    entries, dim_cap=3)
+        exact = reduced(data, births,
+                        lambda pts: math.sqrt(simplex_meb_exact(pts)[0]))
         bars = barcode(data, dim_cap=3)
         assert above_h0(bars, 0.0) == above_h0(bars, 1e-12), seed
-        assert above_h0(bars, 1e-9) == above_h0(unsnapped, 1e-9), seed
-        noise += len(above_h0(unsnapped, 0.0)) - len(
-            above_h0(unsnapped, 1e-12))
+        got, want = above_h0(bars, 1e-9), above_h0(exact, 1e-9)
+        assert [b[0] for b in got] == [b[0] for b in want], seed
+        for (_, birth, death), (_, birth_x, death_x) in zip(got, want):
+            assert abs(birth - birth_x) <= 1e-12 * birth_x, seed
+            assert abs(death - death_x) <= 1e-12 * death_x, seed
+        welzl = reduced(data, births,
+                        lambda pts: min_enclosing_ball(pts).radius)
+        noise += len(above_h0(welzl, 0.0)) - len(above_h0(welzl, 1e-12))
     assert noise > 1000         # the clamp alone left 1,120 such bars
 
 
