@@ -25,8 +25,10 @@ The cases at scale, each run ``--repeat`` times:
 - ``anonymize --k 1`` on N = 1,000 rows in d = 2 and d = 5, the run that
   needs the radius of every component the merge tree forms;
 - in-process ``compute_regimes`` for k = 1, 2, 3, 5, classes included,
-  on N = 2,000 rows in d = 2 and N = 1,000 rows in d = 5, timed after
-  the merge tree is built (its build time is recorded apart);
+  on N = 2,000 rows in d = 2 and N = 1,000 rows in d = 5, read by
+  ``ingest_csv`` and min-max scaled by ``normalize_dataset`` as the CLI
+  does, timed after the merge tree is built (its build time is recorded
+  apart);
 - ``barcode --dim-cap 2`` on N = 100, 200 and 228 rows in d = 2 (the
   last just under the simplex budget), the H1 reduction;
 - ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
@@ -37,8 +39,10 @@ Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
 run as it exits.  A command that exits 2 has given its verdict
 ("infeasible") and is timed like one that exits 0; one that exits 1
 refused the input, and its ``error:`` line is recorded instead of
-figures.  Each run starts without the caller's ``OPENBLAS_NUM_THREADS``,
-so the shell it is started from cannot bias it.  Several source trees
+figures.  Each run starts without the caller's ``OPENBLAS_NUM_THREADS``
+and ``PYTHONDONTWRITEBYTECODE``, and each source tree is byte-compiled
+before the first run, so neither the shell it is started from nor a
+tree's old ``__pycache__`` can bias it.  Several source trees
 can be measured in one call, their runs interleaved, and the side that
 goes first alternating, so that drift in the machine's speed falls on
 all of them alike; each figure is the median of its case's runs.
@@ -94,16 +98,13 @@ print(numpy_s - start, package_s - numpy_s, time.perf_counter() - package_s)
 sys.exit(code)
 """
 # times the merge tree's build, then compute_regimes for every k on the
-# same dataset; prints both and the regime count
-REGIMES = """import csv, sys, time
+# same dataset, read as the CLI reads it; prints both and the regime count
+REGIMES = """import sys, time
 from anonytope.anonymity import compute_regimes
-from anonytope.geometry import NormalizedDataset
-with open(sys.argv[1]) as f:
-    rows = [[float(v) for v in r] for r in list(csv.reader(f))[1:]]
-d = len(rows[0])
-data = NormalizedDataset(rows, ((0.0, 1.0),) * d,
-                         tuple(range(1, len(rows) + 1)),
-                         tuple(f"x{j}" for j in range(d)))
+from anonytope.cli import RunConfig, ingest_csv
+from anonytope.geometry import normalize_dataset
+data = normalize_dataset(ingest_csv(sys.argv[1],
+                                    RunConfig(quasi=sys.argv[2:])))
 start = time.perf_counter()
 data.merge_tree
 built = time.perf_counter()
@@ -158,10 +159,12 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     _, command, _, d, extra, case_env = case
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.update(case_env)
-    table = ["--input", str(csv), "--quasi", *(f"x{j}" for j in range(d))]
+    quasi = [f"x{j}" for j in range(d)]
+    table = ["--input", str(csv), "--quasi", *quasi]
     if command is None:
-        argv = [sys.executable, "-c", REGIMES, str(csv)]
+        argv = [sys.executable, "-c", REGIMES, str(csv), *quasi]
     elif command == "import":
         argv = [sys.executable, "-c",
                 "".join(f"import {m}\n" for m in extra) + PEAK]
@@ -228,6 +231,9 @@ def main() -> None:
         for case, _ in cases:
             if case[2]:
                 write_rows(tmp / f"{case[0]}.csv", case[2], case[3])
+        for src in sides.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            str(Path(src).resolve())], check=True)
         for round_ in range(max(n for _, n in cases)):
             order = list(sides.items())[::-1 if round_ % 2 else 1]
             for case, repeat in cases:

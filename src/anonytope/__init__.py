@@ -15,22 +15,14 @@ _HOMES = {
                     "generalized_partition_at", "lattice_search",
                     "load_trees", "lower_chain", "upper_chain"),
     "cli": ("RunConfig", "ingest_csv"),
-    "geometry": ("Ball", "Column", "NormalizedDataset", "NumericTable",
+    "geometry": ("Ball", "NormalizedDataset", "NumericTable",
                  "min_enclosing_ball", "normalize_dataset"),
     "homology": ("Barcode", "barcode"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items()
             for name in names}
 
-__all__ = [
-    "AnonymityVerdict", "Ball", "Barcode", "Column", "GeneralizationLattice",
-    "GeneralizationTree", "NormalizedDataset", "NumericTable", "Regime",
-    "RunConfig", "barcode", "build_lattice", "chain_sweep",
-    "check_k_anonymity", "compute_regimes", "generalize_table",
-    "generalize_value", "generalized_partition_at", "ingest_csv",
-    "lattice_search", "load_trees", "lower_chain", "min_enclosing_ball",
-    "minimal_epsilon", "normalize_dataset", "upper_chain",
-]
+__all__ = sorted(_HOME_OF)
 
 __version__ = "0.1.0"
 

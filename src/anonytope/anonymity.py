@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
                      ContractViolation, InfeasibleError)
 from .geometry import NormalizedDataset, NumericTable
@@ -130,23 +132,23 @@ def generalize_table(table: NumericTable, data: NormalizedDataset,
                      regime: Regime) -> GeneralizedTable:
     """Replace each quasi-identifier by its class-wide [min, max] range
     in original units."""
-    covered = sorted(v for c in regime.classes for v in c)
-    if covered != sorted(data.row_ids):
+    order = [rid - 1 for cls in regime.classes for rid in cls]
+    if sorted(order) != list(range(data.n_points)) \
+            or not all(regime.classes):
         raise ContractViolation("regime classes do not partition the rows")
-    qi = table.quasi_names
-    class_of = {}
-    intervals = {}
+    class_ids = [0] * data.n_points
     for cid, cls in enumerate(regime.classes):
         for rid in cls:
-            class_of[rid] = cid
-        cols = []
-        for name in qi:
-            vals = [float(table.rows[rid - 1][name]) for rid in cls]
-            cols.append((min(vals), max(vals)))
-        intervals[cid] = tuple(cols)
-    rows = tuple(intervals[class_of[rid]] for rid in data.row_ids)
-    return GeneralizedTable(qi_names=tuple(qi), rows=rows,
-                            class_ids=tuple(class_of[r] for r in data.row_ids))
+            class_ids[rid - 1] = cid
+    # the rows class by class, so one reduceat gives every class's range
+    block = table.rows[order]
+    starts = np.cumsum([0] + [len(cls) for cls in regime.classes[:-1]])
+    intervals = [tuple(zip(lo, hi)) for lo, hi in zip(
+        np.minimum.reduceat(block, starts).tolist(),
+        np.maximum.reduceat(block, starts).tolist())]
+    return GeneralizedTable(qi_names=tuple(table.quasi_names),
+                            rows=tuple(intervals[c] for c in class_ids),
+                            class_ids=tuple(class_ids))
 
 
 def regime_report(k: int, regimes: list[Regime]) -> dict:

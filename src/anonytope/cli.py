@@ -80,8 +80,9 @@ class RunConfig:
 
 
 def ingest_csv(path, config: RunConfig, categorical: bool = False):
-    """Parse the CSV into a typed table, or, if categorical, a list of
-    string tuples over the quasi columns."""
+    """Parse the CSV into a NumericTable of its quasi-identifier columns,
+    or, if categorical, a list of string tuples over the quasi columns.
+    A column that --identifiers or --sensitive also names is left out."""
     try:
         with open_utf8(path, newline="") as fh:
             records = [r for r in csv.reader(fh) if r]  # blank lines skipped
@@ -94,41 +95,38 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
         if header.count(name) > 1:
             raise IngestionError(f"{path}: column {name!r} is named twice "
                                  f"in the header")
-    raw_rows = []
     for i, record in enumerate(records[1:], start=1):
         if len(record) != len(header):
             raise IngestionError(f"row {i} has {len(record)} fields, "
                                  f"header has {len(header)}")
-        raw_rows.append(dict(zip(header, (v.strip() for v in record))))
-    if not raw_rows:
+    if len(records) == 1:
         raise IngestionError(f"{path}: no data rows")
     for name in config.quasi + config.identifiers + config.sensitive:
         if name not in header:
             raise IngestionError(f"column {name!r} not found in {path}")
+    # the --quasi cells of each row, in --quasi order
+    at = [header.index(name) for name in config.quasi]
+    cells = [[record[j].strip() for j in at] for record in records[1:]]
 
     if categorical:
-        return [tuple(row[name] for name in config.quasi)
-                for row in raw_rows]
+        return list(map(tuple, cells))
 
-    from .geometry import (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE,
-                           Column, NumericTable)
-    roles = {name: ROLE_QUASI for name in config.quasi}
-    roles.update({name: ROLE_IDENTIFIER for name in config.identifiers})
-    roles.update({name: ROLE_SENSITIVE for name in config.sensitive})
-    columns = [Column(name, roles.get(name, ROLE_SENSITIVE))
-               for name in header]
-    rows = []
-    for i, row in enumerate(raw_rows, start=1):
-        typed = dict(row)
-        for name in config.quasi:
+    from .geometry import NumericTable
+    values = []
+    for i, row in enumerate(cells, start=1):
+        values.append(parsed := [])
+        for name, v in zip(config.quasi, row):
             try:
-                typed[name] = float(row[name])
+                parsed.append(float(v))
             except ValueError:
-                raise IngestionError(
-                    f"row {i}, column {name!r}: cannot parse "
-                    f"{row[name]!r} as a number") from None
-        rows.append(typed)
-    return NumericTable(columns=columns, rows=rows)
+                raise IngestionError(f"row {i}, column {name!r}: cannot "
+                                     f"parse {v!r} as a number") from None
+    # the table keeps its columns in header order
+    others = config.identifiers + config.sensitive
+    keep = sorted({at[j]: j for j, name in enumerate(config.quasi)
+                   if name not in others}.items())
+    return NumericTable([header[h] for h, _ in keep],
+                        [[row[j] for _, j in keep] for row in values])
 
 
 def _fmt_value(v: float) -> str:

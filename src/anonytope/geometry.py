@@ -22,12 +22,6 @@ import numpy as np
 
 from .errors import ContractViolation, IngestionError
 
-ROLE_IDENTIFIER = "identifier"
-ROLE_QUASI = "quasi_identifier"
-ROLE_SENSITIVE = "sensitive"
-
-ROLES = (ROLE_IDENTIFIER, ROLE_QUASI, ROLE_SENSITIVE)
-
 # containment slack used when checking points against a candidate ball
 _CONTAIN_TOL = 1e-12
 
@@ -39,42 +33,26 @@ MEB_REL_TOL = 1e-9
 # ``dataclasses`` costs every numeric command its import.
 
 
-class Column(NamedTuple):
-    name: str
-    role: str           # one of ROLES, checked by NumericTable
-
-
 class NumericTable:
-    """A typed table whose quasi-identifier cells are finite reals."""
+    """The quasi-identifier columns of a table: their names, and one row
+    of finite reals per table row as an (N, d) float array.  A row's id
+    is its 1-based position."""
 
-    def __init__(self, columns: list[Column], rows: list[dict]):
-        self.columns = columns
-        self.rows = rows
-        if not rows:
+    def __init__(self, quasi_names: list[str], rows):
+        self.quasi_names = list(quasi_names)
+        if not len(rows):
             raise IngestionError("table has no data rows")
-        for c in columns:
-            if c.role not in ROLES:
-                raise IngestionError(f"unknown column role {c.role!r} "
-                                     f"for column {c.name!r}")
-        names = [c.name for c in columns]
-        if len(set(names)) != len(names):
+        if len(set(self.quasi_names)) != len(self.quasi_names):
             raise IngestionError("duplicate column names")
         if not self.quasi_names:
             raise IngestionError("no quasi-identifier columns declared")
-        for i, row in enumerate(rows, start=1):
-            if set(row) != set(names):
-                raise IngestionError(f"row {i} does not match the schema")
-            for name in self.quasi_names:
-                v = row[name]
-                if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                        or not math.isfinite(float(v)):
-                    raise IngestionError(
-                        f"row {i}, column {name!r}: value {v!r} is not a "
-                        f"finite number")
-
-    @property
-    def quasi_names(self) -> list[str]:
-        return [c.name for c in self.columns if c.role == ROLE_QUASI]
+        self.rows = np.asarray(rows, float)
+        bad = np.flatnonzero(~np.isfinite(self.rows))
+        if len(bad):
+            i, j = divmod(int(bad[0]), self.rows.shape[1])
+            raise IngestionError(
+                f"row {i + 1}, column {self.quasi_names[j]!r}: value "
+                f"{float(self.rows[i, j])!r} is not a finite number")
 
     @property
     def n_rows(self) -> int:
@@ -84,19 +62,17 @@ class NumericTable:
 class NormalizedDataset:
     """Rows mapped into the unit hypercube, one point per row.
 
-    Row ids are stable 1-based indices into the originating table.
+    A row's id is its 1-based position in the originating table.
     Immutable, with a read-only ``points`` array; a plain class because
     ``pair_distances`` and ``merge_tree`` are cached in the instance
     dict.
     """
 
-    def __init__(self, points, scale_params: tuple[tuple[float, float], ...],
-                 row_ids: tuple[int, ...], qi_names: tuple[str, ...]):
+    def __init__(self, points, scale_params: tuple[tuple[float, float], ...]):
         points = np.asarray(points, float)      # shape (N, d), in [0, 1]
         points.setflags(write=False)
         # scale_params: per-column (min, max) in original units
-        vars(self).update(points=points, scale_params=scale_params,
-                          row_ids=row_ids, qi_names=qi_names)
+        vars(self).update(points=points, scale_params=scale_params)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,6 +87,10 @@ class NormalizedDataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @property
+    def row_ids(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n_points + 1))
 
     @cached_property
     def pair_distances(self) -> np.ndarray:
@@ -127,7 +107,7 @@ class NormalizedDataset:
     @cached_property
     def merge_tree(self) -> "MergeTree":
         """Single linkage of the rows, built on first use and kept."""
-        return MergeTree(self.points, self.row_ids)
+        return MergeTree(self.points)
 
 
 class Ball(NamedTuple):
@@ -142,8 +122,7 @@ def normalize_dataset(table: NumericTable) -> NormalizedDataset:
     separates rows, so pinning it costs nothing and keeps the map total.
     A column whose range overflows a float is scaled from its halves.
     """
-    qi = table.quasi_names
-    raw = np.array([[float(row[name]) for name in qi] for row in table.rows])
+    raw = table.rows
     scale = []
     pts = np.zeros_like(raw)
     for j in range(raw.shape[1]):
@@ -154,12 +133,7 @@ def normalize_dataset(table: NumericTable) -> NormalizedDataset:
             col, lo, hi = col / 2.0, lo / 2.0, hi / 2.0
         if hi > lo:
             pts[:, j] = (col - lo) / (hi - lo)
-    return NormalizedDataset(
-        points=pts,
-        scale_params=tuple(scale),
-        row_ids=tuple(range(1, table.n_rows + 1)),
-        qi_names=tuple(qi),
-    )
+    return NormalizedDataset(points=pts, scale_params=tuple(scale))
 
 
 def _dist(a, b) -> float:
@@ -323,14 +297,13 @@ class MergeTree:
     so the merge edges are the edges that kill H0 bars there.
 
     The MEB of the component each merge forms is computed on first use,
-    grown from the larger of its two children's MEBs, each computed
-    first; so a radius depends on the tree alone, not on the order in
-    which radii are asked for.
+    with those of every earlier merge, grown from the larger of its two
+    children's MEBs; so a radius depends on the tree alone, not on the
+    order in which radii are asked for.
     """
 
-    def __init__(self, points: np.ndarray, row_ids: tuple[int, ...]):
+    def __init__(self, points: np.ndarray):
         self.points = points
-        self.ids = np.asarray(row_ids)
         n = len(points)
         root = list(range(n))
 
@@ -351,9 +324,9 @@ class MergeTree:
         self.edge = np.array(edge, dtype=np.intp)
         self.survivor = np.array(survivor, dtype=np.intp)
         self.dying = np.array(dying, dtype=np.intp)
-        # per merge, (radius, center, support) of its component's MEB,
-        # once computed
-        self._balls: list[tuple | None] = [None] * len(dying)
+        # (radius, center, support) of the MEB of the component each
+        # merge forms, for the merges computed so far
+        self._balls: list[tuple] = []
 
     def cut(self, eps: float) -> int:
         """How many merges have happened at radius eps (closed balls)."""
@@ -370,13 +343,13 @@ class MergeTree:
         return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
 
     def row_ids(self, component: np.ndarray) -> tuple[int, ...]:
-        return tuple(self.ids[component].tolist())
+        return tuple([row + 1 for row in component.tolist()])
 
     def radii(self, merges: int):
         """The MEB radius of each component after the given number of
         merges, in the order of components(merges).  A component's
-        radius, and those below it in the tree, are computed when it is
-        reached."""
+        radius, and those of the merges before its own, are computed
+        when it is reached."""
         latest = dict(zip(self.survivor[:merges].tolist(), range(merges)))
         alive = np.ones(len(self.points), bool)
         alive[self.dying[:merges]] = False
@@ -454,24 +427,19 @@ class MergeTree:
 
     def _ball(self, j: int) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """(radius, center, support) of the component merge j forms,
-        grown from its larger child's ball; each merge below it is
-        computed first."""
-        if self._balls[j] is None:
-            todo, pending = [], [j]
-            while pending:
-                x = pending.pop()
-                todo.append(x)
-                pending += [c for c in self._children[x]
-                            if c >= 0 and self._balls[c] is None]
-            points, spans = self._slices
-            for x in sorted(todo):      # children before their parent
-                kids = [self._balls[c] if c >= 0
-                        else (0.0, self.points[~c], [self.points[~c]])
-                        for c in self._children[x]]
-                start, stop = spans[x]
-                radius, center, support = _enclose(
-                    points[start:stop], max(kids, key=lambda b: b[0]))
-                # MEB is monotone; the children's radii bound float noise
-                self._balls[x] = (max(radius, kids[0][0], kids[1][0]),
-                                  center, support)
+        grown from its larger child's ball.  Balls are computed in merge
+        order up to j, so a merge's children come before it; each
+        earlier merge lies below j or below a component alive after j,
+        whose radius regime_table and a passing check read too."""
+        points, spans = self._slices
+        for x in range(len(self._balls), j + 1):
+            kids = [self._balls[c] if c >= 0
+                    else (0.0, self.points[~c], [self.points[~c]])
+                    for c in self._children[x]]
+            start, stop = spans[x]
+            radius, center, support = _enclose(
+                points[start:stop], max(kids, key=lambda b: b[0]))
+            # MEB is monotone; the children's radii bound float noise
+            self._balls.append((max(radius, kids[0][0], kids[1][0]),
+                                center, support))
         return self._balls[j]

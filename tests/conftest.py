@@ -5,8 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from anonytope.geometry import (ROLE_QUASI, ROLE_SENSITIVE, Column,
-                                NumericTable, normalize_dataset)
+from anonytope.geometry import NumericTable, normalize_dataset
 
 AGES = [25, 22, 24, 43, 52, 38, 47, 36, 32]
 ZIPS = [47677, 47602, 47678, 47905, 47909, 47906, 47605, 47673, 47607]
@@ -30,11 +29,7 @@ country:
 
 @pytest.fixture
 def sample_table() -> NumericTable:
-    cols = [Column("Age", ROLE_QUASI), Column("ZIP", ROLE_QUASI),
-            Column("Salary", ROLE_SENSITIVE)]
-    rows = [{"Age": a, "ZIP": z, "Salary": s}
-            for a, z, s in zip(AGES, ZIPS, SALARIES)]
-    return NumericTable(columns=cols, rows=rows)
+    return NumericTable(["Age", "ZIP"], list(zip(AGES, ZIPS)))
 
 
 @pytest.fixture

@@ -37,11 +37,7 @@ def dataset(points) -> NormalizedDataset:
     pts = np.asarray(points, float)
     d = pts.shape[1]
     return NormalizedDataset(
-        points=pts,
-        scale_params=tuple((0.0, 1.0) for _ in range(d)),
-        row_ids=tuple(range(1, len(pts) + 1)),
-        qi_names=tuple(f"q{j}" for j in range(d)),
-    )
+        points=pts, scale_params=tuple((0.0, 1.0) for _ in range(d)))
 
 
 def subset(data: NormalizedDataset, row_ids) -> np.ndarray:
@@ -274,10 +270,9 @@ def kruskal_tree(points) -> MergeTree:
             dying.append(rb)
     tree = MergeTree.__new__(MergeTree)     # not built by Prim
     tree.points, tree.height = data.points, height
-    tree.ids = np.asarray(data.row_ids)
     tree.edge, tree.survivor, tree.dying = (
         np.array(x, dtype=np.intp) for x in (edge, survivor, dying))
-    tree._balls = [None] * len(dying)
+    tree._balls = []
     return tree
 
 

@@ -12,7 +12,7 @@ from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
                                  generalize_table, minimal_epsilon,
                                  regime_report)
 from anonytope import geometry
-from anonytope.errors import InfeasibleError
+from anonytope.errors import ContractViolation, InfeasibleError
 from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, dist,
@@ -251,6 +251,17 @@ class TestGeneralize:
         assert gen.rows[3] == ((38.0, 52.0), (47905.0, 47909.0))
         assert gen.rows[6] == ((32.0, 47.0), (47605.0, 47673.0))
 
+    @pytest.mark.parametrize("classes", [
+        ((1, 2, 3), (4, 5, 6), (7, 8)),             # row 9 left out
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9), (3,)),    # row 3 twice
+        ((1, 2, 3), (), (4, 5, 6, 7, 8, 9)),        # an empty class
+    ])
+    def test_classes_must_partition_the_rows(self, sample_table,
+                                             sample_data, classes):
+        regime = Regime(eps_lo=0.0, eps_hi=None, classes=classes)
+        with pytest.raises(ContractViolation, match="do not partition"):
+            generalize_table(sample_table, sample_data, regime)
+
     def test_singleton_class_degenerate_interval(self, sample_table,
                                                  sample_data):
         regime = Regime(eps_lo=0.0, eps_hi=None,
@@ -261,10 +272,9 @@ class TestGeneralize:
     def test_soundness_and_uniform_classes(self, sample_table, sample_data):
         regimes = compute_regimes(sample_data, 3)
         gen = generalize_table(sample_table, sample_data, regimes[0])
-        for rid, row in enumerate(gen.rows, start=1):
-            for j, name in enumerate(gen.qi_names):
-                lo, hi = row[j]
-                assert lo <= float(sample_table.rows[rid - 1][name]) <= hi
+        for row, values in zip(gen.rows, sample_table.rows):
+            for (lo, hi), value in zip(row, values):
+                assert lo <= value <= hi
         by_class = {}
         for row, cid in zip(gen.rows, gen.class_ids):
             by_class.setdefault(cid, set()).add(row)

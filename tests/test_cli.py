@@ -27,8 +27,15 @@ class TestIngest:
     def test_sample_csv(self, sample_csv):
         table = ingest_csv(sample_csv, config_for(sample_csv))
         assert table.n_rows == 9
-        assert len(table.quasi_names) == 2
-        assert table.rows[0]["Age"] == 25.0
+        assert table.quasi_names == ["Age", "ZIP"]
+        assert table.rows[0].tolist() == [25.0, 47677.0]
+
+    def test_quasi_columns_in_header_order(self, sample_csv):
+        # a column --sensitive also names is not a quasi-identifier
+        cfg = config_for(sample_csv, quasi=["ZIP", "Salary", "Age"])
+        table = ingest_csv(sample_csv, cfg)
+        assert table.quasi_names == ["Age", "ZIP"]
+        assert table.rows[0].tolist() == [25.0, 47677.0]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -101,6 +108,30 @@ class TestExitPaths:
         assert self.check_on(path, "a", "b") == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == \
             "error: row 1 has 3 fields, header has 2\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "anonymize"])
+    @pytest.mark.parametrize("cell, value", [("nan", "nan"), ("inf", "inf"),
+                                             ("-inf", "-inf"),
+                                             ("1e999", "inf")])
+    def test_non_finite_cell_is_input_error(self, tmp_path, capsys, command,
+                                            cell, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n{cell},4\n")
+        rc = run_cli(command, "--input", str(path), "--quasi", "a", "b",
+                     "--out", str(tmp_path / "out"))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"error: row 2, column 'b': value "
+                                           f"{value} is not a finite number\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--identifiers", "--sensitive"])
+    def test_missing_named_column_is_input_error(self, sample_csv, capsys,
+                                                 flag):
+        rc = run_cli("check", "--input", str(sample_csv), "--quasi", "Age",
+                     "ZIP", flag, "Name", "--k", "1", "--eps", "0.1")
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == \
+            ("", f"error: column 'Name' not found in {sample_csv}\n")
 
     def test_oversized_filtration_is_input_error(self, tmp_path, capsys):
         # C(40, 6) = 3,838,380 six-vertex simplices alone exceed the
@@ -755,8 +786,7 @@ def test_filtration_peak_rss_at_simplex_budget():
              "from anonytope.complexes import simplex_births; "
              "from anonytope.geometry import NormalizedDataset; "
              "pts = np.random.default_rng(228).random((228, 2)); "
-             "data = NormalizedDataset(pts, ((0.0, 1.0),) * 2, "
-             "tuple(range(1, 229)), ('x', 'y')); "
+             "data = NormalizedDataset(pts, ((0.0, 1.0),) * 2); "
              "print(len(simplex_births(data, 3, simplex_births(data, 2))))")
     proc, peak = peak_rss_mib(sys.executable, "-c", build)
     assert proc.returncode == EXIT_OK, proc.stderr

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonytope.errors import ContractViolation, IngestionError
-from anonytope.geometry import (MEB_REL_TOL, ROLE_QUASI, ROLE_SENSITIVE,
-                                Column, NumericTable, min_enclosing_ball,
-                                normalize_dataset)
+from anonytope.geometry import (MEB_REL_TOL, NumericTable,
+                                min_enclosing_ball, normalize_dataset)
 
 from oracles import (balls_intersect, boundary_matrix, dataset,
                      filtration_births, filtration_entries, kruskal_tree,
@@ -23,12 +22,9 @@ points_2d = st.lists(
     min_size=1, max_size=10)
 
 
-def make_table(values, roles=None):
+def make_table(values):
     names = [f"c{i}" for i in range(len(values[0]) if values else 1)]
-    roles = roles or [ROLE_QUASI] * len(names)
-    cols = [Column(n, r) for n, r in zip(names, roles)]
-    return NumericTable(columns=cols,
-                        rows=[dict(zip(names, row)) for row in values])
+    return NumericTable(names, values)
 
 
 class TestNormalize:
@@ -45,13 +41,15 @@ class TestNormalize:
         assert np.allclose(sample_data.points[1 - 1],
                            [(25 - 22) / 30, (47677 - 47602) / 307])
 
-    def test_non_quasi_columns_excluded(self, sample_data):
+    def test_non_quasi_columns_excluded(self, sample_table, sample_data):
         assert sample_data.dim == 2
-        assert sample_data.qi_names == ("Age", "ZIP")
+        assert sample_table.quasi_names == ["Age", "ZIP"]
 
     def test_non_numeric_cell_names_row_and_column(self):
-        with pytest.raises(IngestionError, match=r"row 2.*c0"):
-            make_table([(1, 2), ("oops", 3)])
+        # the first non-finite cell in row-major order is named
+        with pytest.raises(IngestionError, match=r"^row 2, column 'c1': "
+                           r"value inf is not a finite number$"):
+            make_table([(1, 2), (3, math.inf), (math.nan, 4)])
 
     def test_empty_table_rejected(self):
         with pytest.raises(IngestionError):
