@@ -38,7 +38,7 @@ def main():
             print(f"  eps in [{r.eps_lo:.6f}, {hi}): "
                   f"{r.n_classes} classes {r.classes}")
         eps, regime = minimal_epsilon(data, k, OBJECTIVE_SMALLEST_EPS)
-        gen = generalize_table(table, data, regime)
+        gen = generalize_table(table, regime)
         print(f"  smallest-eps generalization (eps = {eps:.6f}):")
         for row in gen.rows:
             print("    " + ", ".join(f"[{lo:g}-{hi:g}]" for lo, hi in row))

@@ -10,8 +10,7 @@ import importlib
 _HOMES = {
     "anonymity": ("AnonymityVerdict", "Regime", "check_k_anonymity",
                   "compute_regimes", "generalize_table", "minimal_epsilon"),
-    "categorical": ("GeneralizationLattice", "GeneralizationTree",
-                    "build_lattice", "chain_sweep", "generalize_value",
+    "categorical": ("GeneralizationTree", "chain_sweep", "generalize_value",
                     "generalized_partition_at", "lattice_search",
                     "load_trees", "lower_chain", "upper_chain"),
     "cli": ("RunConfig", "ingest_csv"),

@@ -128,15 +128,14 @@ def minimal_epsilon(data: NormalizedDataset, k: int,
     return best.eps_lo, best
 
 
-def generalize_table(table: NumericTable, data: NormalizedDataset,
-                     regime: Regime) -> GeneralizedTable:
+def generalize_table(table: NumericTable, regime: Regime) -> GeneralizedTable:
     """Replace each quasi-identifier by its class-wide [min, max] range
     in original units."""
     order = [rid - 1 for cls in regime.classes for rid in cls]
-    if sorted(order) != list(range(data.n_points)) \
+    if sorted(order) != list(range(table.n_rows)) \
             or not all(regime.classes):
         raise ContractViolation("regime classes do not partition the rows")
-    class_ids = [0] * data.n_points
+    class_ids = [0] * table.n_rows
     for cid, cls in enumerate(regime.classes):
         for rid in cls:
             class_ids[rid - 1] = cid

@@ -172,30 +172,6 @@ def load_trees(path) -> list[GeneralizationTree]:
     return trees_from_dict(spec)
 
 
-class GeneralizationLattice(NamedTuple):
-    heights: tuple[int, ...]
-
-    @property
-    def node_count(self) -> int:
-        out = 1
-        for h in self.heights:
-            out *= h + 1
-        return out
-
-    def nodes(self) -> list[LatticeNode]:
-        return sorted(product(*(range(h + 1) for h in self.heights)))
-
-    @property
-    def bottom(self) -> LatticeNode:
-        return tuple(0 for _ in self.heights)
-
-
-def build_lattice(trees: list[GeneralizationTree]) -> GeneralizationLattice:
-    if not trees:
-        raise ContractViolation("at least one tree is required")
-    return GeneralizationLattice(heights=tuple(t.height for t in trees))
-
-
 def _ancestor_chains(rows, trees) -> list[list[tuple[str, ...]]]:
     """Per attribute, each row's ancestor chain in that attribute's tree:
     entry ``[a][i][level]`` is row i + 1's value of attribute a
@@ -256,7 +232,6 @@ class ChainStep(NamedTuple):
 
 
 class ChainReport(NamedTuple):
-    path: tuple[LatticeNode, ...]
     steps: tuple[ChainStep, ...]
     k: int
     # weighted H0 over path index: births, deaths and weight steps are
@@ -314,28 +289,30 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
     bars = tuple(sorted(
         (Bar(0, 0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
         key=lambda b: (b.death is None, b.death or 0, b.weight_steps)))
-    return ChainReport(path=path, steps=tuple(steps), k=k, h0_bars=bars)
+    return ChainReport(steps=tuple(steps), k=k, h0_bars=bars)
 
 
-def lower_chain(lattice: GeneralizationLattice) -> list[LatticeNode]:
+def lower_chain(heights: tuple[int, ...]) -> list[LatticeNode]:
     """Bottom row of the lattice diagram: all attributes at level 0, the
     last one swept from 0 to its height."""
-    base = list(lattice.bottom)
-    return [tuple(base[:-1]) + (s,) for s in range(lattice.heights[-1] + 1)]
+    return [(0,) * (len(heights) - 1) + (s,) for s in range(heights[-1] + 1)]
 
 
-def upper_chain(lattice: GeneralizationLattice) -> list[LatticeNode]:
+def upper_chain(heights: tuple[int, ...]) -> list[LatticeNode]:
     """Top row: all attributes but the last at their maximum level."""
-    return [tuple(lattice.heights[:-1]) + (s,)
-            for s in range(lattice.heights[-1] + 1)]
+    return [tuple(heights[:-1]) + (s,) for s in range(heights[-1] + 1)]
 
 
 class LatticeSearchResult(NamedTuple):
-    strategy: str
     nodes: tuple[LatticeNode, ...]          # earliest k-anonymous nodes
     reports: tuple[ChainReport, ...]
-    upper_chain_skipped: bool
     note: str
+
+    @property
+    def upper_chain_skipped(self) -> bool:
+        # lower_then_upper stops after one chain when the lower hits or
+        # is the upper too; exhaustive sweeps no chain
+        return len(self.reports) == 1
 
 
 def lattice_search(rows, trees, k: int,
@@ -354,55 +331,52 @@ def lattice_search(rows, trees, k: int,
     after the first sum that has a k-anonymous node: raising a level
     only merges classes, so no later node can lower that sum.
     """
-    lattice = build_lattice(trees)
+    if not trees:
+        raise ContractViolation("at least one tree is required")
+    heights = tuple(t.height for t in trees)
     if strategy == STRATEGY_EXHAUSTIVE:
         chains = _ancestor_chains(rows, trees)
-        for _, same_sum in groupby(sorted(lattice.nodes(), key=sum), key=sum):
+        # product yields the nodes in lexicographic order, which the
+        # stable sort keeps within each level sum
+        nodes = product(*(range(h + 1) for h in heights))
+        for _, same_sum in groupby(sorted(nodes, key=sum), key=sum):
             minimal = tuple(
                 node for node in same_sum
                 if all(size >= k
                        for size in Counter(_keys_at(chains, node)).values()))
             if minimal:
                 return LatticeSearchResult(
-                    strategy=strategy, nodes=minimal, reports=(),
-                    upper_chain_skipped=False,
+                    nodes=minimal, reports=(),
                     note=("exhaustive search in ascending level sum, stopped "
                           "after the least sum with a k-anonymous node"))
         return LatticeSearchResult(
-            strategy=strategy, nodes=(), reports=(),
-            upper_chain_skipped=False,
+            nodes=(), reports=(),
             note=f"no lattice node achieves {k}-anonymity")
 
     if strategy != STRATEGY_LOWER_THEN_UPPER:
         raise ContractViolation(f"unknown strategy {strategy!r}")
 
-    lower = lower_chain(lattice)
+    lower = lower_chain(heights)
     lower_report = chain_sweep(rows, trees, lower, k)
     hit = lower_report.first_anonymous_node
     if hit is not None:
         return LatticeSearchResult(
-            strategy=strategy, nodes=(hit,), reports=(lower_report,),
-            upper_chain_skipped=True,
+            nodes=(hit,), reports=(lower_report,),
             note="lower chain achieved k-anonymity; upper chain skipped")
 
-    upper = upper_chain(lattice)
+    upper = upper_chain(heights)
     if upper == lower:
         return LatticeSearchResult(
-            strategy=strategy, nodes=(), reports=(lower_report,),
-            upper_chain_skipped=True,
+            nodes=(), reports=(lower_report,),
             note=f"the single chain never achieves {k}-anonymity")
     upper_report = chain_sweep(rows, trees, upper, k)
     hit = upper_report.first_anonymous_node
     if hit is not None:
         return LatticeSearchResult(
-            strategy=strategy, nodes=(hit,),
-            reports=(lower_report, upper_report),
-            upper_chain_skipped=False,
+            nodes=(hit,), reports=(lower_report, upper_report),
             note="upper chain achieved k-anonymity after the lower failed")
     return LatticeSearchResult(
-        strategy=strategy, nodes=(),
-        reports=(lower_report, upper_report),
-        upper_chain_skipped=False,
+        nodes=(), reports=(lower_report, upper_report),
         note=(f"no lattice node achieves {k}-anonymity: the top node puts "
               f"all {len(rows)} rows in one class"))
 

@@ -243,7 +243,7 @@ def cmd_anonymize(config: RunConfig) -> int:
                       file=sys.stderr)
                 break
         return EXIT_INFEASIBLE
-    gen = generalize_table(table, data, regime)
+    gen = generalize_table(table, regime)
     lines = [",".join(gen.qi_names)]
     for row in gen.rows:
         lines.append(",".join(_fmt_interval(lo, hi) for lo, hi in row))
@@ -294,7 +294,7 @@ def cmd_lattice_sweep(config: RunConfig) -> int:
     out_dir = Path(config.out)
     payload = {
         "k": k,
-        "strategy": result.strategy,
+        "strategy": config.strategy,
         "nodes": [list(n) for n in result.nodes],
         "upper_chain_skipped": result.upper_chain_skipped,
         "note": result.note,

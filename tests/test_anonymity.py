@@ -240,13 +240,12 @@ class TestMinimalEpsilon:
 
 
 class TestGeneralize:
-    def test_reference_three_class_intervals(self, sample_table,
-                                             sample_data):
+    def test_reference_three_class_intervals(self, sample_table):
         # interval construction checked against the known 3-class
         # grouping, independent of whether a sweep selects it
         regime = Regime(eps_lo=0.0, eps_hi=None,
                         classes=((1, 2, 3), (4, 5, 6), (7, 8, 9)))
-        gen = generalize_table(sample_table, sample_data, regime)
+        gen = generalize_table(sample_table, regime)
         assert gen.rows[0] == ((22.0, 25.0), (47602.0, 47678.0))
         assert gen.rows[3] == ((38.0, 52.0), (47905.0, 47909.0))
         assert gen.rows[6] == ((32.0, 47.0), (47605.0, 47673.0))
@@ -256,22 +255,20 @@ class TestGeneralize:
         ((1, 2, 3), (4, 5, 6), (7, 8, 9), (3,)),    # row 3 twice
         ((1, 2, 3), (), (4, 5, 6, 7, 8, 9)),        # an empty class
     ])
-    def test_classes_must_partition_the_rows(self, sample_table,
-                                             sample_data, classes):
+    def test_classes_must_partition_the_rows(self, sample_table, classes):
         regime = Regime(eps_lo=0.0, eps_hi=None, classes=classes)
         with pytest.raises(ContractViolation, match="do not partition"):
-            generalize_table(sample_table, sample_data, regime)
+            generalize_table(sample_table, regime)
 
-    def test_singleton_class_degenerate_interval(self, sample_table,
-                                                 sample_data):
+    def test_singleton_class_degenerate_interval(self, sample_table):
         regime = Regime(eps_lo=0.0, eps_hi=None,
                         classes=tuple((i,) for i in range(1, 10)))
-        gen = generalize_table(sample_table, sample_data, regime)
+        gen = generalize_table(sample_table, regime)
         assert gen.rows[0] == ((25.0, 25.0), (47677.0, 47677.0))
 
     def test_soundness_and_uniform_classes(self, sample_table, sample_data):
         regimes = compute_regimes(sample_data, 3)
-        gen = generalize_table(sample_table, sample_data, regimes[0])
+        gen = generalize_table(sample_table, regimes[0])
         for row, values in zip(gen.rows, sample_table.rows):
             for (lo, hi), value in zip(row, values):
                 assert lo <= value <= hi

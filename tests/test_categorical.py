@@ -4,9 +4,8 @@ import pytest
 
 from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
                                    STRATEGY_LOWER_THEN_UPPER,
-                                   GeneralizationTree, build_lattice,
-                                   chain_report_json, chain_sweep,
-                                   generalize_value,
+                                   GeneralizationTree, chain_report_json,
+                                   chain_sweep, generalize_value,
                                    generalized_partition_at, lattice_search,
                                    load_trees, lower_chain, trees_from_dict,
                                    upper_chain, validate_tree)
@@ -111,22 +110,25 @@ class TestGeneralizeValue:
                         ancestor_walk(tree, leaf, level)
 
 
-class TestLattice:
-    def test_gender_country_has_eight_nodes(self, trees):
-        lattice = build_lattice(trees)
-        assert lattice.node_count == 8
-        assert len(lattice.nodes()) == 8
-        assert lattice.bottom == (0, 0) and lattice.heights == (1, 3)
+class TestChains:
+    def test_gender_country_rows(self, trees):
+        heights = tuple(t.height for t in trees)
+        assert heights == (1, 3)
+        assert lower_chain(heights) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        assert upper_chain(heights) == [(1, 0), (1, 1), (1, 2), (1, 3)]
 
-    def test_single_tree_is_a_path(self, country):
-        lattice = build_lattice([country])
-        assert lattice.nodes() == [(0,), (1,), (2,), (3,)]
+    def test_single_tree_chains_coincide(self, country):
+        heights = (country.height,)
+        assert lower_chain(heights) == upper_chain(heights) \
+            == [(0,), (1,), (2,), (3,)]
 
     def test_unit_heights_diamond(self):
         spec = {"a": {"root": "A", "A": ["a1", "a2"]},
                 "b": {"root": "B", "B": ["b1", "b2"]}}
-        lattice = build_lattice(trees_from_dict(spec))
-        assert lattice.node_count == 4
+        heights = tuple(t.height for t in trees_from_dict(spec))
+        assert heights == (1, 1)
+        assert lower_chain(heights) == [(0, 0), (0, 1)]
+        assert upper_chain(heights) == [(1, 0), (1, 1)]
 
 
 class TestPartition:
@@ -349,9 +351,8 @@ def test_records_compare_by_value_and_are_immutable(trees):
     result = lattice_search(EURO_ROWS, trees, 3)
     assert lattice_search(EURO_ROWS, trees, 3) == result
     report = result.reports[0]
-    for record, name in ((trees[0], "root"), (build_lattice(trees), "heights"),
-                         (report.steps[0], "node"), (report, "k"),
-                         (result, "note")):
+    for record, name in ((trees[0], "root"), (report.steps[0], "node"),
+                         (report, "k"), (result, "note")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     with pytest.raises(AttributeError):

@@ -589,6 +589,46 @@ class TestLatticeTreesByName:
         assert doc["nodes"] == [[0]]
 
 
+EURO = "Male,Portugal\nFemale,Spain\nMale,Hungary\n"
+
+
+@pytest.mark.parametrize(
+    "rows, quasi, k, strategy, nodes, skipped, chains, note", [
+        (EURO, ("gender", "country"), 3, "exhaustive", [[1, 2]], False, 0,
+         "exhaustive search in ascending level sum, stopped after the "
+         "least sum with a k-anonymous node"),
+        (EURO, ("gender", "country"), 4, "exhaustive", [], False, 0,
+         "no lattice node achieves 4-anonymity"),
+        ("Male,Spain\nMale,Spain\n", ("gender", "country"), 2,
+         "lower_then_upper", [[0, 0]], True, 1,
+         "lower chain achieved k-anonymity; upper chain skipped"),
+        (EURO, ("country",), 4, "lower_then_upper", [], True, 1,
+         "the single chain never achieves 4-anonymity"),
+        (EURO, ("gender", "country"), 3, "lower_then_upper", [[1, 2]],
+         False, 2, "upper chain achieved k-anonymity after the lower failed"),
+        (EURO, ("gender", "country"), 4, "lower_then_upper", [], False, 2,
+         "no lattice node achieves 4-anonymity: the top node puts all 3 "
+         "rows in one class"),
+    ], ids=["exhaustive-found", "exhaustive-infeasible", "lower-hit",
+            "single-chain-fails", "upper-hit", "both-chains-fail"])
+def test_lattice_report_fields(tmp_path, trees_yaml, capsys, rows, quasi, k,
+                               strategy, nodes, skipped, chains, note):
+    """Every search outcome as lattice_k*.json and the exit code state it."""
+    path = tmp_path / "cat.csv"
+    path.write_text("gender,country\n" + rows)
+    out = tmp_path / "out"
+    rc = run_cli("lattice-sweep", "--input", str(path), "--quasi", *quasi,
+                 "--trees", str(trees_yaml), "--k", str(k),
+                 "--strategy", strategy, "--out", str(out))
+    doc = json.loads((out / f"lattice_k{k}.json").read_text())
+    assert (doc["k"], doc["strategy"], doc["nodes"]) == (k, strategy, nodes)
+    assert doc["upper_chain_skipped"] is skipped
+    assert doc["note"] == note
+    assert len(doc["chains"]) == chains
+    assert rc == (EXIT_OK if nodes else EXIT_INFEASIBLE)
+    assert capsys.readouterr().err == ("" if nodes else note + "\n")
+
+
 class TestYamlLoaders:
     """Files read with PyYAML's own parser in place of libyaml give the
     same documents and the same one-line errors."""

@@ -7,15 +7,18 @@ import pytest
 import anonytope
 
 PACKAGE = Path(anonytope.__file__).parent
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names to re-export them
+    # the package's __init__.py imports names to re-export them
+    paths = [p for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted(ROOT.glob("tests/*.py"))
+    paths += sorted(ROOT.glob("scripts/*.py"))
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree)
@@ -23,7 +26,7 @@ def test_no_module_imports_a_name_it_never_uses():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}"
+        unused += [f"{path.parent.name}/{path.name}: {name}"
                    for name in sorted(imported - used - {"annotations"})]
     assert unused == []
 
