@@ -29,6 +29,10 @@ The cases at scale, each run ``--repeat`` times:
   ``ingest_csv`` and min-max scaled by ``normalize_dataset`` as the CLI
   does, timed after the merge tree is built (its build time is recorded
   apart);
+- in-process ``check_k_anonymity`` at k = 1 and eps = 0.013 on the same
+  N = 2,000 rows in d = 2, read and timed the same way: there the first
+  component, of 29 rows, fails the ball test, so the check needs the
+  balls of its 28 merges alone;
 - ``barcode --dim-cap 2`` on N = 100, 200 and 228 rows in d = 2 (the
   last just under the simplex budget), the H1 reduction;
 - ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
@@ -111,14 +115,34 @@ built = time.perf_counter()
 count = sum(len(compute_regimes(data, k)) for k in (1, 2, 3, 5))
 print(built - start, time.perf_counter() - built, count)
 """
+# times the merge tree's build, then one check at k = 1 and the given eps
+# on the same dataset, which must fail at its first component; prints
+# both times
+CHECK = """import sys, time
+from anonytope.anonymity import FAIL_NOT_SIMPLEX, check_k_anonymity
+from anonytope.cli import RunConfig, ingest_csv
+from anonytope.geometry import normalize_dataset
+data = normalize_dataset(ingest_csv(sys.argv[1],
+                                    RunConfig(quasi=sys.argv[3:])))
+eps = float(sys.argv[2])
+start = time.perf_counter()
+tree = data.merge_tree
+built = time.perf_counter()
+verdict = check_k_anonymity(data, eps, 1)
+checked = time.perf_counter()
+first = tree.row_ids(tree.components(tree.cut(eps))[0])
+assert verdict.failure_reason == (FAIL_NOT_SIMPLEX, first), verdict
+print(built - start, checked - built)
+"""
 PINNED = {"OPENBLAS_NUM_THREADS": "1"}
 SWEEP = ["--k", "2", "3", "5", "--format", "json", "svg"]
 # the quartiles of 31 runs of a 0.2-0.3 s answer lie 20-30 ms apart on
 # 2 cores, so a 50 ms shift of the median shows
 FIXED_REPEAT = 31
 # (label, kind, N, d, arguments, environment): kind is a CLI subcommand,
-# "import" (arguments: the modules), "phases" (arguments: the CLI's) or
-# None (compute_regimes in-process)
+# "import" (arguments: the modules), "phases" (arguments: the CLI's),
+# None (compute_regimes in-process) or "in_check" (check_k_anonymity
+# in-process; arguments: the eps)
 FIXED_CASES = (
     ("interpreter", "import", 0, 0, [], {}),
     ("import_numpy_pool", "import", 0, 0, ["numpy"], {}),
@@ -141,6 +165,8 @@ SCALE_CASES = tuple(case + ({},) for case in (
     ("anonymize_k1_n1000_d5", "anonymize", 1000, 5, ["--k", "1"]),
     ("compute_regimes_k1235_n2000_d2", None, 2000, 2, []),
     ("compute_regimes_k1235_n1000_d5", None, 1000, 5, []),
+    ("check_in_process_k1_eps0.013_n2000_d2", "in_check", 2000, 2,
+     ["0.013"]),
     *((f"barcode_cap2_n{n}_d2", "barcode", n, 2, ["--dim-cap", "2"])
       for n in (100, 200, 228)),
     ("barcode_cap3_n48_d3", "barcode", 48, 3, ["--dim-cap", "3"]),
@@ -165,6 +191,8 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     table = ["--input", str(csv), "--quasi", *quasi]
     if command is None:
         argv = [sys.executable, "-c", REGIMES, str(csv), *quasi]
+    elif command == "in_check":
+        argv = [sys.executable, "-c", CHECK, str(csv), *extra, *quasi]
     elif command == "import":
         argv = [sys.executable, "-c",
                 "".join(f"import {m}\n" for m in extra) + PEAK]
@@ -190,6 +218,9 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
         return {"merge_tree_s": float(tree_s),
                 "compute_regimes_s": float(regimes_s),
                 "regimes": int(count)}
+    if command == "in_check":
+        tree_s, check_s = proc.stdout.split()
+        return {"merge_tree_s": float(tree_s), "check_s": float(check_s)}
     if command == "phases":
         numpy_s, package_s, main_s = proc.stdout.splitlines()[-1].split()
         return {"import_numpy_s": float(numpy_s),

@@ -264,7 +264,12 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
         raise ContractViolation("path must increment one level per step")
     for node in path:
         _check_node(trees, node)
-    chains = _ancestor_chains(rows, trees)
+    return _sweep(_ancestor_chains(rows, trees), path, k)
+
+
+def _sweep(chains, path, k: int) -> ChainReport:
+    """chain_sweep over the rows' ancestor chains, along a path that is
+    known to be valid."""
     steps = []
     for node in path:
         classes = _classes_at(chains, node)
@@ -333,9 +338,12 @@ def lattice_search(rows, trees, k: int,
     """
     if not trees:
         raise ContractViolation("at least one tree is required")
+    if strategy not in (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER):
+        raise ContractViolation(f"unknown strategy {strategy!r}")
     heights = tuple(t.height for t in trees)
+    # the rows are read and checked once, whichever chains are swept
+    chains = _ancestor_chains(rows, trees)
     if strategy == STRATEGY_EXHAUSTIVE:
-        chains = _ancestor_chains(rows, trees)
         # product yields the nodes in lexicographic order, which the
         # stable sort keeps within each level sum
         nodes = product(*(range(h + 1) for h in heights))
@@ -353,11 +361,8 @@ def lattice_search(rows, trees, k: int,
             nodes=(), reports=(),
             note=f"no lattice node achieves {k}-anonymity")
 
-    if strategy != STRATEGY_LOWER_THEN_UPPER:
-        raise ContractViolation(f"unknown strategy {strategy!r}")
-
     lower = lower_chain(heights)
-    lower_report = chain_sweep(rows, trees, lower, k)
+    lower_report = _sweep(chains, lower, k)
     hit = lower_report.first_anonymous_node
     if hit is not None:
         return LatticeSearchResult(
@@ -369,7 +374,7 @@ def lattice_search(rows, trees, k: int,
         return LatticeSearchResult(
             nodes=(), reports=(lower_report,),
             note=f"the single chain never achieves {k}-anonymity")
-    upper_report = chain_sweep(rows, trees, upper, k)
+    upper_report = _sweep(chains, upper, k)
     hit = upper_report.first_anonymous_node
     if hit is not None:
         return LatticeSearchResult(

@@ -217,9 +217,10 @@ def cmd_check(config: RunConfig) -> int:
               f"{len(verdict.classes)} classes: "
               + " ".join(str(list(c)) for c in verdict.classes))
         return EXIT_OK
-    reason = verdict.failure_reason
-    print(f"not {k}-anonymous at eps={config.eps:.6g}: {reason.kind} "
-          f"{list(reason.component)}", file=sys.stderr)
+    kind, rows = verdict.failure_reason
+    shown = ", ".join(map(str, rows[:10])) + (", ..." if rows[10:] else "")
+    print(f"not {k}-anonymous at eps={config.eps:.6g}: {kind} [{shown}] "
+          f"(size {len(rows)})", file=sys.stderr)
     return EXIT_INFEASIBLE
 
 

@@ -107,7 +107,7 @@ class NormalizedDataset:
     @cached_property
     def merge_tree(self) -> "MergeTree":
         """Single linkage of the rows, built on first use and kept."""
-        return MergeTree(self.points)
+        return MergeTree(self.points, _spanning_edges(self.points))
 
 
 class Ball(NamedTuple):
@@ -285,27 +285,35 @@ class MergeTree:
     """Single linkage of a point set: its 0-dimensional persistence.
 
     Single linkage is fixed by the minimum spanning tree (Gower & Ross
-    1969): the N-1 edges of _spanning_edges, in their (distance, pair
-    rank) order, replayed through one union-find pass.  Rows are
-    addressed by position; a component is rooted at its first row, and
-    merge j joins the component rooted at dying[j] into the elder one
-    rooted at survivor[j] < dying[j], along the row pair of rank edge[j]
-    (its index in NormalizedDataset.pair_distances), at pairwise
-    distance height[j].  Two rows share a component at radius eps
-    exactly when they are joined by merges of height <= 2 eps.  The
+    1969): its N-1 edges (distance, i, j), i < j, given in any order and
+    replayed in their (distance, pair rank) order through one union-find
+    pass.  Rows are addressed by position; a component is rooted at its
+    first row, and merge j joins the component rooted at dying[j] into
+    the elder one rooted at survivor[j] < dying[j], along the row pair of
+    rank edge[j] (its index in NormalizedDataset.pair_distances), at
+    pairwise distance height[j].  Two rows share a component at radius
+    eps exactly when they are joined by merges of height <= 2 eps.  The
     filtration orders its edges by a stable sort of half the distances,
     so the merge edges are the edges that kill H0 bars there.
 
-    The MEB of the component each merge forms is computed on first use,
-    with those of every earlier merge, grown from the larger of its two
-    children's MEBs; so a radius depends on the tree alone, not on the
-    order in which radii are asked for.
+    The pass records each merge once: its children, survivor's first
+    (the merge that formed each, or ~row for a single row), the size of
+    the component it forms, and where that component starts in one
+    order of the rows, in which every merge's component is a slice.
+    The MEB of a merge's component is computed on first use, grown from
+    the larger of its children's MEBs, which are computed first; so a
+    radius depends on the tree alone, not on the order in which radii
+    are asked for.
     """
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: np.ndarray,
+                 edges: list[tuple[float, int, int]]):
         self.points = points
         n = len(points)
-        root = list(range(n))
+        root, rows = list(range(n)), [1] * n
+        # each root's rows as a linked list with the root at its head,
+        # and the merge that formed its component
+        after, last, top = [-1] * n, list(range(n)), [~v for v in range(n)]
 
         def find(x):
             while root[x] != x:
@@ -313,20 +321,38 @@ class MergeTree:
             return x
 
         self.height, edge, survivor, dying = [], [], [], []
+        self.children, self.size = [], []
         # every spanning edge joins two components
-        for d, a, b in sorted(_spanning_edges(points)):
+        for j, (d, a, b) in enumerate(sorted(edges)):
             ra, rb = sorted((find(a), find(b)))
             root[rb] = ra
             self.height.append(d)
             edge.append(a * (2 * n - a - 1) // 2 + b - a - 1)
             survivor.append(ra)
             dying.append(rb)
+            self.children.append((top[ra], top[rb]))
+            top[ra] = j
+            rows[ra] += rows[rb]
+            self.size.append(rows[ra])
+            after[last[ra]], last[ra] = rb, last[rb]
+        # the roots' lists end to end: a merge's component is the size[j]
+        # rows from where its survivor stands, and the points are
+        # reordered so that it is one slice of them
+        order = []
+        for v in [v for v in range(n) if root[v] == v]:
+            while v >= 0:
+                order.append(v)
+                v = after[v]
+        place = np.empty(n, np.intp)
+        place[order] = np.arange(n)
+        self.start = place[survivor].tolist()
+        self._leaves = points[order]
         self.edge = np.array(edge, dtype=np.intp)
         self.survivor = np.array(survivor, dtype=np.intp)
         self.dying = np.array(dying, dtype=np.intp)
         # (radius, center, support) of the MEB of the component each
-        # merge forms, for the merges computed so far
-        self._balls: list[tuple] = []
+        # merge forms, by merge, for the merges computed so far
+        self._balls: dict[int, tuple] = {}
 
     def cut(self, eps: float) -> int:
         """How many merges have happened at radius eps (closed balls)."""
@@ -347,9 +373,8 @@ class MergeTree:
 
     def radii(self, merges: int):
         """The MEB radius of each component after the given number of
-        merges, in the order of components(merges).  A component's
-        radius, and those of the merges before its own, are computed
-        when it is reached."""
+        merges, in the order of components(merges).  Reaching a component
+        computes its radius and those of the merges under it alone."""
         latest = dict(zip(self.survivor[:merges].tolist(), range(merges)))
         alive = np.ones(len(self.points), bool)
         alive[self.dying[:merges]] = False
@@ -368,15 +393,13 @@ class MergeTree:
         merges' radii give them, and every k is a filter of this table.
         """
         n = len(self.points)
-        size, count = [1] * n, [0] * (n + 1)
+        count = [0] * (n + 1)       # components by size
         count[1] = n
         smallest, widest = [1], [0.0]
-        for j, (a, b) in enumerate(zip(self.survivor.tolist(),
-                                       self.dying.tolist())):
-            count[size[a]] -= 1
-            count[size[b]] -= 1
-            size[a] += size[b]
-            count[size[a]] += 1
+        for j, children in enumerate(self.children):
+            for child in children:
+                count[self.size[child] if child >= 0 else 1] -= 1
+            count[self.size[j]] += 1
             least = smallest[-1]
             while not count[least]:
                 least += 1
@@ -389,57 +412,28 @@ class MergeTree:
             table.append((lo, hi, merges, smallest[merges], widest[merges]))
         return table
 
-    @cached_property
-    def _children(self) -> list[tuple[int, int]]:
-        """Per merge, the two components it joins, the survivor's first:
-        the merge that formed it, or ~row for a single row."""
-        top = [~row for row in range(len(self.points))]
-        children = []
-        for j, (a, b) in enumerate(zip(self.survivor.tolist(),
-                                       self.dying.tolist())):
-            children.append((top[a], top[b]))
-            top[a] = j
-        return children
-
-    @cached_property
-    def _slices(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
-        """The points reordered so that each merge's component is one
-        slice of them, and per merge its (start, stop)."""
-        children = self._children
-        size = []
-        for a, b in children:
-            size.append((size[a] if a >= 0 else 1)
-                        + (size[b] if b >= 0 else 1))
-        start, order = [0] * len(children), [0] * len(self.points)
-        # a merge's slice is placed before its children's: the last
-        # merge holds every row, the survivor's side first
-        for j in reversed(range(len(children))):
-            at = start[j]
-            for child in children[j]:
-                if child >= 0:
-                    start[child] = at
-                    at += size[child]
-                else:
-                    order[at] = ~child
-                    at += 1
-        return (self.points[order],
-                [(s, s + z) for s, z in zip(start, size)])
-
     def _ball(self, j: int) -> tuple[float, np.ndarray, list[np.ndarray]]:
         """(radius, center, support) of the component merge j forms,
-        grown from its larger child's ball.  Balls are computed in merge
-        order up to j, so a merge's children come before it; each
-        earlier merge lies below j or below a component alive after j,
-        whose radius regime_table and a passing check read too."""
-        points, spans = self._slices
-        for x in range(len(self._balls), j + 1):
+        grown from its larger child's ball.  The merges under j that
+        have no ball yet get theirs first, children before parents; no
+        other merge does."""
+        todo = [j]
+        while j not in self._balls:
+            x = todo[-1]
+            late = [c for c in self.children[x]
+                    if c >= 0 and c not in self._balls]
+            if late:
+                todo += late
+                continue
+            todo.pop()
             kids = [self._balls[c] if c >= 0
                     else (0.0, self.points[~c], [self.points[~c]])
-                    for c in self._children[x]]
-            start, stop = spans[x]
+                    for c in self.children[x]]
+            start = self.start[x]
             radius, center, support = _enclose(
-                points[start:stop], max(kids, key=lambda b: b[0]))
+                self._leaves[start:start + self.size[x]],
+                max(kids, key=lambda b: b[0]))
             # MEB is monotone; the children's radii bound float noise
-            self._balls.append((max(radius, kids[0][0], kids[1][0]),
-                                center, support))
+            self._balls[x] = (max(radius, kids[0][0], kids[1][0]),
+                              center, support)
         return self._balls[j]

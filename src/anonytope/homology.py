@@ -47,22 +47,21 @@ class Barcode(NamedTuple):
 
 def _h0_bars(data: NormalizedDataset) -> list[Bar]:
     """The H0 bars of the dataset's merge tree, by death (ties in row
-    order): each merge kills the younger component's bar and the
-    survivor absorbs its weight, in one step per eps."""
+    order): each merge kills the younger component's bar, and the
+    survivor's bar takes the size of the merged component, in one step
+    per eps."""
     tree = data.merge_tree
     n = data.n_points
     steps = [[(0.0, 1)] for _ in range(n)]
     deaths: list[float | None] = [None] * n
-    for d, survivor, dying in zip(tree.height, tree.survivor.tolist(),
-                                  tree.dying.tolist()):
+    for d, survivor, dying, size in zip(tree.height, tree.survivor.tolist(),
+                                        tree.dying.tolist(), tree.size):
         eps = d / 2.0
         deaths[dying] = eps
         own = steps[survivor]
-        step = (eps, own[-1][1] + steps[dying][-1][1])
         if own[-1][0] == eps:
-            own[-1] = step
-        else:
-            own.append(step)
+            own.pop()
+        own.append((eps, size))
     return sorted((Bar(0, 0.0, deaths[i], tuple(steps[i])) for i in range(n)),
                   key=lambda b: float("inf") if b.death is None else b.death)
 

@@ -246,8 +246,9 @@ def kruskal_tree(points) -> MergeTree:
     """The merge tree by the all-pairs route: one stable sort of every
     pair's distance (ties in row order, so in pair rank order) and a
     Kruskal scan that keeps each pair joining two components, the
-    elder root surviving.  Its merges fill a MergeTree of the points
-    directly, so its regime table and radii are read off them."""
+    elder root surviving.  The kept pairs build a MergeTree of the
+    points, whose replay must merge them as the scan did, so its regime
+    table and radii are read off the scan's merges."""
     data = dataset(points)
     dist = data.pair_distances
     n = data.n_points
@@ -259,20 +260,17 @@ def kruskal_tree(points) -> MergeTree:
             root[x] = x = root[root[x]]
         return x
 
-    height, edge, survivor, dying = [], [], [], []
+    kept, survivor, dying = [], [], []
     for rank in np.argsort(dist, kind="stable").tolist():
-        ra, rb = sorted((find(int(first[rank])), find(int(second[rank]))))
+        a, b = int(first[rank]), int(second[rank])
+        ra, rb = sorted((find(a), find(b)))
         if ra != rb:
             root[rb] = ra
-            height.append(float(dist[rank]))
-            edge.append(rank)
+            kept.append((float(dist[rank]), a, b))
             survivor.append(ra)
             dying.append(rb)
-    tree = MergeTree.__new__(MergeTree)     # not built by Prim
-    tree.points, tree.height = data.points, height
-    tree.edge, tree.survivor, tree.dying = (
-        np.array(x, dtype=np.intp) for x in (edge, survivor, dying))
-    tree._balls = []
+    tree = MergeTree(data.points, kept)
+    assert (tree.survivor.tolist(), tree.dying.tolist()) == (survivor, dying)
     return tree
 
 

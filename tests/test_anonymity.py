@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,15 @@ from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
                                  regime_report)
 from anonytope import geometry
 from anonytope.errors import ContractViolation, InfeasibleError
+from anonytope.geometry import NumericTable, normalize_dataset
 from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, dist,
                      homology_dims_at, k_anonymity_bruteforce, meb_bruteforce,
                      regime_contains, regimes_per_interval, seeded_points)
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from gen import clustered_table  # noqa: E402  (the benchmark's tables)
 
 # Values frozen from scripts/sample_oracle.py (exhaustive MEB + BFS):
 # under per-column min-max scaling the 9-row sample admits, for k = 2..4,
@@ -185,6 +191,30 @@ class TestRegimes:
                     assert below.failure_reason.kind == FAIL_NOT_SIMPLEX
                     below_checked += 1
         assert below_checked > 100
+
+    def test_failing_check_grows_only_its_components_balls(self,
+                                                           monkeypatch):
+        # a check that fails the ball test grows the balls of the merges
+        # inside the components up to the failing one, and no others;
+        # growing every merge up to the failing one's last made 257-296
+        # calls here where 8-77 are needed
+        calls = []
+        enclose = geometry._enclose
+        monkeypatch.setattr(geometry, "_enclose",
+                            lambda *args: calls.append(1) or enclose(*args))
+        for i in range(7):
+            table = clustered_table(1, i, 300)
+            for eps in (0.02, 0.1):
+                data = normalize_dataset(NumericTable(table.quasi,
+                                                      table.points))
+                tree = data.merge_tree
+                calls.clear()
+                v = check_k_anonymity(data, eps, 1)
+                assert v.failure_reason.kind == FAIL_NOT_SIMPLEX
+                comps = [tree.row_ids(c)
+                         for c in tree.components(tree.cut(eps))]
+                reached = comps[:comps.index(v.failure_reason.component) + 1]
+                assert len(calls) == sum(len(c) - 1 for c in reached)
 
     def test_only_radius_readers_compute_radii(self, monkeypatch,
                                                sample_data):

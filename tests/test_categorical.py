@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from anonytope import categorical
 from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
                                    STRATEGY_LOWER_THEN_UPPER,
                                    GeneralizationTree, chain_report_json,
@@ -270,6 +271,16 @@ class TestLatticeSearch:
         assert not result.upper_chain_skipped
         assert result.nodes == ((1, 2),)
         assert len(result.reports) == 2
+
+    def test_both_chains_read_the_rows_once(self, trees, monkeypatch):
+        # the upper chain reuses the lower chain's ancestor chains
+        calls = []
+        chains = categorical._ancestor_chains
+        monkeypatch.setattr(categorical, "_ancestor_chains",
+                            lambda *args: calls.append(1) or chains(*args))
+        result = lattice_search(EURO_ROWS, trees, 3,
+                                STRATEGY_LOWER_THEN_UPPER)
+        assert len(result.reports) == 2 and len(calls) == 1
 
     def test_double_failure_is_conclusive(self, trees):
         # the upper chain ends at the top node, where the three rows form

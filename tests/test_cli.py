@@ -415,6 +415,9 @@ class TestCommands:
         rc = run_cli("check", "--input", str(sample_csv),
                      "--quasi", "Age", "ZIP", "--k", "3", "--eps", "0.1")
         assert rc == EXIT_INFEASIBLE
+        assert capsys.readouterr() == ("", "not 3-anonymous at eps=0.1: "
+                                           "component_too_small [1, 3] "
+                                           "(size 2)\n")
 
     def test_missing_input_is_input_error(self, tmp_path):
         rc = run_cli("sweep", "--input", str(tmp_path / "nope.csv"),
@@ -804,6 +807,11 @@ def test_verdicts_at_ten_thousand_rows(tmp_path):
     proc, peak = peak_rss_mib(*run, "check", *given, "--eps", "0.01")
     assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
     assert peak < 150
+    # the failing component's size and first ten ids, not every id: the
+    # line once listed all 10,001 rows in 57 KB
+    assert proc.stderr == (
+        "not 2-anonymous at eps=0.01: component_not_simplex "
+        "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (size 10001)\n")
     out = tmp_path / "out"
     proc, peak = peak_rss_mib(*run, "anonymize", *given, "--out", str(out))
     assert proc.returncode == EXIT_OK, proc.stderr

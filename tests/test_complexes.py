@@ -1,11 +1,13 @@
 import math
 import random
+import warnings
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from anonytope import complexes
 from anonytope.complexes import (facet_ranks, simplex_births,
                                  simplex_rank, simplex_vertices)
 from anonytope.errors import ContractViolation, FiltrationSizeError
@@ -250,3 +252,49 @@ def test_simplex_births_match_exact_oracle():
     assert sum(kinds.values()) == 792
     for kind in ("uniform", "grid", "sliver"):
         assert min(kinds[kind, False], kinds[kind, True]) >= 5
+
+
+def test_dependent_simplices_are_born_with_their_latest_facet():
+    # coplanar grid rows in 4D and 5D: their Gram determinant is float
+    # noise below 1e-12 of its diagonal's product; solved as if it were
+    # not, the squared radius came out negative and the CLI printed
+    # numpy's "invalid value encountered in sqrt"
+    rng = np.random.default_rng(1729)
+    seen = 0
+    for _ in range(12):
+        for d in (4, 5):
+            for size in (5, 6):
+                for kind, pts in special_simplices(rng, size, d):
+                    if kind != "coplanar":
+                        continue
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        births = filtration_births(dataset(pts), size - 1)
+                    assert births[-1][0] == births[-2].max(), pts
+                    seen += 1
+    assert seen == 48
+
+
+def test_centre_on_a_facet_is_born_with_it():
+    # the circumcentre (2, 1, 0) / 8 lies on the acute face z = 0: the
+    # tetrahedron is born with that face, whether or not a centre on
+    # the boundary counts as inside
+    pts = np.array([(0, 0, 0), (4, 0, 0), (1, 3, 0), (3, 1, 2)]) / 8
+    births = filtration_births(dataset(pts), 3)
+    assert births[-1][0] == births[-2][0] == pytest.approx(math.sqrt(5) / 8)
+
+
+def test_no_circumradius_above_d_plus_one_rows(monkeypatch):
+    # more than d + 1 rows in R^d are affinely dependent, so they are
+    # born with their latest facet without a Gram solve: skipping it
+    # took the tetrahedra of 60 planar rows from 0.50 to 0.10 s
+    circumradii = complexes._circumradii
+
+    def refuse(points):
+        assert points.shape[1] <= points.shape[2] + 1, points.shape
+        return circumradii(points)
+
+    monkeypatch.setattr(complexes, "_circumradii", refuse)
+    for d in (1, 2, 3):
+        pts = np.random.default_rng(d).random((9, d))
+        assert filtration_births(dataset(pts), 4)[-1].shape == (126,)
