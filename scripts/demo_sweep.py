@@ -10,8 +10,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from anonytope.anonymity import (OBJECTIVE_SMALLEST_EPS, compute_regimes,
-                                 generalize_table, minimal_epsilon)
+from anonytope.anonymity import (compute_regimes, generalize_table,
+                                 minimal_epsilon)
 from anonytope.cli import RunConfig, ingest_csv
 from anonytope.geometry import normalize_dataset
 
@@ -37,9 +37,9 @@ def main():
             hi = f"{r.eps_hi:.6f}" if r.eps_hi is not None else "inf"
             print(f"  eps in [{r.eps_lo:.6f}, {hi}): "
                   f"{r.n_classes} classes {r.classes}")
-        eps, regime = minimal_epsilon(data, k, OBJECTIVE_SMALLEST_EPS)
+        regime = minimal_epsilon(data, k)
         gen = generalize_table(table, regime)
-        print(f"  smallest-eps generalization (eps = {eps:.6f}):")
+        print(f"  smallest-eps generalization (eps = {regime.eps_lo:.6f}):")
         for row in gen.rows:
             print("    " + ", ".join(f"[{lo:g}-{hi:g}]" for lo, hi in row))
     print(f"\nartifacts in {outdir}")

@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
-                     ContractViolation, InfeasibleError)
+from .errors import ContractViolation, InfeasibleError
 from .geometry import NormalizedDataset, NumericTable
 
 FAIL_TOO_SMALL = "component_too_small"
@@ -63,6 +62,15 @@ def _failed(kind: str, component: tuple[int, ...]) -> AnonymityVerdict:
 
 def check_k_anonymity(data: NormalizedDataset, eps: float,
                       k: int) -> AnonymityVerdict:
+    """Whether the table is k-anonymous at radius eps, and if not, why.
+
+    Balls are closed: a component passes the ball test when its MEB
+    radius is <= eps.  Sizes are checked before radii, so a partition
+    with a component of fewer than k rows fails as too small even when
+    some other component's ball is too wide; the component reported is
+    the first failing one, by its first row.  k > N reports every row as
+    one component too small.
+    """
     if k < 1:
         raise ContractViolation("k must be >= 1")
     if not eps >= 0:                # NaN too
@@ -104,28 +112,19 @@ def compute_regimes(data: NormalizedDataset, k: int) -> list[Regime]:
             if smallest >= k and (start := max(lo, radius)) < hi]
 
 
-def minimal_epsilon(data: NormalizedDataset, k: int,
-                    objective: str = OBJECTIVE_MAX_CLASSES):
-    """The preferred generalization radius and its regime.
+def minimal_epsilon(data: NormalizedDataset, k: int) -> Regime:
+    """The earliest k-anonymous regime; its eps_lo is the smallest
+    generalization radius.
 
-    smallest_eps: the infimum of the earliest regime.  max_classes: the
-    earliest regime with the largest class count, which preserves the
-    most data structure.
+    A later regime has had at least one more merge, so the earliest
+    regime also has the most classes.  Every k <= N has a regime: the
+    last interval is one class of all N rows.
     """
     regimes = compute_regimes(data, k)
     if not regimes:
-        raise InfeasibleError(
-            f"no generalization radius achieves {k}-anonymity "
-            f"(k exceeds row count)" if k > data.n_points else
-            f"no generalization radius achieves {k}-anonymity")
-    if objective == OBJECTIVE_SMALLEST_EPS:
-        best = regimes[0]
-    elif objective == OBJECTIVE_MAX_CLASSES:
-        top = max(r.n_classes for r in regimes)
-        best = next(r for r in regimes if r.n_classes == top)
-    else:
-        raise ContractViolation(f"unknown objective {objective!r}")
-    return best.eps_lo, best
+        raise InfeasibleError(f"no generalization radius achieves "
+                              f"{k}-anonymity (k exceeds row count)")
+    return regimes[0]
 
 
 def generalize_table(table: NumericTable, regime: Regime) -> GeneralizedTable:

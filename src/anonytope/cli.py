@@ -19,8 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS,
-                     STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
+from .errors import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
                      ContractViolation, FiltrationSizeError, IngestionError,
                      InfeasibleError, TreeDefinitionError, open_utf8,
                      read_yaml)
@@ -39,8 +38,7 @@ class RunConfig:
                  identifiers: list[str] | None = None,
                  sensitive: list[str] | None = None,
                  k: list[int] | None = None, eps: float | None = None,
-                 dim_cap: int = 2, objective: str = OBJECTIVE_MAX_CLASSES,
-                 trees: str | None = None,
+                 dim_cap: int = 2, trees: str | None = None,
                  strategy: str = STRATEGY_LOWER_THEN_UPPER, out: str = ".",
                  formats: list[str] | None = None):
         self.input = input
@@ -50,7 +48,6 @@ class RunConfig:
         self.k = [2] if k is None else k
         self.eps = eps
         self.dim_cap = dim_cap
-        self.objective = objective
         self.trees = trees
         self.strategy = strategy
         self.out = out
@@ -74,9 +71,6 @@ class RunConfig:
                                      f"--quasi")
         if any(k < 1 for k in self.k):
             raise IngestionError("k must be >= 1")
-        if self.objective not in (OBJECTIVE_MAX_CLASSES,
-                                  OBJECTIVE_SMALLEST_EPS):
-            raise IngestionError(f"unknown objective {self.objective!r}")
 
 
 def ingest_csv(path, config: RunConfig, categorical: bool = False):
@@ -232,17 +226,14 @@ def cmd_anonymize(config: RunConfig) -> int:
     table = ingest_csv(config.input, config)
     data = normalize_dataset(table)
     try:
-        eps, regime = minimal_epsilon(data, k, config.objective)
+        regime = minimal_epsilon(data, k)
     except InfeasibleError as exc:
-        print(str(exc), file=sys.stderr)
-        for k_near in range(min(k - 1, data.n_points), 0, -1):
-            near = compute_regimes(data, k_near)
-            if near:
-                r = near[0]
-                print(f"nearest achievable: {k_near}-anonymity at "
-                      f"eps >= {r.eps_lo:.6g} with {r.n_classes} classes",
-                      file=sys.stderr)
-                break
+        # only k > N is infeasible, and every k <= N has the all-rows
+        # regime, so the nearest achievable k is N
+        near = compute_regimes(data, data.n_points)[0]
+        print(f"{exc}\nnearest achievable: {data.n_points}-anonymity at "
+              f"eps >= {near.eps_lo:.6g} with {near.n_classes} classes",
+              file=sys.stderr)
         return EXIT_INFEASIBLE
     gen = generalize_table(table, regime)
     lines = [",".join(gen.qi_names)]
@@ -250,7 +241,8 @@ def cmd_anonymize(config: RunConfig) -> int:
         lines.append(",".join(_fmt_interval(lo, hi) for lo, hi in row))
     text = "\n".join(lines) + "\n"
     path = _write(Path(config.out), f"anonymized_k{k}.csv", text)
-    print(f"wrote {path} (eps={eps:.6g}, {regime.n_classes} classes)")
+    print(f"wrote {path} (eps={regime.eps_lo:.6g}, "
+          f"{regime.n_classes} classes)")
     return EXIT_OK
 
 
@@ -329,8 +321,6 @@ def _add_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--k", nargs="+", type=int)
     sp.add_argument("--eps", type=float)
     sp.add_argument("--dim-cap", type=int, dest="dim_cap")
-    sp.add_argument("--objective",
-                    choices=[OBJECTIVE_MAX_CLASSES, OBJECTIVE_SMALLEST_EPS])
     sp.add_argument("--trees", help="tree definition YAML")
     sp.add_argument("--strategy",
                     choices=[STRATEGY_LOWER_THEN_UPPER, STRATEGY_EXHAUSTIVE])

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the readers that report an
 undecodable or unparsable input file as one of them, and the choice
-strings of the CLI's ``--objective`` and ``--strategy``.
+strings of the CLI's ``--strategy``.
 
 Loading this module imports neither numpy nor PyYAML (``read_yaml``
 imports PyYAML when called), so the CLI can load it before it knows
@@ -8,10 +8,6 @@ which subcommand runs.
 """
 
 from contextlib import contextmanager
-
-# minimal_epsilon objectives
-OBJECTIVE_SMALLEST_EPS = "smallest_eps"
-OBJECTIVE_MAX_CLASSES = "max_classes"
 
 # lattice_search strategies
 STRATEGY_LOWER_THEN_UPPER = "lower_then_upper"

@@ -23,8 +23,7 @@ import time
 
 import pytest
 
-from anonytope.anonymity import (OBJECTIVE_MAX_CLASSES, check_k_anonymity,
-                                 compute_regimes)
+from anonytope.anonymity import check_k_anonymity, compute_regimes
 from anonytope.cli import EXIT_OK, main as cli_main
 from anonytope.geometry import min_enclosing_ball
 from anonytope.homology import barcode
@@ -139,7 +138,6 @@ def test_criterion_03_anonymize_matches_reference_table(sample_csv,
     out = tmp_path / "anon"
     rc = cli_main(["anonymize", "--input", str(sample_csv),
                    "--quasi", "Age", "ZIP", "--k", "3",
-                   "--objective", OBJECTIVE_MAX_CLASSES,
                    "--out", str(out)])
     rows = []
     if rc == EXIT_OK:

@@ -7,9 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL,
-                                 OBJECTIVE_MAX_CLASSES,
-                                 OBJECTIVE_SMALLEST_EPS, Regime,
+from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL, Regime,
                                  check_k_anonymity, compute_regimes,
                                  generalize_table, minimal_epsilon,
                                  regime_report)
@@ -23,7 +21,8 @@ from oracles import (build_anonymity_complex, dataset, dist,
                      regime_contains, regimes_per_interval, seeded_points)
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
-from gen import clustered_table  # noqa: E402  (the benchmark's tables)
+# the benchmark's tables
+from gen import clustered_table, uniform_table  # noqa: E402
 
 # Values frozen from scripts/sample_oracle.py (exhaustive MEB + BFS):
 # under per-column min-max scaling the 9-row sample admits, for k = 2..4,
@@ -250,23 +249,53 @@ class TestRegimes:
 class TestMinimalEpsilon:
     def test_two_points_smallest(self):
         data = dataset([(0, 0), (0.8, 0)])
-        eps, regime = minimal_epsilon(data, 2, OBJECTIVE_SMALLEST_EPS)
-        assert eps == pytest.approx(0.4)
+        regime = minimal_epsilon(data, 2)
+        assert regime.eps_lo == pytest.approx(0.4)
         assert regime.n_classes == 1
 
     def test_max_classes_prefers_finer_partition(self):
         data = dataset([(0, 0), (0.02, 0), (0.5, 0), (0.52, 0),
                         (1.0, 0), (1.02, 0)])
-        _, regime = minimal_epsilon(data, 2, OBJECTIVE_MAX_CLASSES)
-        assert regime.n_classes == 3
+        assert minimal_epsilon(data, 2).n_classes == 3
 
     def test_sample_smallest(self, sample_data):
-        eps, _ = minimal_epsilon(sample_data, 2, OBJECTIVE_SMALLEST_EPS)
-        assert eps == pytest.approx(SAMPLE_SINGLE_REGIME_LO, abs=1e-12)
+        assert minimal_epsilon(sample_data, 2).eps_lo == \
+            pytest.approx(SAMPLE_SINGLE_REGIME_LO, abs=1e-12)
 
     def test_infeasible_raises(self, sample_data):
         with pytest.raises(InfeasibleError):
             minimal_epsilon(sample_data, 10)
+
+    def test_earliest_regime_has_most_classes(self):
+        # every k <= N has a regime, the last of which is all N rows in
+        # one class; the class count falls strictly from one regime to
+        # the next, so the earliest regime is both the smallest radius
+        # and the finest partition
+        for n in range(1, 61):
+            dim = n % 4 + 1
+            tables = [uniform_table(1, n, n, dim).points]
+            # rounded, so rows repeat and merges tie
+            tables.append(np.round(tables[0], 1))
+            if n > 1 and dim > 1:
+                tables.append(clustered_table(1, n, n, dim).points)
+            for points in tables:
+                self.check_regime_invariants(points)
+
+    @staticmethod
+    def check_regime_invariants(points):
+        n, dim = points.shape
+        data = normalize_dataset(
+            NumericTable([f"q{j}" for j in range(dim)], points))
+        for k in range(1, n + 1):
+            regimes = compute_regimes(data, k)
+            assert regimes, (n, dim, k)
+            counts = [r.n_classes for r in regimes]
+            assert all(a > b for a, b in zip(counts, counts[1:])), \
+                (n, dim, k, counts)
+            assert (regimes[-1].classes, regimes[-1].eps_hi) == \
+                ((tuple(range(1, n + 1)),), None)
+            assert minimal_epsilon(data, k) == regimes[0]
+        assert compute_regimes(data, n + 1) == []
 
 
 class TestGeneralize:

@@ -296,6 +296,26 @@ class TestConfigAndFlagErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+    def test_removed_objective_is_input_error(self, sample_csv, tmp_path,
+                                              capsys, by_file):
+        # anonymize writes the earliest regime, which has the most
+        # classes, so the flag that chose between the two is gone
+        out = tmp_path / "out"
+        flags = ["--input", str(sample_csv), "--quasi", "Age", "ZIP",
+                 "--out", str(out)]
+        if by_file:
+            cfg = tmp_path / "run.yaml"
+            cfg.write_text("objective: max_classes\n")
+            flags += ["--config", str(cfg)]
+        else:
+            flags += ["--objective", "max_classes"]
+        assert run_cli("anonymize", *flags) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unrecognized arguments: --objective max_classes" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sweep", "lattice-sweep"])
     def test_column_named_twice_is_input_error(self, sample_csv, tmp_path,
                                                trees_yaml, capsys, command):
@@ -441,7 +461,11 @@ class TestCommands:
                      "--quasi", "Age", "ZIP", "--k", "10",
                      "--out", str(tmp_path))
         assert rc == EXIT_INFEASIBLE
-        assert "nearest achievable" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "no generalization radius achieves 10-anonymity "
+            "(k exceeds row count)\n"
+            "nearest achievable: 9-anonymity at eps >= 0.707107 "
+            "with 1 classes\n")
 
     def test_sweep_on_column_whose_range_overflows(self, tmp_path):
         # 1e308 - (-1e308) overflows a float; scaled from that range the

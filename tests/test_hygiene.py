@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import anonytope
+from anonytope.cli import RunConfig, _parser
 
 PACKAGE = Path(anonytope.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +58,9 @@ def test_every_exported_name_resolves():
                for name in anonytope.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         anonytope.no_such_name
+
+
+def test_run_config_has_one_field_per_flag():
+    # a removed flag must take its field with it, and a new one add one
+    flags = set(vars(_parser().parse_args(["sweep"]))) - {"command", "config"}
+    assert set(vars(RunConfig())) == flags
