@@ -3,18 +3,22 @@ filtration and its reduction at scale, and of the fixed cost that every
 CLI answer pays.
 
 Every run is a fresh interpreter on seeded uniform rows in [0, 1]^d
-(``random.Random(N * 10 + d)``).  The fixed-cost cases, each run
-``FIXED_REPEAT`` times:
+(``random.Random(N * 10 + d)``), but for the categorical case.  The
+fixed-cost cases, each run ``FIXED_REPEAT`` times:
 
 - the bare interpreter, then ``import numpy`` with OpenBLAS's default
-  thread pool and with ``OPENBLAS_NUM_THREADS=1``, and
+  thread pool and with ``OPENBLAS_NUM_THREADS=1``, ``import yaml`` and
   ``import anonytope.cli``;
 - ``sweep --k 2 3 5 --format json svg``, ``check --k 2 --eps 0.1`` and
   ``barcode --dim-cap 2`` on N = 26 rows in d = 2, the size of a
   ``perfbench`` sweep;
 - the same sweep in-process, OpenBLAS pinned to one thread: the time of
   ``import numpy``, of the package's numeric modules after it, and of
-  ``main`` once both are loaded.
+  ``main`` once both are loaded;
+- ``lattice-sweep --k 5 --strategy exhaustive`` on the 500-row table of
+  three balanced trees that ``perfbench/gen.py``'s
+  ``categorical_table(1, 0, 500)`` writes, its trees file in the plain
+  ``--trees`` layout.
 
 The cases at scale, each run ``--repeat`` times:
 
@@ -76,6 +80,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+# the benchmark's categorical tables
+from gen import categorical_table  # noqa: E402
+
 # leaves the process's peak RSS (VmHWM, in KiB) as the last line of
 # stderr
 PEAK = """import sys
@@ -147,12 +155,16 @@ FIXED_CASES = (
     ("interpreter", "import", 0, 0, [], {}),
     ("import_numpy_pool", "import", 0, 0, ["numpy"], {}),
     ("import_numpy_pinned", "import", 0, 0, ["numpy"], PINNED),
+    ("import_yaml", "import", 0, 0, ["yaml"], {}),
     ("import_anonytope_cli", "import", 0, 0, ["anonytope.cli"], {}),
     ("sweep_k235_json_svg_n26_d2", "sweep", 26, 2, SWEEP, {}),
     ("check_k2_n26_d2", "check", 26, 2, ["--k", "2", "--eps", "0.1"], {}),
     ("barcode_cap2_n26_d2", "barcode", 26, 2, ["--dim-cap", "2"], {}),
     ("sweep_phases_n26_d2_pinned", "phases", 26, 2, ["sweep", *SWEEP],
      PINNED),
+    # d counts the trees
+    ("lattice_sweep_exhaustive_n500", "lattice-sweep", 500, 3,
+     ["--k", "5", "--strategy", "exhaustive"], {}),
 )
 SCALE_CASES = tuple(case + ({},) for case in (
     *((f"{command}_k2_n{n}_d2", command, n, 2, ["--k", "2", *extra])
@@ -173,7 +185,14 @@ SCALE_CASES = tuple(case + ({},) for case in (
 ))
 
 
-def write_rows(path: Path, n: int, d: int) -> None:
+def write_rows(path: Path, command: str, n: int, d: int) -> None:
+    """The case's table, and for lattice-sweep its trees file beside it
+    with the suffix .yaml."""
+    if command == "lattice-sweep":
+        table = categorical_table(1, 0, n)
+        path.write_text(table.csv)
+        path.with_suffix(".yaml").write_text(table.trees_yaml)
+        return
     rng = random.Random(n * 10 + d)
     path.write_text(",".join(f"x{j}" for j in range(d)) + "\n" + "".join(
         ",".join(repr(rng.random()) for _ in range(d)) + "\n"
@@ -188,6 +207,9 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.update(case_env)
     quasi = [f"x{j}" for j in range(d)]
+    if command == "lattice-sweep":
+        quasi = [f"c{j + 1}" for j in range(d)]
+        extra = [*extra, "--trees", str(csv.with_suffix(".yaml"))]
     table = ["--input", str(csv), "--quasi", *quasi]
     if command is None:
         argv = [sys.executable, "-c", REGIMES, str(csv), *quasi]
@@ -261,7 +283,7 @@ def main() -> None:
         tmp = Path(tmp)
         for case, _ in cases:
             if case[2]:
-                write_rows(tmp / f"{case[0]}.csv", case[2], case[3])
+                write_rows(tmp / f"{case[0]}.csv", *case[1:4])
         for src in sides.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q",
                             str(Path(src).resolve())], check=True)
@@ -278,7 +300,8 @@ def main() -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
         "command": "scripts/bench_regimes.py: uniform rows in [0, 1]^d, "
-                   "random.Random(N * 10 + d)",
+                   "random.Random(N * 10 + d); lattice-sweep on "
+                   "perfbench/gen.py categorical_table(1, 0, N)",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in

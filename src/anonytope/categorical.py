@@ -13,12 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import groupby, product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER,
                      ContractViolation, IngestionError, TreeDefinitionError,
                      read_yaml)
-from .homology import Bar, bar_json
+
+if TYPE_CHECKING:
+    from .homology import Bar
 
 LatticeNode = tuple[int, ...]
 
@@ -165,18 +167,112 @@ def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
     return trees
 
 
+# the plain words that YAML 1.1 reads as a boolean or null
+_YAML_WORDS = frozenset(
+    form for word in ("yes", "no", "true", "false", "on", "off", "null")
+    for form in (word, word.title(), word.upper()))
+
+
+def _plain_name(token: str) -> str | None:
+    """The name a token spells in the plain layout, or None: a nonempty
+    single-quoted run of printable ASCII without a quote, or a plain word
+    ``[A-Za-z_]([A-Za-z0-9_. -]*[A-Za-z0-9_.-])?`` that YAML reads as
+    a string.  The text is known to be ASCII, so ``isalnum`` and
+    ``isprintable`` test ASCII classes."""
+    if token[:1] == "'":
+        inner = token[1:-1]
+        if (len(token) > 2 and token[-1] == "'" and "'" not in inner
+                and inner.isprintable()):
+            return inner
+        return None
+    word = token
+    for mark in "_.- ":
+        word = word.replace(mark, "a")
+    if ((token[:1].isalpha() or token[:1] == "_") and word.isalnum()
+            and token[-1] != " " and token not in _YAML_WORDS):
+        return token
+    return None
+
+
+def _plain_names(value: str) -> list[str] | None:
+    """The names of a ``[name, name, ...]`` flow list, or None."""
+    if value[:1] != "[" or value[-1:] != "]":
+        return None
+    inner, at, names = value[1:-1], 0, []
+    while True:
+        if inner[at:at + 1] == "'":
+            end = inner.find("'", at + 1) + 1
+        else:
+            end = inner.find(", ", at)
+        if end <= at:           # no closing quote or no further comma
+            end = len(inner)
+        name = _plain_name(inner[at:end])
+        if name is None:
+            return None
+        names.append(name)
+        if end == len(inner):
+            return names
+        if inner[end:end + 2] != ", ":
+            return None
+        at = end + 2
+
+
+def _plain_trees(text: str) -> dict | None:
+    """The document ``yaml.safe_load`` reads from text in the plain trees
+    layout, or None for any other text.  In that layout each line is
+    either ``name:`` at column 0, or ``name: name`` or ``name: [name,
+    name, ...]`` under it at one indent shared by the whole file, and
+    every top-level name has at least one such line."""
+    if not text.isascii():
+        return None
+    doc, body, indent = {}, None, None
+    for line in text.removesuffix("\n").split("\n"):
+        rest = line.lstrip(" ")
+        if rest == line:
+            if body == {}:
+                return None
+            # YAML limits a key to 1024 characters
+            name = (_plain_name(line[:-1])
+                    if line[-1:] == ":" and len(line) <= 1025 else None)
+            if name is None:
+                return None
+            doc[name] = body = {}
+            continue
+        width = len(line) - len(rest)
+        indent = indent or width
+        if body is None or width != indent:
+            return None
+        sep = rest.find("'", 1) + 1 if rest[:1] == "'" else rest.find(": ")
+        key = _plain_name(rest[:sep]) if 0 < sep <= 1024 else None
+        if key is None or rest[sep:sep + 2] != ": ":
+            return None
+        value = rest[sep + 2:]
+        value = (_plain_names(value) if value[:1] == "[" else
+                 _plain_name(value))
+        if value is None:
+            return None
+        body[key] = value
+    return doc if body else None
+
+
 def load_trees(path) -> list[GeneralizationTree]:
-    spec = read_yaml(path)
+    """The trees a YAML file defines.  A file in the plain layout of
+    ``_plain_trees`` is read without PyYAML; any other file, and every
+    error, goes through ``read_yaml``."""
+    with open(path, "rb") as fh:
+        # latin-1 decodes any bytes; the reader refuses all but ASCII
+        spec = _plain_trees(fh.read().decode("latin-1"))
+    if spec is None:
+        spec = read_yaml(path)
     if not isinstance(spec, dict) or not spec:
         raise TreeDefinitionError(f"{path}: no tree definitions found")
     return trees_from_dict(spec)
 
 
 def _ancestor_chains(rows, trees) -> list[list[tuple[str, ...]]]:
-    """Per attribute, each row's ancestor chain in that attribute's tree:
-    entry ``[a][i][level]`` is row i + 1's value of attribute a
-    generalized to ``level``.  Every row's arity and values are checked
-    here, once."""
+    """Per attribute and level, every row's value generalized to that
+    level: entry ``[a][level][i]`` belongs to row i + 1.  Every row's
+    arity and values are checked here, once."""
     tables = [tree.ancestors for tree in trees]
     chains = [[] for _ in trees]
     for rid, row in enumerate(rows, start=1):
@@ -189,7 +285,8 @@ def _ancestor_chains(rows, trees) -> list[list[tuple[str, ...]]]:
                 raise ContractViolation(f"{str(value)!r} is not a leaf of "
                                         f"tree {tree.attribute!r}")
             column.append(chain)
-    return chains
+    return [list(zip(*column)) or [()] * (tree.height + 1)
+            for tree, column in zip(trees, chains)]
 
 
 def _check_node(trees, node: LatticeNode) -> None:
@@ -204,8 +301,7 @@ def _check_node(trees, node: LatticeNode) -> None:
 
 def _keys_at(chains, node: LatticeNode):
     """Each row's generalized tuple at the node, in row order."""
-    return zip(*([chain[level] for chain in column]
-                 for column, level in zip(chains, node)))
+    return zip(*(levels[level] for levels, level in zip(chains, node)))
 
 
 def _classes_at(chains, node: LatticeNode) -> list[tuple[int, ...]]:
@@ -270,6 +366,8 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
 def _sweep(chains, path, k: int) -> ChainReport:
     """chain_sweep over the rows' ancestor chains, along a path that is
     known to be valid."""
+    from .homology import Bar
+
     steps = []
     for node in path:
         classes = _classes_at(chains, node)
@@ -387,6 +485,8 @@ def lattice_search(rows, trees, k: int,
 
 
 def chain_report_json(report: ChainReport) -> dict:
+    from .homology import bar_json
+
     return {
         "k": report.k,
         "steps": [

@@ -7,7 +7,8 @@ Subcommands: sweep, check, anonymize, barcode, lattice-sweep.  Exit codes:
 Each subcommand imports the modules it needs when it runs: the numeric
 ones (and numpy) for sweep, check, anonymize and barcode, the
 categorical one for lattice-sweep, and PyYAML only to read a ``--config``
-or ``--trees`` file.
+file or a ``--trees`` file outside the plain layout of
+``categorical.load_trees``.
 """
 
 from __future__ import annotations

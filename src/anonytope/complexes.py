@@ -138,13 +138,20 @@ def check_budget(n: int, dim_cap: int) -> None:
 
 
 def _triangle_circumradii(sides: np.ndarray) -> np.ndarray:
-    """Circumradii of triangles from rows of side lengths, sorted in
-    place, or 0 for one that is not acute.  With sides a >= b >= c, one
-    with area is acute when b^2 + c^2 > a^2, and its circumradius is
-    abc / (4K), the area K from Kahan's stable form of Heron's formula.
+    """Circumradii of triangles from rows of side lengths, or 0 for one
+    that is not acute.  With sides a >= b >= c, one with area is acute
+    when b^2 + c^2 > a^2, and its circumradius is abc / (4K), the area K
+    from Kahan's stable form of Heron's formula.
     """
-    sides.sort(axis=1)
-    c, b, a = sides.T
+    # a min/max network orders the three columns faster than a row-wise
+    # sort and picks the same values; two of its steps write into the
+    # first step's buffers, so it allocates four columns, not six
+    p, q, r = sides.T
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    a = np.maximum(hi, r)
+    mid = np.minimum(hi, r, out=hi)
+    c = np.minimum(lo, mid)
+    b = np.maximum(lo, mid, out=lo)
     heron16 = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
     acute = (b * b + c * c > a * a) & (heron16 > 0)
     radius = np.zeros_like(a)

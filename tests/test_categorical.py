@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,10 @@ from anonytope.errors import ContractViolation, TreeDefinitionError
 from conftest import TREES_YAML
 from oracles import ancestor_walk, chain_sweep_elder, exhaustive_nodes
 import yaml
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+# the benchmark's tables and trees
+from gen import categorical_table  # noqa: E402
 
 
 @pytest.fixture
@@ -349,10 +355,84 @@ class TestLatticeSearch:
         assert infeasible >= 220 and beyond_bottom >= 100 and ties >= 10
 
 
-def test_load_trees_from_file(trees_yaml):
+def test_load_trees_from_file(trees_yaml, tmp_path):
     trees = load_trees(trees_yaml)
     assert [t.attribute for t in trees] == ["gender", "country"]
     assert trees[1].height == 3
+    # a file outside the plain layout is read by PyYAML to the same trees
+    commented = tmp_path / "commented.yaml"
+    commented.write_text("# trees\n" + TREES_YAML)
+    assert load_trees(commented) == trees
+    accented = tmp_path / "accented.yaml"
+    accented.write_text("city:\n  root: Zürich\n", encoding="utf-8")
+    assert load_trees(accented)[0].root == "Zürich"
+
+
+def ordered(doc):
+    """A document as nested item lists, so that key order counts."""
+    if isinstance(doc, dict):
+        return [(key, ordered(value)) for key, value in doc.items()]
+    return doc
+
+
+class TestPlainTreesReader:
+    """The plain ``--trees`` layout is read without PyYAML to the document
+    that PyYAML reads; any other text is left to PyYAML."""
+
+    # a generated trees file depends on the trees' branching, not the seed
+    DOCS = [TREES_YAML] + [
+        categorical_table(seed, 0, 20, branching).trees_yaml
+        for seed in (1, 2, 7919)
+        for branching in (((2, 3, 4), (2, 5), (2, 2, 2, 3)), ((2, 3), (3,)),
+                          ((5,), (2, 2, 2)))]
+
+    def test_generated_trees_read_as_yaml_reads_them(self):
+        for text in self.DOCS:
+            doc = categorical._plain_trees(text)
+            assert doc is not None
+            assert ordered(doc) == ordered(yaml.safe_load(text))
+
+    def test_accepted_mutants_read_as_yaml_reads_them(self):
+        # one character inserted, deleted or replaced, in small documents
+        # with plain and with quoted names
+        docs = [TREES_YAML, self.DOCS[2]]
+        rng = random.Random(24)
+        alphabet = "aYyNnOo_.-' :,[]{}#&*!|>\"\\\t\r\n\ufeff0~"
+        accepted = 0
+        for _ in range(4000):
+            text = rng.choice(docs)
+            at = rng.randrange(len(text) + 1)
+            cut = rng.randrange(2)
+            text = text[:at] + rng.choice(["", *alphabet]) + text[at + cut:]
+            doc = categorical._plain_trees(text)
+            if doc is not None:
+                accepted += 1
+                assert ordered(doc) == ordered(yaml.safe_load(text)), text
+        assert accepted >= 1000
+
+    @pytest.mark.parametrize("text", [
+        "# trees\na:\n  root: x\n",
+        "a:\n\troot: x\n",
+        "a:\r\n  root: x\r\n",
+        "\ufeffa:\n  root: x\n",
+        "a:\n  root: 'it''s'\n",
+        'a:\n  root: "x"\n',
+        "a:\n  root: yes\n",
+        "No:\n  root: x\n",
+        "a:\n  root: x\n  x: [y, NULL]\n",
+        "a:\n  root: x\n  x: []\n",
+        "a:\n  root: x\n  x: [a,b]\n",
+        "a:\n  root: x\nb:\n    root: y\n",
+        "attr: x\n",
+        "a:\nb:\n  root: x\n",
+        "",
+        "a:\n  root: Zürich\n",
+    ], ids=["comment", "tab", "crlf", "bom", "quote_in_quotes",
+            "double_quotes", "yes", "No", "NULL", "empty_list",
+            "no_space_after_comma", "mixed_indents", "top_level_value",
+            "key_without_entries", "empty", "not_ascii"])
+    def test_other_layouts_are_left_to_yaml(self, text):
+        assert categorical._plain_trees(text) is None
 
 
 def test_records_compare_by_value_and_are_immutable(trees):

@@ -696,7 +696,7 @@ def loaded_modules(tmp_path, *argv) -> dict:
     probe = (
         "import json, sys\n"
         "watch = ('numpy', 'yaml', 'anonytope.categorical', "
-        "'dataclasses', 'inspect')\n"
+        "'dataclasses', 'inspect', 'anonytope.homology')\n"
         "def loaded():\n"
         "    return [m for m in watch if m in sys.modules]\n"
         "import anonytope.cli\n"
@@ -717,18 +717,25 @@ def test_each_command_loads_only_what_it_needs(sample_csv, trees_yaml,
     assert loaded_modules(tmp_path) == {"import": []}
     cat = tmp_path / "cat.csv"
     cat.write_text("gender,country\n" + "Male,Spain\n" * 3)
-    lattice = loaded_modules(
+    commented = tmp_path / "commented.yaml"
+    commented.write_text("# trees\n" + trees_yaml.read_text())
+    lattice = {trees: loaded_modules(
         tmp_path, "lattice-sweep", "--input", cat, "--quasi", "gender",
-        "country", "--trees", trees_yaml, "--k", "2",
+        "country", "--trees", trees, "--k", "2",
         "--strategy", "exhaustive", "--out", tmp_path / "lat")
-    assert lattice == {"import": [], "rc": EXIT_OK,
-                       "run": ["yaml", "anonytope.categorical"]}
+        for trees in (trees_yaml, commented)}
+    # the plain trees layout is read without PyYAML, a comment is not
+    assert lattice == {
+        trees_yaml: {"import": [], "rc": EXIT_OK,
+                     "run": ["anonytope.categorical"]},
+        commented: {"import": [], "rc": EXIT_OK,
+                    "run": ["yaml", "anonytope.categorical"]}}
     sweep = loaded_modules(
         tmp_path, "sweep", "--input", sample_csv, "--quasi", "Age", "ZIP",
         "--k", "3", "--out", tmp_path / "sweep")
     # numpy itself imports inspect
     assert sweep == {"import": [], "rc": EXIT_OK,
-                     "run": ["numpy", "inspect"]}
+                     "run": ["numpy", "inspect", "anonytope.homology"]}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
