@@ -41,7 +41,10 @@ The cases at scale, each run ``--repeat`` times:
   last just under the simplex budget), the H1 reduction;
 - ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
   each born at its circumradius or with its latest facet, from one
-  batched Gram solve per 65,536 tetrahedra.
+  batched Gram solve per 65,536 tetrahedra;
+- in-process ``min_enclosing_ball`` of all N = 5,000 rows in d = 5 and
+  of all N = 20,000 rows in d = 2, read and scaled as the CLI does,
+  timed after the imports and the read.
 
 Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
 run as it exits.  A command that exits 2 has given its verdict
@@ -142,6 +145,17 @@ first = tree.row_ids(tree.components(tree.cut(eps))[0])
 assert verdict.failure_reason == (FAIL_NOT_SIMPLEX, first), verdict
 print(built - start, checked - built)
 """
+# times min_enclosing_ball of every row, read as the CLI reads it;
+# prints the time and the radius
+MEB = """import sys, time
+from anonytope.cli import RunConfig, ingest_csv
+from anonytope.geometry import min_enclosing_ball, normalize_dataset
+data = normalize_dataset(ingest_csv(sys.argv[1],
+                                    RunConfig(quasi=sys.argv[2:])))
+start = time.perf_counter()
+radius = min_enclosing_ball(data.points).radius
+print(time.perf_counter() - start, radius)
+"""
 PINNED = {"OPENBLAS_NUM_THREADS": "1"}
 SWEEP = ["--k", "2", "3", "5", "--format", "json", "svg"]
 # the quartiles of 31 runs of a 0.2-0.3 s answer lie 20-30 ms apart on
@@ -149,8 +163,9 @@ SWEEP = ["--k", "2", "3", "5", "--format", "json", "svg"]
 FIXED_REPEAT = 31
 # (label, kind, N, d, arguments, environment): kind is a CLI subcommand,
 # "import" (arguments: the modules), "phases" (arguments: the CLI's),
-# None (compute_regimes in-process) or "in_check" (check_k_anonymity
-# in-process; arguments: the eps)
+# None (compute_regimes in-process), "in_check" (check_k_anonymity
+# in-process; arguments: the eps) or "meb" (min_enclosing_ball
+# in-process)
 FIXED_CASES = (
     ("interpreter", "import", 0, 0, [], {}),
     ("import_numpy_pool", "import", 0, 0, ["numpy"], {}),
@@ -182,6 +197,8 @@ SCALE_CASES = tuple(case + ({},) for case in (
     *((f"barcode_cap2_n{n}_d2", "barcode", n, 2, ["--dim-cap", "2"])
       for n in (100, 200, 228)),
     ("barcode_cap3_n48_d3", "barcode", 48, 3, ["--dim-cap", "3"]),
+    ("meb_n5000_d5", "meb", 5000, 5, []),
+    ("meb_n20000_d2", "meb", 20000, 2, []),
 ))
 
 
@@ -215,6 +232,8 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
         argv = [sys.executable, "-c", REGIMES, str(csv), *quasi]
     elif command == "in_check":
         argv = [sys.executable, "-c", CHECK, str(csv), *extra, *quasi]
+    elif command == "meb":
+        argv = [sys.executable, "-c", MEB, str(csv), *quasi]
     elif command == "import":
         argv = [sys.executable, "-c",
                 "".join(f"import {m}\n" for m in extra) + PEAK]
@@ -243,6 +262,9 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     if command == "in_check":
         tree_s, check_s = proc.stdout.split()
         return {"merge_tree_s": float(tree_s), "check_s": float(check_s)}
+    if command == "meb":
+        meb_s, radius = proc.stdout.split()
+        return {"meb_s": float(meb_s), "radius": float(radius)}
     if command == "phases":
         numpy_s, package_s, main_s = proc.stdout.splitlines()[-1].split()
         return {"import_numpy_s": float(numpy_s),

@@ -73,11 +73,17 @@ class RunConfig:
         if any(k < 1 for k in self.k):
             raise IngestionError("k must be >= 1")
 
+    def quasi_columns(self) -> list[str]:
+        """The quasi-identifiers of every subcommand: the --quasi columns
+        that --identifiers and --sensitive leave, in --quasi order."""
+        others = self.identifiers + self.sensitive
+        return [name for name in self.quasi if name not in others]
+
 
 def ingest_csv(path, config: RunConfig, categorical: bool = False):
-    """Parse the CSV into a NumericTable of its quasi-identifier columns,
-    or, if categorical, a list of string tuples over the quasi columns.
-    A column that --identifiers or --sensitive also names is left out."""
+    """Parse the CSV into a NumericTable of its quasi-identifier columns
+    (config.quasi_columns()) in header order, or, if categorical, a list
+    of string tuples over them in --quasi order."""
     try:
         with open_utf8(path, newline="") as fh:
             records = [r for r in csv.reader(fh) if r]  # blank lines skipped
@@ -99,12 +105,17 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
     for name in config.quasi + config.identifiers + config.sensitive:
         if name not in header:
             raise IngestionError(f"column {name!r} not found in {path}")
-    # the --quasi cells of each row, in --quasi order
+    # the --quasi cells of each row, in --quasi order, and where the
+    # quasi-identifiers stand among them
     at = [header.index(name) for name in config.quasi]
     cells = [[record[j].strip() for j in at] for record in records[1:]]
+    quasi = config.quasi_columns()
+    keep = [j for j, name in enumerate(config.quasi) if name in quasi]
 
     if categorical:
-        return list(map(tuple, cells))
+        if not keep:
+            raise IngestionError("no quasi-identifier columns declared")
+        return [tuple([row[j] for j in keep]) for row in cells]
 
     from .geometry import NumericTable
     values = []
@@ -117,11 +128,9 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
                 raise IngestionError(f"row {i}, column {name!r}: cannot "
                                      f"parse {v!r} as a number") from None
     # the table keeps its columns in header order
-    others = config.identifiers + config.sensitive
-    keep = sorted({at[j]: j for j, name in enumerate(config.quasi)
-                   if name not in others}.items())
-    return NumericTable([header[h] for h, _ in keep],
-                        [[row[j] for _, j in keep] for row in values])
+    keep.sort(key=at.__getitem__)
+    return NumericTable([header[at[j]] for j in keep],
+                        [[row[j] for j in keep] for row in values])
 
 
 def _fmt_value(v: float) -> str:
@@ -274,15 +283,16 @@ def cmd_lattice_sweep(config: RunConfig) -> int:
     k = _one_k(config, "lattice-sweep")
     if not config.trees:
         raise IngestionError("lattice-sweep requires --trees")
-    # trees are matched to the --quasi columns by name, in --quasi order
+    # trees are matched to the quasi-identifiers by name, in --quasi order
     by_name = {str(tree.attribute): tree
                for tree in load_trees(config.trees)}
-    for name in config.quasi:
+    quasi = config.quasi_columns()
+    for name in quasi:
         if name not in by_name:
             raise IngestionError(
                 f"no tree for --quasi column {name!r} in {config.trees}; "
                 f"its trees are " + ", ".join(map(repr, by_name)))
-    trees = [by_name[name] for name in config.quasi]
+    trees = [by_name[name] for name in quasi]
     rows = ingest_csv(config.input, config, categorical=True)
     result = lattice_search(rows, trees, k, config.strategy)
     out_dir = Path(config.out)

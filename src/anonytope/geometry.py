@@ -4,15 +4,15 @@ merge tree of the rows.
 The one geometric primitive everything else rests on is the minimum
 enclosing ball (MEB): the closed eps-balls around a point set share a
 common point exactly when the set's MEB radius is at most eps, so every
-"do these balls intersect" question reduces to one MEB computation.
-Every "which rows share a component at eps" question is answered by one
-merge tree (single linkage), built once per dataset.
+"do these balls intersect" question reduces to one MEB computation, by
+one routine, _enclose.  Every "which rows share a component at eps"
+question is answered by one merge tree (single linkage), built once per
+dataset.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from functools import cached_property
 from itertools import combinations
@@ -68,11 +68,10 @@ class NormalizedDataset:
     dict.
     """
 
-    def __init__(self, points, scale_params: tuple[tuple[float, float], ...]):
+    def __init__(self, points):
         points = np.asarray(points, float)      # shape (N, d), in [0, 1]
         points.setflags(write=False)
-        # scale_params: per-column (min, max) in original units
-        vars(self).update(points=points, scale_params=scale_params)
+        vars(self).update(points=points)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -123,17 +122,15 @@ def normalize_dataset(table: NumericTable) -> NormalizedDataset:
     A column whose range overflows a float is scaled from its halves.
     """
     raw = table.rows
-    scale = []
     pts = np.zeros_like(raw)
     for j in range(raw.shape[1]):
         col = raw[:, j]
         lo, hi = float(col.min()), float(col.max())
-        scale.append((lo, hi))
         if math.isinf(hi - lo):
             col, lo, hi = col / 2.0, lo / 2.0, hi / 2.0
         if hi > lo:
             pts[:, j] = (col - lo) / (hi - lo)
-    return NormalizedDataset(points=pts, scale_params=tuple(scale))
+    return NormalizedDataset(pts)
 
 
 def _dist(a, b) -> float:
@@ -180,52 +177,42 @@ def _ball_from_boundary(boundary: list[np.ndarray]):
 
 def _welzl(pts: list[np.ndarray], boundary: list[np.ndarray], dim: int):
     """(center, radius, support) of the smallest ball holding pts with
-    every boundary point on its surface, support being the boundary it
-    was built from; None when both are empty."""
-    ball = (*_ball_from_boundary(boundary), boundary) if boundary else None
+    every point of the nonempty boundary on its surface (Welzl 1991),
+    support being the boundary it was built from."""
+    ball = (*_ball_from_boundary(boundary), boundary)
     if len(boundary) == dim + 1:
         return ball
     for i, p in enumerate(pts):
-        if ball is None or _dist(ball[0], p) > ball[1] + _CONTAIN_TOL:
+        if _dist(ball[0], p) > ball[1] + _CONTAIN_TOL:
             ball = _welzl(pts[:i], boundary + [p], dim)
     return ball
 
 
 def min_enclosing_ball(points) -> Ball:
-    """Smallest closed ball containing all points (Welzl move-to-front).
+    """Smallest closed ball containing all points, by _enclose.
 
-    Works in any dimension; the returned radius is within MEB_REL_TOL of
-    optimal and is inflated (never deflated) so that every input point
-    satisfies the containment invariant.
+    Grown from the first point, in any dimension; the returned radius is
+    within MEB_REL_TOL of optimal and is inflated (never deflated) so
+    that every input point satisfies the containment invariant.
     """
     pts = np.asarray(points, float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.size == 0:
         raise ContractViolation("min_enclosing_ball of an empty point set")
-    n, d = pts.shape
-    if n == 1:
-        return Ball(pts[0].copy(), 0.0)
-    if n == 2:
-        return Ball((pts[0] + pts[1]) / 2.0, _dist(pts[0], pts[1]) / 2.0)
-    order = list(range(n))
-    random.Random(0x5EB).shuffle(order)
-    center, radius, _ = _welzl([pts[i] for i in order], [], d)
-    # inflating to the farthest point guarantees containment without
-    # breaking minimality beyond float noise
-    radius = max(radius, max(_dist(center, p) for p in pts))
-    return Ball(center, radius)
+    radius, center, _ = _enclose(pts, (0.0, pts[0], [pts[0]]))
+    return Ball(center.copy(), radius)
 
 
 def _enclose(points: np.ndarray, ball):
     """(radius, center, support) of the smallest ball holding points,
-    given that of some of them.
+    given that of some of them: the package's one MEB routine.
 
     While some point lies outside the ball, the farthest one moves to
-    the front of the support and the ball is rebuilt with it on its
-    surface (Welzl move-to-front).  The radius is inflated to the
-    farthest point, as min_enclosing_ball's is, except for two points:
-    their diametral ball is exact, with radius half their distance.
+    the front of the support and _welzl rebuilds the ball with it on its
+    surface (move-to-front, Gärtner 1999).  The radius is inflated to the
+    farthest point, so every point is held, except for two points: their
+    diametral ball is exact, with radius half their distance.
     """
     if len(points) == 2:
         center, radius = _ball_from_boundary(list(points))

@@ -46,10 +46,9 @@ class Barcode(NamedTuple):
 
 
 def _h0_bars(data: NormalizedDataset) -> list[Bar]:
-    """The H0 bars of the dataset's merge tree, by death (ties in row
-    order): each merge kills the younger component's bar, and the
-    survivor's bar takes the size of the merged component, in one step
-    per eps."""
+    """The H0 bars of the dataset's merge tree, in row order: each merge
+    kills the younger component's bar, and the survivor's bar takes the
+    size of the merged component, in one step per eps."""
     tree = data.merge_tree
     n = data.n_points
     steps = [[(0.0, 1)] for _ in range(n)]
@@ -62,8 +61,7 @@ def _h0_bars(data: NormalizedDataset) -> list[Bar]:
         if own[-1][0] == eps:
             own.pop()
         own.append((eps, size))
-    return sorted((Bar(0, 0.0, deaths[i], tuple(steps[i])) for i in range(n)),
-                  key=lambda b: float("inf") if b.death is None else b.death)
+    return [Bar(0, 0.0, deaths[i], tuple(steps[i])) for i in range(n)]
 
 
 def _coboundary_pairs(n: int, p: int, faces: np.ndarray,
@@ -167,7 +165,8 @@ def barcode(data: NormalizedDataset, dim_cap: int) -> Barcode:
                  in zip(births.tolist(), cofaces[cleared].tolist())
                  if birth != death)
         faces = cofaces     # the p-simplices are no longer needed
-    # stable, so H0 keeps _h0_bars' order of tied deaths (barcode.json's)
+    # stable, so the H0 bars, all born at 0, go by death with ties in
+    # row order (barcode.json's order)
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
     return Barcode(tuple(bars))

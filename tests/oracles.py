@@ -34,10 +34,7 @@ Simplex = tuple[int, ...]
 
 
 def dataset(points) -> NormalizedDataset:
-    pts = np.asarray(points, float)
-    d = pts.shape[1]
-    return NormalizedDataset(
-        points=pts, scale_params=tuple((0.0, 1.0) for _ in range(d)))
+    return NormalizedDataset(points)
 
 
 def subset(data: NormalizedDataset, row_ids) -> np.ndarray:

@@ -544,13 +544,13 @@ class TestCommands:
 class TestLatticeTreesByName:
     """lattice-sweep picks each --quasi column's tree by its name."""
 
-    def run(self, tmp_path, trees_yaml, header, *quasi):
+    def run(self, tmp_path, trees_yaml, header, *quasi, flags=()):
         path = tmp_path / "cat.csv"
         path.write_text(header + "\nMale,Portugal\nFemale,Spain\n"
                         "Male,Hungary\nFemale,Hungary\n")
         out = tmp_path / "out"
         rc = run_cli("lattice-sweep", "--input", str(path),
-                     "--quasi", *quasi, "--trees", str(trees_yaml),
+                     "--quasi", *quasi, *flags, "--trees", str(trees_yaml),
                      "--k", "2", "--strategy", "exhaustive",
                      "--out", str(out))
         doc = json.loads((out / "lattice_k2.json").read_text()) \
@@ -579,6 +579,32 @@ class TestLatticeTreesByName:
         rc, doc = self.run(tmp_path, trees_yaml, "gender,country", "country")
         assert rc == EXIT_OK
         assert doc["nodes"] == [[1]]
+
+    @pytest.mark.parametrize("flag", ["--identifiers", "--sensitive"])
+    def test_excluded_column_is_not_generalized(self, tmp_path, trees_yaml,
+                                                capsys, flag):
+        # a column --identifiers or --sensitive names is no
+        # quasi-identifier, even when --quasi names it too
+        rc, doc = self.run(tmp_path, trees_yaml, "gender,country",
+                           "gender", "country", flags=[flag, "gender"])
+        assert rc == EXIT_OK
+        assert doc["nodes"] == [[1]]
+        assert capsys.readouterr().out.endswith(
+            "k=2: achieved at levels [1]\n")
+
+    @pytest.mark.parametrize("command", ["lattice-sweep", "check"])
+    def test_every_quasi_column_excluded_is_input_error(
+            self, tmp_path, trees_yaml, capsys, command):
+        path = tmp_path / "cat.csv"
+        path.write_text("gender,country\n1,2\n3,4\n")
+        rc = run_cli(command, "--input", str(path), "--quasi", "gender",
+                     "country", "--identifiers", "country", "--sensitive",
+                     "gender", "--trees", str(trees_yaml), "--k", "1",
+                     "--eps", "0.1", "--out", str(tmp_path / "out"))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == \
+            ("", "error: no quasi-identifier columns declared\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tree, read_as", [
         ("gender:\n  root: Person\n  Person: [yes, Female]\n", "True"),
@@ -865,7 +891,7 @@ def test_filtration_peak_rss_at_simplex_budget():
              "from anonytope.complexes import simplex_births; "
              "from anonytope.geometry import NormalizedDataset; "
              "pts = np.random.default_rng(228).random((228, 2)); "
-             "data = NormalizedDataset(pts, ((0.0, 1.0),) * 2); "
+             "data = NormalizedDataset(pts); "
              "print(len(simplex_births(data, 3, simplex_births(data, 2))))")
     proc, peak = peak_rss_mib(sys.executable, "-c", build)
     assert proc.returncode == EXIT_OK, proc.stderr

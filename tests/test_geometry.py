@@ -31,7 +31,6 @@ class TestNormalize:
     def test_single_row_maps_to_origin(self):
         data = normalize_dataset(make_table([(25, 47677)]))
         assert np.allclose(data.points, [[0.0, 0.0]])
-        assert data.scale_params == ((25.0, 25.0), (47677.0, 47677.0))
 
     def test_extreme_rows_hit_corners(self, sample_data):
         assert np.allclose(sample_data.points[2 - 1], [0.0, 0.0])
@@ -224,8 +223,9 @@ class TestSpanningTree:
 
 class TestMergeRadii:
     def test_component_radii_match_min_enclosing_ball(self):
-        # every merge's radius, grown from its children's balls, against
-        # one Welzl run over the component's rows
+        # path independence: every merge's radius, grown from its
+        # children's balls, against the ball grown from the component's
+        # first row
         for pts in seeded_points(11, 120):
             data = dataset(pts)
             tree = data.merge_tree
@@ -235,6 +235,32 @@ class TestMergeRadii:
                     want = min_enclosing_ball(data.points[comp]).radius
                     assert radius == pytest.approx(want, rel=MEB_REL_TOL,
                                                    abs=0), pts
+
+    def test_component_radii_match_bruteforce(self):
+        # every component's radius against the best of its support
+        # subsets, on 2-10 rows in d = 1-4: uniform, on a 1/4 grid
+        # (distances tie, rows repeat) and in two tight clusters
+        rng = random.Random(25)
+        checked = 0
+        for trial in range(72):
+            n, d, kind = rng.randint(2, 10), trial % 4 + 1, trial // 4 % 3
+            centres = [[rng.random() for _ in range(d)] for _ in range(2)]
+            pts = [[rng.random() for _ in range(d)] if kind == 0 else
+                   [rng.randint(0, 4) / 4 for _ in range(d)] if kind == 1
+                   else [x + rng.gauss(0, 0.02) for x in rng.choice(centres)]
+                   for _ in range(n)]
+            data = dataset(pts)
+            tree, want = data.merge_tree, {}
+            for merges in range(n):
+                for comp, radius in zip(tree.components(merges),
+                                        tree.radii(merges)):
+                    key = tuple(comp.tolist())
+                    if key not in want:
+                        want[key] = meb_bruteforce(data.points[comp])
+                    assert radius == pytest.approx(want[key], rel=1e-9,
+                                                   abs=1e-12), (pts, key)
+                    checked += 1
+        assert checked > 1000
 
     def test_radii_do_not_depend_on_call_order(self):
         rng = random.Random(12)

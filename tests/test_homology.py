@@ -272,8 +272,9 @@ def test_cap3_births_leave_no_ulp_long_bars():
     # bars over 1e-9 relative are those that the global index reduction
     # finds with each tetrahedron born at its exact rational MEB radius,
     # rounded to a float and clamped to its facets: as many in each
-    # dimension, each endpoint within 1e-12 relative.  Born at its Welzl
-    # radius, only clamped, each tetrahedron leaves bars of float noise
+    # dimension, each endpoint within 1e-12 relative.  Born at its
+    # min_enclosing_ball radius, only clamped, each tetrahedron leaves
+    # bars of float noise
     def above_h0(bars, longer_than):
         return sorted(b[:3] for b in bars.bars if b.dim > 0
                       and b.death - b.birth > longer_than * b.death)
@@ -302,10 +303,10 @@ def test_cap3_births_leave_no_ulp_long_bars():
         for (_, birth, death), (_, birth_x, death_x) in zip(got, want):
             assert abs(birth - birth_x) <= 1e-12 * birth_x, seed
             assert abs(death - death_x) <= 1e-12 * death_x, seed
-        welzl = reduced(data, births,
+        grown = reduced(data, births,
                         lambda pts: min_enclosing_ball(pts).radius)
-        noise += len(above_h0(welzl, 0.0)) - len(above_h0(welzl, 1e-12))
-    assert noise > 1000         # the clamp alone left 1,120 such bars
+        noise += len(above_h0(grown, 0.0)) - len(above_h0(grown, 1e-12))
+    assert noise > 1000         # the clamp alone left 1,113 such bars
 
 
 def test_determinism(sample_data):
