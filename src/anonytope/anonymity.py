@@ -78,17 +78,16 @@ def check_k_anonymity(data: NormalizedDataset, eps: float,
     if k > data.n_points:
         return _failed(FAIL_TOO_SMALL, data.row_ids)
     tree = data.merge_tree
-    merges = tree.cut(eps)
-    comps = tree.components(merges)
-    for comp in comps:
-        if len(comp) < k:
-            return _failed(FAIL_TOO_SMALL, tree.row_ids(comp))
+    classes = tree.classes(tree.cut(eps))
+    for rows, _ in classes:
+        if len(rows) < k:
+            return _failed(FAIL_TOO_SMALL, rows)
     # radii are computed only now, for a partition whose sizes pass
-    for comp, radius in zip(comps, tree.radii(merges)):
-        if radius > eps:
-            return _failed(FAIL_NOT_SIMPLEX, tree.row_ids(comp))
+    for rows, j in classes:
+        if tree.radius(j) > eps:
+            return _failed(FAIL_NOT_SIMPLEX, rows)
     return AnonymityVerdict(achieved=True,
-                            classes=tuple(map(tree.row_ids, comps)),
+                            classes=tuple(rows for rows, _ in classes),
                             failure_reason=None)
 
 
@@ -107,7 +106,7 @@ def compute_regimes(data: NormalizedDataset, k: int) -> list[Regime]:
         return []
     tree = data.merge_tree
     return [Regime(eps_lo=start, eps_hi=None if math.isinf(hi) else hi,
-                   classes=tuple(map(tree.row_ids, tree.components(merges))))
+                   classes=tuple(rows for rows, _ in tree.classes(merges)))
             for lo, hi, merges, smallest, radius in tree.regime_table
             if smallest >= k and (start := max(lo, radius)) < hi]
 

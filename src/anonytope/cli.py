@@ -83,7 +83,9 @@ class RunConfig:
 def ingest_csv(path, config: RunConfig, categorical: bool = False):
     """Parse the CSV into a NumericTable of its quasi-identifier columns
     (config.quasi_columns()) in header order, or, if categorical, a list
-    of string tuples over them in --quasi order."""
+    of string tuples over them in --quasi order.  Only their cells are
+    read: a column that --identifiers or --sensitive leaves out may
+    hold anything."""
     try:
         with open_utf8(path, newline="") as fh:
             records = [r for r in csv.reader(fh) if r]  # blank lines skipped
@@ -105,32 +107,30 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
     for name in config.quasi + config.identifiers + config.sensitive:
         if name not in header:
             raise IngestionError(f"column {name!r} not found in {path}")
-    # the --quasi cells of each row, in --quasi order, and where the
-    # quasi-identifiers stand among them
-    at = [header.index(name) for name in config.quasi]
-    cells = [[record[j].strip() for j in at] for record in records[1:]]
+    # the quasi-identifier cells of each row, in --quasi order, and
+    # where they stand in the header
     quasi = config.quasi_columns()
-    keep = [j for j, name in enumerate(config.quasi) if name in quasi]
-
+    if not quasi:
+        raise IngestionError("no quasi-identifier columns declared")
+    at = [header.index(name) for name in quasi]
+    cells = [[record[j].strip() for j in at] for record in records[1:]]
     if categorical:
-        if not keep:
-            raise IngestionError("no quasi-identifier columns declared")
-        return [tuple([row[j] for j in keep]) for row in cells]
+        return [tuple(row) for row in cells]
 
     from .geometry import NumericTable
     values = []
     for i, row in enumerate(cells, start=1):
         values.append(parsed := [])
-        for name, v in zip(config.quasi, row):
+        for name, v in zip(quasi, row):
             try:
                 parsed.append(float(v))
             except ValueError:
                 raise IngestionError(f"row {i}, column {name!r}: cannot "
                                      f"parse {v!r} as a number") from None
     # the table keeps its columns in header order
-    keep.sort(key=at.__getitem__)
-    return NumericTable([header[at[j]] for j in keep],
-                        [[row[j] for j in keep] for row in values])
+    cols = sorted(range(len(quasi)), key=at.__getitem__)
+    return NumericTable([quasi[c] for c in cols],
+                        [[row[c] for c in cols] for row in values])
 
 
 def _fmt_value(v: float) -> str:

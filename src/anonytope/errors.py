@@ -47,23 +47,14 @@ def open_utf8(path, newline=None):
 
 
 def read_yaml(path):
-    """The YAML document in a UTF-8 file, parsed by libyaml when PyYAML
-    was built with it.  A YAML error is an IngestionError on one line:
-    path, line, column and problem, where PyYAML's own message spans
-    several lines.  libyaml words its errors differently, so a file it
-    rejects is read again by PyYAML's own parser, which words the
-    error."""
+    """The YAML document in a UTF-8 file, parsed by yaml.safe_load.  A
+    YAML error is an IngestionError on one line: path, line, column and
+    problem, where PyYAML's own message spans several lines."""
     import yaml
 
     with open_utf8(path) as fh:
         try:
-            return yaml.load(
-                fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError:
-            pass
-    with open_utf8(path) as fh:
-        try:
-            return yaml.load(fh, Loader=yaml.SafeLoader)
+            return yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             if mark is None:

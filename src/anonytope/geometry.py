@@ -286,7 +286,10 @@ class MergeTree:
     The pass records each merge once: its children, survivor's first
     (the merge that formed each, or ~row for a single row), the size of
     the component it forms, and where that component starts in one
-    order of the rows, in which every merge's component is a slice.
+    order of the rows, the leaf order, in which every merge's component
+    is a slice.  Every partition the tree passes through is read from
+    those slices: classes(merges) names each component alive after a
+    number of merges by the merge that formed it.
     The MEB of a merge's component is computed on first use, grown from
     the larger of its children's MEBs, which are computed first; so a
     radius depends on the tree alone, not on the order in which radii
@@ -322,9 +325,9 @@ class MergeTree:
             rows[ra] += rows[rb]
             self.size.append(rows[ra])
             after[last[ra]], last[ra] = rb, last[rb]
-        # the roots' lists end to end: a merge's component is the size[j]
-        # rows from where its survivor stands, and the points are
-        # reordered so that it is one slice of them
+        # the roots' lists end to end, the leaf order: a merge's
+        # component is the size[j] rows from where its survivor stands,
+        # and the points are reordered so that it is one slice of them
         order = []
         for v in [v for v in range(n) if root[v] == v]:
             while v >= 0:
@@ -333,7 +336,8 @@ class MergeTree:
         place = np.empty(n, np.intp)
         place[order] = np.arange(n)
         self.start = place[survivor].tolist()
-        self._leaves = points[order]
+        self._order = np.array(order, dtype=np.intp)
+        self._leaves = points[self._order]
         self.edge = np.array(edge, dtype=np.intp)
         self.survivor = np.array(survivor, dtype=np.intp)
         self.dying = np.array(dying, dtype=np.intp)
@@ -345,28 +349,30 @@ class MergeTree:
         """How many merges have happened at radius eps (closed balls)."""
         return bisect_right(self.height, 2.0 * eps)
 
-    def components(self, merges: int) -> list[np.ndarray]:
-        """The components after the given number of merges, as ascending
-        row positions, ordered by their first row."""
-        root = np.arange(len(self.points))
-        root[self.dying[:merges]] = self.survivor[:merges]
-        while not np.array_equal(up := root[root], root):
-            root = up
-        order = np.argsort(root, kind="stable")
-        return np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
-
-    def row_ids(self, component: np.ndarray) -> tuple[int, ...]:
-        return tuple([row + 1 for row in component.tolist()])
-
-    def radii(self, merges: int):
-        """The MEB radius of each component after the given number of
-        merges, in the order of components(merges).  Reaching a component
-        computes its radius and those of the merges under it alone."""
-        latest = dict(zip(self.survivor[:merges].tolist(), range(merges)))
-        alive = np.ones(len(self.points), bool)
+    def classes(self, merges: int) -> list[tuple[tuple[int, ...], int]]:
+        """The components alive after the given number of merges,
+        ordered by their first row: each as its ascending 1-based row
+        ids, read from its slice of the leaf order, and the merge that
+        formed it (~row for a single row)."""
+        n = len(self.points)
+        # a component is rooted at its first row; its root's latest merge
+        # formed it
+        top = ~np.arange(n)
+        np.maximum.at(top, self.survivor[:merges], np.arange(merges))
+        alive = np.ones(n, bool)
         alive[self.dying[:merges]] = False
-        for root in np.flatnonzero(alive).tolist():
-            yield self._ball(latest[root])[0] if root in latest else 0.0
+        classes = []
+        for j in top[alive].tolist():
+            if j < 0:
+                classes.append(((~j + 1,), j))
+            else:
+                rows = self._order[self.start[j]:self.start[j] + self.size[j]]
+                classes.append((tuple((np.sort(rows) + 1).tolist()), j))
+        return classes
+
+    def radius(self, j: int) -> float:
+        """The MEB radius of the component merge j formed; 0 for ~row."""
+        return self._ball(j)[0] if j >= 0 else 0.0
 
     @cached_property
     def regime_table(self) -> list[tuple[float, float, int, int, float]]:

@@ -5,13 +5,14 @@ BFS, set-partition enumeration, parent-link walks, one reduction over
 the whole filtration's global index) and shares no code path with the
 package implementation it checks, except that the fixed-eps anonymity
 complex tests its simplices with the package's min_enclosing_ball, the
-per-interval regime sweep reads the merge tree's partitions and runs
-min_enclosing_ball on each component, the Kruskal merge tree reads the
-dataset's pair distances and MergeTree's regime table over its own
-merges, and the lattice brute force reads the package's per-node
-partition.
+per-interval regime sweep runs min_enclosing_ball on each component of
+its own union-find partitions, the Kruskal scan reads the dataset's
+pair distances, the Kruskal merge tree reads MergeTree's regime table
+over the scan's merges, and the lattice brute force reads the
+package's per-node partition.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -214,17 +215,20 @@ def components_bfs(points, eps):
 
 
 def regimes_per_interval(data: NormalizedDataset, k: int) -> list[Regime]:
-    """compute_regimes as one pass over the merge tree's partitions, from
-    the coarsest: at each interval of constant partition, its components
-    and one min_enclosing_ball per component (each computed once),
-    stopping at the first partition too fine for k."""
+    """compute_regimes as one pass over the Kruskal scan's partitions,
+    from the coarsest: at each interval of constant partition, its
+    components by union-find over the pairs kept so far, and one
+    min_enclosing_ball per component (each computed once), stopping at
+    the first partition too fine for k."""
     if k > data.n_points:
         return []
-    tree = data.merge_tree
-    starts = sorted({0.0} | {h / 2.0 for h in tree.height})
+    kept = kruskal_scan(data)[0]
+    heights = [d for d, _, _ in kept]
+    starts = sorted({0.0} | {h / 2.0 for h in heights})
     radius, regimes = {}, []
     for lo, hi in reversed(list(zip(starts, starts[1:] + [math.inf]))):
-        comps = [tuple(c.tolist()) for c in tree.components(tree.cut(lo))]
+        merges = bisect.bisect_right(heights, 2.0 * lo)
+        comps = union_find_partition(data.n_points, kept[:merges])
         if any(len(c) < k for c in comps):
             break
         for c in comps:
@@ -239,33 +243,53 @@ def regimes_per_interval(data: NormalizedDataset, k: int) -> list[Regime]:
     return regimes[::-1]
 
 
-def kruskal_tree(points) -> MergeTree:
-    """The merge tree by the all-pairs route: one stable sort of every
-    pair's distance (ties in row order, so in pair rank order) and a
-    Kruskal scan that keeps each pair joining two components, the
-    elder root surviving.  The kept pairs build a MergeTree of the
-    points, whose replay must merge them as the scan did, so its regime
-    table and radii are read off the scan's merges."""
-    data = dataset(points)
+def _find(root: list[int], x: int) -> int:
+    while root[x] != x:
+        root[x] = x = root[root[x]]
+    return x
+
+
+def kruskal_scan(data: NormalizedDataset):
+    """(kept, survivor, dying) of one stable sort of every pair's
+    distance (ties in row order, so in pair rank order) and a Kruskal
+    scan that keeps each pair (distance, a, b) joining two components,
+    the elder root surviving."""
     dist = data.pair_distances
-    n = data.n_points
-    first, second = np.triu_indices(n, 1)
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
+    first, second = np.triu_indices(data.n_points, 1)
+    root = list(range(data.n_points))
     kept, survivor, dying = [], [], []
     for rank in np.argsort(dist, kind="stable").tolist():
         a, b = int(first[rank]), int(second[rank])
-        ra, rb = sorted((find(a), find(b)))
+        ra, rb = sorted((_find(root, a), _find(root, b)))
         if ra != rb:
             root[rb] = ra
             kept.append((float(dist[rank]), a, b))
             survivor.append(ra)
             dying.append(rb)
+    return kept, survivor, dying
+
+
+def union_find_partition(n: int, pairs) -> list[tuple[int, ...]]:
+    """The components of n rows joined by the pairs (_, a, b), by
+    union-find: each as its ascending 0-based rows, ordered by their
+    first row."""
+    root = list(range(n))
+    for _, a, b in pairs:
+        ra, rb = sorted((_find(root, a), _find(root, b)))
+        root[rb] = ra
+    comps = {}
+    for v in range(n):
+        comps.setdefault(_find(root, v), []).append(v)
+    return [tuple(c) for c in comps.values()]
+
+
+def kruskal_tree(points) -> MergeTree:
+    """The merge tree by the all-pairs route: the pairs kruskal_scan
+    keeps build a MergeTree of the points, whose replay must merge them
+    as the scan did, so its regime table and radii are read off the
+    scan's merges."""
+    data = dataset(points)
+    kept, survivor, dying = kruskal_scan(data)
     tree = MergeTree(data.points, kept)
     assert (tree.survivor.tolist(), tree.dying.tolist()) == (survivor, dying)
     return tree

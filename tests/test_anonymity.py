@@ -210,8 +210,7 @@ class TestRegimes:
                 calls.clear()
                 v = check_k_anonymity(data, eps, 1)
                 assert v.failure_reason.kind == FAIL_NOT_SIMPLEX
-                comps = [tree.row_ids(c)
-                         for c in tree.components(tree.cut(eps))]
+                comps = [rows for rows, _ in tree.classes(tree.cut(eps))]
                 reached = comps[:comps.index(v.failure_reason.component) + 1]
                 assert len(calls) == sum(len(c) - 1 for c in reached)
 

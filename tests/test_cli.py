@@ -125,6 +125,19 @@ class TestExitPaths:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--identifiers", "--sensitive"])
+    def test_excluded_text_column_is_not_parsed(self, tmp_path, capsys,
+                                                flag):
+        # --quasi names s too, but s is left out, so its text is no
+        # number to parse; the run answers as it does without s
+        path = tmp_path / "text.csv"
+        path.write_text("q1,s\n0.1,flu\n0.15,cold\n0.9,flu\n")
+        argv = ["check", "--input", str(path), "--k", "1", "--eps", "0.1"]
+        assert run_cli(*argv, "--quasi", "q1") == EXIT_OK
+        alone = capsys.readouterr()
+        assert run_cli(*argv, "--quasi", "q1", "s", flag, "s") == EXIT_OK
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize("flag", ["--identifiers", "--sensitive"])
     def test_missing_named_column_is_input_error(self, sample_csv, capsys,
                                                  flag):
         rc = run_cli("check", "--input", str(sample_csv), "--quasi", "Age",
@@ -683,8 +696,8 @@ def test_lattice_report_fields(tmp_path, trees_yaml, capsys, rows, quasi, k,
 
 
 class TestYamlLoaders:
-    """Files read with PyYAML's own parser in place of libyaml give the
-    same documents and the same one-line errors."""
+    """read_yaml parses with PyYAML's own parser, so removing libyaml's
+    loader changes neither the documents nor the one-line errors."""
 
     def test_same_documents(self, trees_yaml, tmp_path, monkeypatch):
         cfg = tmp_path / "run.yaml"

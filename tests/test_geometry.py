@@ -13,9 +13,9 @@ from anonytope.geometry import (MEB_REL_TOL, NumericTable,
                                 min_enclosing_ball, normalize_dataset)
 
 from oracles import (balls_intersect, boundary_matrix, dataset,
-                     filtration_births, filtration_entries, kruskal_tree,
-                     meb_bruteforce, reduce_matrix, seeded_points,
-                     triangle_meb_exact)
+                     filtration_births, filtration_entries, kruskal_scan,
+                     kruskal_tree, meb_bruteforce, reduce_matrix,
+                     seeded_points, triangle_meb_exact, union_find_partition)
 
 points_2d = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
@@ -166,8 +166,8 @@ class TestMergeTreeEdges:
             tree = data.merge_tree
             pairs = list(combinations(range(data.n_points), 2))
             for j, rank in enumerate(tree.edge.tolist()):
-                part = {int(v): c for c, comp
-                        in enumerate(tree.components(j)) for v in comp}
+                part = {v - 1: c for c, (rows, _)
+                        in enumerate(tree.classes(j)) for v in rows}
                 ends = {part[v] for v in pairs[rank]}
                 assert ends == {part[int(tree.survivor[j])],
                                 part[int(tree.dying[j])]}
@@ -221,6 +221,34 @@ class TestSpanningTree:
                                   for _ in range(1500)])
 
 
+class TestClasses:
+    # every partition the tree passes through, read from its leaf order,
+    # against union-find over the pairs the Kruskal scan keeps
+    @staticmethod
+    def assert_union_find_classes(pts):
+        data = dataset(pts)
+        tree, kept = data.merge_tree, kruskal_scan(data)[0]
+        for m in range(data.n_points):
+            classes = tree.classes(m)
+            assert [rows for rows, _ in classes] == [
+                tuple(v + 1 for v in c)
+                for c in union_find_partition(data.n_points, kept[:m])
+            ], (m, pts)
+            for rows, j in classes:
+                if len(rows) == 1:
+                    assert j == ~(rows[0] - 1), (m, pts)
+                else:
+                    assert 0 <= j < m and tree.size[j] == len(rows), (m, pts)
+
+    def test_tie_heavy_grids(self):
+        for pts in tie_heavy_points(14, 90):
+            self.assert_union_find_classes(pts)
+
+    def test_seeded_points(self):
+        for pts in seeded_points(15, 120):
+            self.assert_union_find_classes(pts)
+
+
 class TestMergeRadii:
     def test_component_radii_match_min_enclosing_ball(self):
         # path independence: every merge's radius, grown from its
@@ -230,8 +258,9 @@ class TestMergeRadii:
             data = dataset(pts)
             tree = data.merge_tree
             for merges in range(data.n_points):
-                for comp, radius in zip(tree.components(merges),
-                                        tree.radii(merges)):
+                for rows, j in tree.classes(merges):
+                    radius = tree.radius(j)
+                    comp = [v - 1 for v in rows]
                     want = min_enclosing_ball(data.points[comp]).radius
                     assert radius == pytest.approx(want, rel=MEB_REL_TOL,
                                                    abs=0), pts
@@ -252,11 +281,11 @@ class TestMergeRadii:
             data = dataset(pts)
             tree, want = data.merge_tree, {}
             for merges in range(n):
-                for comp, radius in zip(tree.components(merges),
-                                        tree.radii(merges)):
-                    key = tuple(comp.tolist())
+                for key, j in tree.classes(merges):
+                    radius = tree.radius(j)
                     if key not in want:
-                        want[key] = meb_bruteforce(data.points[comp])
+                        want[key] = meb_bruteforce(
+                            data.points[[v - 1 for v in key]])
                     assert radius == pytest.approx(want[key], rel=1e-9,
                                                    abs=1e-12), (pts, key)
                     checked += 1
@@ -269,7 +298,10 @@ class TestMergeRadii:
             tree = dataset(pts).merge_tree
             cuts = list(range(len(pts)))
             rng.shuffle(cuts)
-            shuffled = {m: list(tree.radii(m)) for m in cuts}
+            shuffled = {m: [tree.radius(j) for _, j in tree.classes(m)]
+                        for m in cuts}
             first = dataset(pts).merge_tree
-            assert shuffled == {m: list(first.radii(m)) for m in sorted(cuts)}
+            assert shuffled == {m: [first.radius(j)
+                                    for _, j in first.classes(m)]
+                                for m in sorted(cuts)}
             assert tree.regime_table == table

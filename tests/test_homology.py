@@ -166,8 +166,7 @@ class TestWeightedBarcode:
         tree = data.merge_tree
         for eps in [0.0] + [b.death for b in wb.bars
                             if b.death is not None]:
-            yield eps, [tree.row_ids(c)
-                        for c in tree.components(tree.cut(eps))]
+            yield eps, [rows for rows, _ in tree.classes(tree.cut(eps))]
 
     def test_weights_conserved_at_every_merge(self, sample_data):
         wb = h0_barcode(sample_data)
@@ -201,7 +200,8 @@ def test_h0_weights_are_component_sizes_on_ties():
         for eps in {0.0} | {b.death for b in bars.bars
                             if b.death is not None}:
             got = sorted(b.weight_at(eps) for b in bars.live_bars(eps))
-            want = sorted(len(c) for c in tree.components(tree.cut(eps)))
+            want = sorted(len(rows)
+                          for rows, _ in tree.classes(tree.cut(eps)))
             assert got == want, (data.points.tolist(), eps)
 
 
