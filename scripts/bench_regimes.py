@@ -15,10 +15,12 @@ fixed-cost cases, each run ``FIXED_REPEAT`` times:
 - the same sweep in-process, OpenBLAS pinned to one thread: the time of
   ``import numpy``, of the package's numeric modules after it, and of
   ``main`` once both are loaded;
-- ``lattice-sweep --k 5 --strategy exhaustive`` on the 500-row table of
-  three balanced trees that ``perfbench/gen.py``'s
-  ``categorical_table(1, 0, 500)`` writes, its trees file in the plain
-  ``--trees`` layout.
+- ``lattice-sweep --k 5`` with ``--strategy exhaustive`` and with the
+  default ``lower_then_upper`` on the 500-row table of three balanced
+  trees that ``perfbench/gen.py``'s ``categorical_table(1, 0, 500)``
+  writes, its trees file in the plain ``--trees`` layout; there the
+  lower chain fails, so ``lower_then_upper`` sweeps both chains and
+  builds both chains' H0 bars.
 
 The cases at scale, each run ``--repeat`` times:
 
@@ -181,6 +183,8 @@ FIXED_CASES = (
     # d counts the trees
     ("lattice_sweep_exhaustive_n500", "lattice-sweep", 500, 3,
      ["--k", "5", "--strategy", "exhaustive"], {}),
+    ("lattice_sweep_lower_then_upper_n500", "lattice-sweep", 500, 3,
+     ["--k", "5"], {}),
 )
 SCALE_CASES = tuple(case + ({},) for case in (
     *((f"{command}_k2_n{n}_d2", command, n, 2, ["--k", "2", *extra])

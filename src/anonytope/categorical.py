@@ -4,8 +4,8 @@ per-attribute levels, and anonymity sweeps along monotone lattice chains.
 Levels here replace the radius of the numeric case: raising one
 attribute's level coarsens the partition of identical generalized
 tuples, so a monotone path through the lattice behaves like a filtration
-and the same weighted H0 bars (``homology.Bar``) apply, indexed by path
-position.
+and ``homology.elder_bars`` gives its weighted H0 bars from the merges
+between consecutive partitions, indexed by path position.
 """
 
 from __future__ import annotations
@@ -366,7 +366,7 @@ def chain_sweep(rows, trees, path, k: int) -> ChainReport:
 def _sweep(chains, path, k: int) -> ChainReport:
     """chain_sweep over the rows' ancestor chains, along a path that is
     known to be valid."""
-    from .homology import Bar
+    from .homology import elder_bars
 
     steps = []
     for node in path:
@@ -375,22 +375,17 @@ def _sweep(chains, path, k: int) -> ChainReport:
             node=node, classes=tuple(classes),
             k_anonymous=all(len(c) >= k for c in classes)))
 
-    # elder rule over path index.  Partitions only coarsen along the path
-    # and each class is ascending, so a class's bar belongs to its first
-    # row: a merge keeps that bar, and the bars of the other previous
-    # classes inside it die.
-    bar_steps = {cls[0]: [(0, len(cls))] for cls in steps[0].classes}
-    deaths: dict[int, int] = {}
+    # partitions only coarsen along the path and each class is ascending,
+    # so a class's bar belongs to its first row, and every other row of
+    # it that headed a class one step earlier merges into that bar
+    merges = []
     for idx, (prev, cur) in enumerate(zip(steps, steps[1:]), start=1):
-        alive = {cls[0] for cls in prev.classes}
-        for cls in cur.classes:
-            heads = [rid for rid in cls if rid in alive]
-            if len(heads) > 1:
-                for rid in heads[1:]:
-                    deaths[rid] = idx
-                bar_steps[cls[0]].append((idx, len(cls)))
+        heads = {cls[0] for cls in prev.classes}
+        merges += ((idx, cls[0], rid, len(cls)) for cls in cur.classes
+                   for rid in cls[1:] if rid in heads)
     bars = tuple(sorted(
-        (Bar(0, 0, deaths.get(r), tuple(bar_steps[r])) for r in bar_steps),
+        elder_bars({cls[0]: (0, len(cls)) for cls in steps[0].classes},
+                   merges),
         key=lambda b: (b.death is None, b.death or 0, b.weight_steps)))
     return ChainReport(steps=tuple(steps), k=k, h0_bars=bars)
 

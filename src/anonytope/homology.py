@@ -1,13 +1,13 @@
 """Persistence over GF(2): one barcode whose H0 bars carry their weights.
 
-H0 comes from the dataset's merge tree; each higher dimension from
-reducing its coboundary matrix, with the columns that the dimension
-below already paired cleared, and with most pairs read off before any
-column is built.
-
-``Bar`` is also the categorical side's bar, indexed by path position
-instead of eps, so this module loads neither numpy nor ``dataclasses``
-until ``barcode`` runs.
+H0 comes from ``elder_bars``, which the numeric side feeds the merge
+tree's merges over eps and the categorical side the merges between a
+lattice path's partitions over path position; each higher dimension
+from reducing its coboundary matrix, with the columns that the
+dimension below already paired cleared, and with most pairs read off
+before any column is built.  ``Bar`` and ``elder_bars`` need neither
+numpy nor ``dataclasses``, and this module loads neither until
+``barcode`` runs.
 """
 
 from __future__ import annotations
@@ -29,39 +29,30 @@ class Bar(NamedTuple):
     # None above H0
     weight_steps: tuple[tuple[float, int], ...] | None = None
 
-    def weight_at(self, eps: float) -> int:
-        w = 0
-        for e, size in self.weight_steps:
-            if e <= eps:
-                w = size
-        return w
-
 
 class Barcode(NamedTuple):
     bars: tuple[Bar, ...]
 
-    def live_bars(self, eps: float) -> list[Bar]:
-        return [b for b in self.bars
-                if b.birth <= eps and (b.death is None or eps < b.death)]
 
+def elder_bars(first: dict, merges) -> list[Bar]:
+    """The H0 bars of a sequence of merges, by the elder rule.
 
-def _h0_bars(data: NormalizedDataset) -> list[Bar]:
-    """The H0 bars of the dataset's merge tree, in row order: each merge
-    kills the younger component's bar, and the survivor's bar takes the
-    size of the merged component, in one step per eps."""
-    tree = data.merge_tree
-    n = data.n_points
-    steps = [[(0.0, 1)] for _ in range(n)]
-    deaths: list[float | None] = [None] * n
-    for d, survivor, dying, size in zip(tree.height, tree.survivor.tolist(),
-                                        tree.dying.tolist(), tree.size):
-        eps = d / 2.0
-        deaths[dying] = eps
+    ``first`` maps each bar's row to its birth step ``(at, size)``; its
+    key order is the order of the bars returned.  ``merges`` yields
+    ``(at, survivor, dying, size)`` in order of ``at``: the dying row's
+    bar ends at ``at``, and from ``at`` on the survivor's bar weighs
+    ``size``, in one step per ``at`` however many bars it absorbs there.
+    """
+    steps = {row: [step] for row, step in first.items()}
+    deaths = {}
+    for at, survivor, dying, size in merges:
+        deaths[dying] = at
         own = steps[survivor]
-        if own[-1][0] == eps:
+        if own[-1][0] == at:
             own.pop()
-        own.append((eps, size))
-    return [Bar(0, 0.0, deaths[i], tuple(steps[i])) for i in range(n)]
+        own.append((at, size))
+    return [Bar(0, at, deaths.get(row), tuple(steps[row]))
+            for row, (at, _) in first.items()]
 
 
 def _coboundary_pairs(n: int, p: int, faces: np.ndarray,
@@ -153,8 +144,12 @@ def barcode(data: NormalizedDataset, dim_cap: int) -> Barcode:
         raise ContractViolation("dim_cap must be >= 1")
     n = data.n_points
     check_budget(n, dim_cap)
-    bars = _h0_bars(data)
-    cleared = data.merge_tree.edge
+    tree = data.merge_tree
+    bars = elder_bars(dict.fromkeys(range(n), (0.0, 1)),
+                      zip((d / 2.0 for d in tree.height),
+                          tree.survivor.tolist(), tree.dying.tolist(),
+                          tree.size))
+    cleared = tree.edge
     faces = simplex_births(data, 2) if dim_cap > 1 else None
     for p in range(1, dim_cap):
         cofaces = simplex_births(data, p + 2, faces)

@@ -53,9 +53,25 @@ def regime_contains(regime: Regime, eps: float) -> bool:
                                      or eps < regime.eps_hi)
 
 
+def live_bars(bars: Barcode, eps: float) -> list[Bar]:
+    """The bars alive at eps: born at or before it, dying after it."""
+    return [b for b in bars.bars
+            if b.birth <= eps and (b.death is None or eps < b.death)]
+
+
+def weight_at(bar: Bar, eps: float) -> int:
+    """An H0 bar's weight at eps: the size of its last weight step at or
+    before eps, 0 before the first."""
+    w = 0
+    for at, size in bar.weight_steps:
+        if at <= eps:
+            w = size
+    return w
+
+
 def betti_at(bars: Barcode, eps: float) -> dict[int, int]:
     """The number of bars alive at eps, per dimension."""
-    return dict(Counter(b.dim for b in bars.live_bars(eps)))
+    return dict(Counter(b.dim for b in live_bars(bars, eps)))
 
 
 def seeded_points(seed: int, count: int):

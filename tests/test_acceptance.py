@@ -31,8 +31,8 @@ from anonytope.homology import barcode
 from oracles import (betti_at, components_bfs, critical_values, dataset,
                      dist, filtration_births, filtration_entries,
                      homology_dims_at, k_anonymity_bruteforce,
-                     k_anonymity_separated_bruteforce, meb_bruteforce,
-                     regime_contains, sublevel)
+                     k_anonymity_separated_bruteforce, live_bars,
+                     meb_bruteforce, regime_contains, sublevel, weight_at)
 
 # printed by scripts/sample_oracle.py: the sample's only k=3 regime, all
 # nine rows from the MEB radius of rows 2 and 5 at (0,0) and (1,1)
@@ -261,7 +261,7 @@ def test_criterion_08_weighted_barcode_conservation(sample_data):
         eps_values = {0.0} | {b.death for b in bars.bars
                               if b.death is not None}
         for eps in eps_values:
-            total = sum(b.weight_at(eps) for b in bars.live_bars(eps))
+            total = sum(weight_at(b, eps) for b in live_bars(bars, eps))
             assert total == data.n_points
     report(8, True, f"{len(datasets)} datasets conserved weights")
 

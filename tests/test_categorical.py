@@ -15,7 +15,8 @@ from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
 from anonytope.errors import ContractViolation, TreeDefinitionError
 
 from conftest import TREES_YAML
-from oracles import ancestor_walk, chain_sweep_elder, exhaustive_nodes
+from oracles import (ancestor_walk, chain_sweep_elder, exhaustive_nodes,
+                     weight_at)
 import yaml
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -202,7 +203,7 @@ class TestChainSweep:
         path = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3)]
         report = chain_sweep(EURO_ROWS, trees, path, k=3)
         for idx in range(len(path)):
-            total = sum(bar.weight_at(idx) for bar in report.h0_bars
+            total = sum(weight_at(bar, idx) for bar in report.h0_bars
                         if bar.death is None or idx < bar.death)
             assert total == len(EURO_ROWS)
 

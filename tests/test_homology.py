@@ -14,8 +14,8 @@ from anonytope.homology import barcode, barcode_json
 import oracles
 from oracles import (SimplicialComplex, boundary_matrix, critical_values,
                      dataset, filtration_births, filtration_entries,
-                     homology_dims_at, reduce_matrix, simplex_meb_exact,
-                     sublevel)
+                     homology_dims_at, live_bars, reduce_matrix,
+                     simplex_meb_exact, sublevel, weight_at)
 
 EQUILATERAL = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
 
@@ -144,20 +144,20 @@ def h0_barcode(data):
 class TestWeightedBarcode:
     def test_all_singletons_at_zero(self, sample_data):
         wb = h0_barcode(sample_data)
-        live = wb.live_bars(0.0)
+        live = live_bars(wb, 0.0)
         assert len(live) == 9
-        assert all(b.weight_at(0.0) == 1 for b in live)
+        assert all(weight_at(b, 0.0) == 1 for b in live)
 
     def test_single_bar_at_large_eps(self, sample_data):
         wb = h0_barcode(sample_data)
-        live = wb.live_bars(10.0)
+        live = live_bars(wb, 10.0)
         assert len(live) == 1
-        assert live[0].weight_at(10.0) == 9
+        assert weight_at(live[0], 10.0) == 9
 
     def test_two_component_regime_weights(self, sample_data):
         # components {1,2,3,7,8,9} and {4,5,6} coexist around eps = 0.3
         wb = h0_barcode(sample_data)
-        weights = sorted(b.weight_at(0.3) for b in wb.live_bars(0.3))
+        weights = sorted(weight_at(b, 0.3) for b in live_bars(wb, 0.3))
         assert weights == [3, 6]
 
     @staticmethod
@@ -171,9 +171,9 @@ class TestWeightedBarcode:
     def test_weights_conserved_at_every_merge(self, sample_data):
         wb = h0_barcode(sample_data)
         for eps, parts in self.partitions_at_deaths(sample_data, wb):
-            total = sum(b.weight_at(eps) for b in wb.live_bars(eps))
+            total = sum(weight_at(b, eps) for b in live_bars(wb, eps))
             assert total == sample_data.n_points
-            assert len(wb.live_bars(eps)) == len(parts)
+            assert len(live_bars(wb, eps)) == len(parts)
 
     def test_snapshot_partitions_cover_rows(self, sample_data):
         wb = h0_barcode(sample_data)
@@ -199,7 +199,7 @@ def test_h0_weights_are_component_sizes_on_ties():
         tree = data.merge_tree
         for eps in {0.0} | {b.death for b in bars.bars
                             if b.death is not None}:
-            got = sorted(b.weight_at(eps) for b in bars.live_bars(eps))
+            got = sorted(weight_at(b, eps) for b in live_bars(bars, eps))
             want = sorted(len(rows)
                           for rows, _ in tree.classes(tree.cut(eps)))
             assert got == want, (data.points.tolist(), eps)

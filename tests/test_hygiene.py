@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 import anonytope
 from anonytope.cli import RunConfig, _parser
+from conftest import AGES, TREES_YAML, ZIPS
 
 PACKAGE = Path(anonytope.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +49,26 @@ def test_readme_imports_exist():
     assert missing == []
 
 
+def test_every_readme_python_block_runs(tmp_path, monkeypatch):
+    # in a directory that holds the files the blocks read: the sample
+    # Age/ZIP table, with a leaf of each tree of TREES_YAML per row
+    genders = ["Male", "Female", "Female", "Male", "Male", "Female",
+               "Male", "Female", "Male"]
+    countries = ["Portugal", "Spain", "Hungary", "USA", "Canada", "USA",
+                 "Spain", "Portugal", "Hungary"]
+    lines = ["Age,ZIP,gender,country"]
+    lines += [f"{a},{z},{g},{c}"
+              for a, z, g, c in zip(AGES, ZIPS, genders, countries)]
+    (tmp_path / "people.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "trees.yaml").write_text(TREES_YAML)
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```python\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+
+
 def test_every_exported_name_resolves():
     # the package root imports each name from its home module on first
     # access
@@ -64,3 +86,39 @@ def test_run_config_has_one_field_per_flag():
     # a removed flag must take its field with it, and a new one add one
     flags = set(vars(_parser().parse_args(["sweep"]))) - {"command", "config"}
     assert set(vars(RunConfig())) == flags
+
+
+
+def test_every_package_function_is_read_by_the_package():
+    # a function that only tests read belongs in the tests.  Python reads
+    # a dunder itself, and a base class reads a method that overrides one
+    # of its attributes
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    read = set(anonytope.__all__)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                read.update(alias.name.split(".")[-1] for alias in node.names)
+    unread = []
+    for stem, tree in modules.items():
+        owner = {}          # id of a method's node -> its class
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"anonytope.{stem}"),
+                              node.name)
+                owner.update((id(fn), cls) for fn in node.body)
+        for node in ast.walk(tree):
+            name = getattr(node, "name", "")
+            if (not isinstance(node, ast.FunctionDef) or name in read
+                    or name.startswith("__") and name.endswith("__")):
+                continue
+            cls = owner.get(id(node))
+            if cls is None or not any(hasattr(base, name)
+                                      for base in cls.__mro__[1:]):
+                unread.append(f"{stem}.{name}")
+    assert unread == []
