@@ -16,7 +16,7 @@ _HOMES = {
     "cli": ("RunConfig", "ingest_csv"),
     "geometry": ("Ball", "NormalizedDataset", "NumericTable",
                  "min_enclosing_ball", "normalize_dataset"),
-    "homology": ("Barcode", "barcode"),
+    "homology": ("barcode",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items()
             for name in names}

@@ -5,7 +5,8 @@ A dataset is k-anonymous at radius eps exactly when every connected
 component of the eps-neighborhood graph has at least k members and its
 points fit in a ball of radius eps: such components are full simplices
 of the anonymity complex, so the complex decomposes into disjoint
-simplices of size >= k and all higher homology vanishes.
+simplices of size >= k and all higher homology vanishes.  Verdicts,
+regimes and generalized tables are plain records; ``cli`` writes them.
 """
 
 from __future__ import annotations
@@ -146,18 +147,3 @@ def generalize_table(table: NumericTable, regime: Regime) -> GeneralizedTable:
     return GeneralizedTable(qi_names=tuple(table.quasi_names),
                             rows=tuple(intervals[c] for c in class_ids),
                             class_ids=tuple(class_ids))
-
-
-def regime_report(k: int, regimes: list[Regime]) -> dict:
-    return {
-        "k": k,
-        "regimes": [
-            {
-                "eps_lo": r.eps_lo,
-                "eps_hi": r.eps_hi,
-                "n_classes": r.n_classes,
-                "classes": [list(c) for c in r.classes],
-            }
-            for r in regimes
-        ],
-    }

@@ -5,7 +5,8 @@ Levels here replace the radius of the numeric case: raising one
 attribute's level coarsens the partition of identical generalized
 tuples, so a monotone path through the lattice behaves like a filtration
 and ``homology.elder_bars`` gives its weighted H0 bars from the merges
-between consecutive partitions, indexed by path position.
+between consecutive partitions, indexed by path position.  Searches and
+sweeps return plain records; ``cli`` writes them as ``lattice_k*.json``.
 """
 
 from __future__ import annotations
@@ -477,21 +478,3 @@ def lattice_search(rows, trees, k: int,
         nodes=(), reports=(lower_report, upper_report),
         note=(f"no lattice node achieves {k}-anonymity: the top node puts "
               f"all {len(rows)} rows in one class"))
-
-
-def chain_report_json(report: ChainReport) -> dict:
-    from .homology import bar_json
-
-    return {
-        "k": report.k,
-        "steps": [
-            {
-                "levels": list(step.node),
-                "n_classes": len(step.classes),
-                "k_anonymous": step.k_anonymous,
-                "classes": [list(c) for c in step.classes],
-            }
-            for step in report.steps
-        ],
-        "h0_bars": [bar_json(b) for b in report.h0_bars],
-    }

@@ -4,6 +4,12 @@ tables out.
 Subcommands: sweep, check, anonymize, barcode, lattice-sweep.  Exit codes:
 0 success, 1 input error, 2 the requested k is infeasible.
 
+This is the one module that writes files, and the one home of their
+JSON shapes: the library layers return plain records (regimes, a tuple
+of bars, chain reports), and the commands below lay them out as
+``regimes_k*.json``, ``barcode.json`` and ``lattice_k*.json``, and
+write them beside the SVG that ``svg`` renders and the anonymized CSV.
+
 Each subcommand imports the modules it needs when it runs: the numeric
 ones (and numpy) for sweep, check, anonymize and barcode, the
 categorical one for lattice-sweep, and PyYAML only to read a ``--config``
@@ -150,6 +156,34 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
+def _write_json(out_dir: Path, name: str, doc: dict) -> None:
+    # json writes a tuple as an array, so records go in as they are
+    path = _write(out_dir, name, json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
+def _bar_json(bar) -> dict:
+    """A bar's shape, numeric or categorical: death null for the
+    infinite bar, weight steps [at, size] pairs, null above H0."""
+    return {"dim": bar.dim, "birth": bar.birth, "death": bar.death,
+            "weight_steps": bar.weight_steps}
+
+
+def _write_barcode_json(out_dir: Path, bars, n_points: int) -> None:
+    _write_json(out_dir, "barcode.json",
+                {"bars": [_bar_json(b) for b in bars], "n_points": n_points})
+
+
+def _chain_json(report) -> dict:
+    """A chain of lattice_k*.json: its steps, then its H0 bars over path
+    position."""
+    steps = [{"levels": step.node, "n_classes": len(step.classes),
+              "k_anonymous": step.k_anonymous, "classes": step.classes}
+             for step in report.steps]
+    return {"k": report.k, "steps": steps,
+            "h0_bars": [_bar_json(b) for b in report.h0_bars]}
+
+
 def _one_k(config: RunConfig, command: str) -> int:
     if len(config.k) != 1:
         raise IngestionError(
@@ -159,9 +193,9 @@ def _one_k(config: RunConfig, command: str) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    from .anonymity import compute_regimes, regime_report
+    from .anonymity import compute_regimes
     from .geometry import normalize_dataset
-    from .homology import barcode, barcode_json
+    from .homology import barcode
     from .svg import render_barcode_svg
 
     table = ingest_csv(config.input, config)
@@ -171,16 +205,15 @@ def cmd_sweep(config: RunConfig) -> int:
     # first, so a table over the simplex budget is refused before any
     # regime is computed
     bars = barcode(data, config.dim_cap)
-    bc_json = barcode_json(bars, data.n_points)
     results = [(k, compute_regimes(data, k)) for k in config.k]
 
     status = EXIT_OK
     for k, regimes in results:
-        report = regime_report(k, regimes)
         if "json" in config.formats:
-            path = _write(out_dir, f"regimes_k{k}.json",
-                          json.dumps(report, indent=2) + "\n")
-            print(f"wrote {path}")
+            _write_json(out_dir, f"regimes_k{k}.json", {"k": k, "regimes": [
+                {"eps_lo": r.eps_lo, "eps_hi": r.eps_hi,
+                 "n_classes": r.n_classes, "classes": r.classes}
+                for r in regimes]})
         if "svg" in config.formats:
             svg = render_barcode_svg(bars, regimes, k)
             path = _write(out_dir, f"barcode_k{k}.svg", svg)
@@ -195,9 +228,7 @@ def cmd_sweep(config: RunConfig) -> int:
                 f" with {r.n_classes} classes" for r in regimes)
             print(f"k={k}: {len(regimes)} regime(s): {spans}")
     if "json" in config.formats:
-        path = _write(out_dir, "barcode.json",
-                      json.dumps(bc_json, indent=2) + "\n")
-        print(f"wrote {path}")
+        _write_barcode_json(out_dir, bars, data.n_points)
     return status
 
 
@@ -258,7 +289,7 @@ def cmd_anonymize(config: RunConfig) -> int:
 
 def cmd_barcode(config: RunConfig) -> int:
     from .geometry import normalize_dataset
-    from .homology import barcode, barcode_json
+    from .homology import barcode
     from .svg import render_barcode_svg
 
     table = ingest_csv(config.input, config)
@@ -266,10 +297,7 @@ def cmd_barcode(config: RunConfig) -> int:
     bars = barcode(data, config.dim_cap)
     out_dir = Path(config.out)
     if "json" in config.formats:
-        path = _write(out_dir, "barcode.json",
-                      json.dumps(barcode_json(bars, data.n_points),
-                                 indent=2) + "\n")
-        print(f"wrote {path}")
+        _write_barcode_json(out_dir, bars, data.n_points)
     if "svg" in config.formats:
         svg = render_barcode_svg(bars, None, None)
         path = _write(out_dir, "barcode.svg", svg)
@@ -278,7 +306,7 @@ def cmd_barcode(config: RunConfig) -> int:
 
 
 def cmd_lattice_sweep(config: RunConfig) -> int:
-    from .categorical import chain_report_json, lattice_search, load_trees
+    from .categorical import lattice_search, load_trees
 
     k = _one_k(config, "lattice-sweep")
     if not config.trees:
@@ -295,18 +323,11 @@ def cmd_lattice_sweep(config: RunConfig) -> int:
     trees = [by_name[name] for name in quasi]
     rows = ingest_csv(config.input, config, categorical=True)
     result = lattice_search(rows, trees, k, config.strategy)
-    out_dir = Path(config.out)
-    payload = {
-        "k": k,
-        "strategy": config.strategy,
-        "nodes": [list(n) for n in result.nodes],
+    _write_json(Path(config.out), f"lattice_k{k}.json", {
+        "k": k, "strategy": config.strategy, "nodes": result.nodes,
         "upper_chain_skipped": result.upper_chain_skipped,
         "note": result.note,
-        "chains": [chain_report_json(r) for r in result.reports],
-    }
-    path = _write(out_dir, f"lattice_k{k}.json",
-                  json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {path}")
+        "chains": [_chain_json(report) for report in result.reports]})
     if result.nodes:
         print(f"k={k}: achieved at levels "
               + ", ".join(str(list(n)) for n in result.nodes))

@@ -126,11 +126,11 @@ def simplex_blocks(n: int, size: int):
 
 def check_budget(n: int, dim_cap: int) -> None:
     """Refuse a barcode on n rows whose simplices would exceed the
-    budget: those of 2..dim_cap+1 rows, which it builds; at dim_cap 1 it
-    builds none, since H0 comes from the merge tree."""
+    budget: those of 2..min(dim_cap+1, n) rows, which it builds; at
+    dim_cap 1 it builds none, since H0 comes from the merge tree."""
     if dim_cap < 2:
         return
-    total = sum(math.comb(n, size) for size in range(2, dim_cap + 2))
+    total = sum(math.comb(n, s) for s in range(2, min(dim_cap, n - 1) + 2))
     if total > DEFAULT_SIMPLEX_BUDGET:
         raise FiltrationSizeError(
             f"{total} simplices for N={n}, dim_cap={dim_cap} exceeds the "

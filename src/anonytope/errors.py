@@ -36,9 +36,10 @@ class TreeDefinitionError(ValueError):
 
 @contextmanager
 def open_utf8(path, newline=None):
-    """Open a text file for reading; bytes in it that are not UTF-8 are
-    an IngestionError naming the file, not a UnicodeDecodeError."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    """Open a text file for reading, less a leading UTF-8 byte-order
+    mark, which spreadsheet tools write; bytes in it that are not UTF-8
+    are an IngestionError naming the file, not a UnicodeDecodeError."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -5,9 +5,10 @@ tree's merges over eps and the categorical side the merges between a
 lattice path's partitions over path position; each higher dimension
 from reducing its coboundary matrix, with the columns that the
 dimension below already paired cleared, and with most pairs read off
-before any column is built.  ``Bar`` and ``elder_bars`` need neither
-numpy nor ``dataclasses``, and this module loads neither until
-``barcode`` runs.
+before any column is built.  ``barcode`` returns a plain tuple of
+``Bar``; ``cli`` alone lays bars out as JSON.  ``Bar`` and
+``elder_bars`` need neither numpy nor ``dataclasses``, and this module
+loads neither until ``barcode`` runs.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class Bar(NamedTuple):
     weight_steps: tuple[tuple[float, int], ...] | None = None
 
 
-class Barcode(NamedTuple):
-    bars: tuple[Bar, ...]
-
-
 def elder_bars(first: dict, merges) -> list[Bar]:
     """The H0 bars of a sequence of merges, by the elder rule.
 
@@ -43,16 +40,18 @@ def elder_bars(first: dict, merges) -> list[Bar]:
     bar ends at ``at``, and from ``at`` on the survivor's bar weighs
     ``size``, in one step per ``at`` however many bars it absorbs there.
     """
-    steps = {row: [step] for row, step in first.items()}
-    deaths = {}
+    # per bar: its death, None while it lives, then its weight steps
+    steps = {row: [None, step] for row, step in first.items()}
     for at, survivor, dying, size in merges:
-        deaths[dying] = at
+        steps[dying][0] = at
         own = steps[survivor]
         if own[-1][0] == at:
             own.pop()
         own.append((at, size))
-    return [Bar(0, at, deaths.get(row), tuple(steps[row]))
-            for row, (at, _) in first.items()]
+    # a step gives way only to one at the same at, so own[1] keeps the
+    # birth
+    return [Bar(0, own[1][0], own[0], tuple(own[1:]))
+            for own in steps.values()]
 
 
 def _coboundary_pairs(n: int, p: int, faces: np.ndarray,
@@ -115,13 +114,14 @@ def _coboundary_pairs(n: int, p: int, faces: np.ndarray,
     return owner, order
 
 
-def barcode(data: NormalizedDataset, dim_cap: int) -> Barcode:
+def barcode(data: NormalizedDataset, dim_cap: int) -> tuple[Bar, ...]:
     """Bars of every dimension below dim_cap, building only the
-    simplices of 2..dim_cap+1 rows, and none at dim_cap 1.
+    simplices of 2..min(dim_cap+1, N) rows, and none at dim_cap 1.
 
     H0 is the dataset's merge tree: every row is born at 0, each merge
     kills one bar at half its height, one bar never dies, and each H0
-    bar carries its component's weight steps.  For 1 <= p < dim_cap the
+    bar carries its component's weight steps.  For 1 <= p < dim_cap and
+    p <= N-2 (a larger p has no (p+1)-simplex, so no bar), the
     p-simplices are paired with the (p+1)-simplices by reducing the
     coboundary δp, both ordered within their own dimension by
     np.argsort(births, kind="stable").  Clearing (Chen & Kerber 2011)
@@ -151,7 +151,7 @@ def barcode(data: NormalizedDataset, dim_cap: int) -> Barcode:
                           tree.size))
     cleared = tree.edge
     faces = simplex_births(data, 2) if dim_cap > 1 else None
-    for p in range(1, dim_cap):
+    for p in range(1, min(dim_cap, n - 1)):
         cofaces = simplex_births(data, p + 2, faces)
         owner, order = _coboundary_pairs(n, p, faces, cofaces, cleared)
         cleared = order[np.fromiter(owner, np.intp, len(owner))]
@@ -164,17 +164,4 @@ def barcode(data: NormalizedDataset, dim_cap: int) -> Barcode:
     # row order (barcode.json's order)
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
-    return Barcode(tuple(bars))
-
-
-def bar_json(bar: Bar) -> dict:
-    """One bar's JSON shape, on both the numeric and categorical side:
-    weight steps as [at, size] pairs, null above H0."""
-    return {"dim": bar.dim, "birth": bar.birth, "death": bar.death,
-            "weight_steps": None if bar.weight_steps is None
-            else [list(step) for step in bar.weight_steps]}
-
-
-def barcode_json(bars: Barcode, n_points: int) -> dict:
-    """The on-disk JSON shape of a numeric barcode."""
-    return {"bars": [bar_json(b) for b in bars.bars], "n_points": n_points}
+    return tuple(bars)

@@ -2,12 +2,13 @@
 
 One panel per homology dimension.  H0 bars are annotated with their
 component weights; when a k and its regimes are supplied, the eps axis
-is shaded red where k-anonymity fails and green where it holds.
+is shaded red where k-anonymity fails and green where it holds.  It
+reads the bars that ``homology.barcode`` returns, and the regimes of
+``anonymity.compute_regimes``, by their fields alone, so it imports
+nothing from the package.
 """
 
 from __future__ import annotations
-
-from .homology import Barcode
 
 _W, _PANEL_H, _MARGIN, _ROW = 640, 30, 50, 14
 
@@ -16,10 +17,10 @@ def _x(eps: float, eps_max: float) -> float:
     return _MARGIN + (_W - 2 * _MARGIN) * min(eps, eps_max) / eps_max
 
 
-def render_barcode_svg(bars: Barcode, regimes, k: int | None) -> str:
+def render_barcode_svg(bars: tuple, regimes, k: int | None) -> str:
     # a bar of length 0 has no line to draw: only a duplicate row's H0
     # bar, since barcode() emits none above H0
-    display = [b for b in bars.bars if b.death != b.birth]
+    display = [b for b in bars if b.death != b.birth]
     dims = sorted({b.dim for b in display}) or [0]
     finite = [b.death for b in display if b.death is not None]
     finite += [b.birth for b in display]

@@ -28,7 +28,7 @@ from anonytope.complexes import simplex_births
 from anonytope.errors import ContractViolation
 from anonytope.geometry import (MergeTree, NormalizedDataset,
                                 min_enclosing_ball)
-from anonytope.homology import Bar, Barcode
+from anonytope.homology import Bar
 
 # simplices are plain sorted tuples of 1-based row ids
 Simplex = tuple[int, ...]
@@ -53,9 +53,9 @@ def regime_contains(regime: Regime, eps: float) -> bool:
                                      or eps < regime.eps_hi)
 
 
-def live_bars(bars: Barcode, eps: float) -> list[Bar]:
+def live_bars(bars: tuple[Bar, ...], eps: float) -> list[Bar]:
     """The bars alive at eps: born at or before it, dying after it."""
-    return [b for b in bars.bars
+    return [b for b in bars
             if b.birth <= eps and (b.death is None or eps < b.death)]
 
 
@@ -69,7 +69,7 @@ def weight_at(bar: Bar, eps: float) -> int:
     return w
 
 
-def betti_at(bars: Barcode, eps: float) -> dict[int, int]:
+def betti_at(bars: tuple[Bar, ...], eps: float) -> dict[int, int]:
     """The number of bars alive at eps, per dimension."""
     return dict(Counter(b.dim for b in live_bars(bars, eps)))
 
@@ -591,7 +591,8 @@ def reduce_matrix(bm: BoundaryMatrix) -> PersistencePairs:
     return PersistencePairs(pairs=tuple(sorted(pairs)), unpaired=unpaired)
 
 
-def barcode(pairs: PersistencePairs, entries, dim_cap: int) -> Barcode:
+def barcode(pairs: PersistencePairs, entries,
+            dim_cap: int) -> tuple[Bar, ...]:
     """Bars of the dimensions below dim_cap.  A simplex of the top
     dimension has no cofaces in the filtration, so its bar would stay
     open forever whatever the data."""
@@ -603,7 +604,7 @@ def barcode(pairs: PersistencePairs, entries, dim_cap: int) -> Barcode:
             if simplex_dim(entries[i][1]) < dim_cap]
     bars.sort(key=lambda b: (b.dim, b.birth,
                              float("inf") if b.death is None else b.death))
-    return Barcode(bars=tuple(bars))
+    return tuple(bars)
 
 
 def ancestor_walk(tree, value: str, level: int) -> str:

@@ -116,7 +116,7 @@ def test_criterion_02_thresholds_match_independent_oracle(sample_data):
 
     # H1 bars (length > 1e-12) against the frozen oracle output
     bars = barcode(sample_data, dim_cap=2)
-    h1 = [(b.birth, b.death) for b in bars.bars
+    h1 = [(b.birth, b.death) for b in bars
           if b.dim == 1 and b.death - b.birth > 1e-12]
     want_h1 = [(0.16686548917831662, 0.18006990324570873),
                (0.18344904436849335, 0.18792640630783738),
@@ -256,9 +256,9 @@ def test_criterion_08_weighted_barcode_conservation(sample_data):
                                  for _ in range(n)]))
     for data in datasets:
         bars = barcode(data, dim_cap=1)
-        infinite = [b for b in bars.bars if b.death is None]
+        infinite = [b for b in bars if b.death is None]
         assert len(infinite) == 1
-        eps_values = {0.0} | {b.death for b in bars.bars
+        eps_values = {0.0} | {b.death for b in bars
                               if b.death is not None}
         for eps in eps_values:
             total = sum(weight_at(b, eps) for b in live_bars(bars, eps))

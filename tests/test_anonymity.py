@@ -9,8 +9,7 @@ import pytest
 
 from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL, Regime,
                                  check_k_anonymity, compute_regimes,
-                                 generalize_table, minimal_epsilon,
-                                 regime_report)
+                                 generalize_table, minimal_epsilon)
 from anonytope import geometry
 from anonytope.errors import ContractViolation, InfeasibleError
 from anonytope.geometry import NumericTable, normalize_dataset
@@ -371,12 +370,3 @@ def test_achieved_implies_trivial_homology():
         dims = homology_dims_at(cx)
         assert dims[0] == len(v.classes)
         assert all(d == 0 for d in dims[1:])
-
-
-def test_regime_report_schema(sample_data):
-    doc = regime_report(3, compute_regimes(sample_data, 3))
-    assert doc["k"] == 3
-    for r in doc["regimes"]:
-        assert set(r) == {"eps_lo", "eps_hi", "n_classes", "classes"}
-        assert r["eps_hi"] is None or r["eps_hi"] > r["eps_lo"]
-        assert r["n_classes"] == len(r["classes"])

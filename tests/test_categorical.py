@@ -7,8 +7,8 @@ import pytest
 from anonytope import categorical
 from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
                                    STRATEGY_LOWER_THEN_UPPER,
-                                   GeneralizationTree, chain_report_json,
-                                   chain_sweep, generalize_value,
+                                   GeneralizationTree, chain_sweep,
+                                   generalize_value,
                                    generalized_partition_at, lattice_search,
                                    load_trees, lower_chain, trees_from_dict,
                                    upper_chain, validate_tree)
@@ -238,18 +238,6 @@ class TestChainSweep:
                 for cls in cur
                 if sum(p[0] in cls for p in prev) >= 3)
         assert above_bottom >= 50 and wide_merges >= 50
-
-    def test_report_json_shape(self, trees):
-        path = [(0, 0), (0, 1)]
-        doc = chain_report_json(chain_sweep(EURO_ROWS, trees, path, k=2))
-        assert doc["k"] == 2
-        assert [s["levels"] for s in doc["steps"]] == [[0, 0], [0, 1]]
-        # the numeric barcode.json's bar shape, indexed by path position
-        for bar in doc["h0_bars"]:
-            assert set(bar) == {"dim", "birth", "death", "weight_steps"}
-            assert bar["dim"] == 0 and bar["birth"] == 0
-        assert sum(bar["weight_steps"][-1][1] for bar in doc["h0_bars"]
-                   if bar["death"] is None) == len(EURO_ROWS)
 
 
 class TestLatticeSearch:

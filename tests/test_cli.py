@@ -12,8 +12,9 @@ import yaml
 
 import anonytope
 from anonytope import anonymity
+from anonytope.categorical import chain_sweep, load_trees
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
-                           RunConfig, ingest_csv, main)
+                           RunConfig, _chain_json, ingest_csv, main)
 from anonytope.errors import IngestionError, read_yaml
 
 
@@ -693,6 +694,103 @@ def test_lattice_report_fields(tmp_path, trees_yaml, capsys, rows, quasi, k,
     assert len(doc["chains"]) == chains
     assert rc == (EXIT_OK if nodes else EXIT_INFEASIBLE)
     assert capsys.readouterr().err == ("" if nodes else note + "\n")
+
+
+def written(out: Path) -> dict:
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_regime_report_schema(sample_csv, tmp_path):
+    assert run_cli("sweep", "--input", str(sample_csv), "--quasi", "Age",
+                   "ZIP", "--k", "3", "--out", str(tmp_path)) == EXIT_OK
+    doc = json.loads((tmp_path / "regimes_k3.json").read_text())
+    assert doc["k"] == 3
+    for r in doc["regimes"]:
+        assert set(r) == {"eps_lo", "eps_hi", "n_classes", "classes"}
+        assert r["eps_hi"] is None or r["eps_hi"] > r["eps_lo"]
+        assert r["n_classes"] == len(r["classes"])
+
+
+def test_barcode_json_schema(sample_csv, tmp_path):
+    runs = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        assert run_cli("barcode", "--input", str(sample_csv), "--quasi",
+                       "Age", "ZIP", "--dim-cap", "2",
+                       "--out", str(out)) == EXIT_OK
+        runs.append(written(out))
+    assert runs[0] == runs[1]
+    doc = json.loads(runs[0]["barcode.json"])
+    assert doc["n_points"] == 9
+    for bar in doc["bars"]:
+        assert set(bar) == {"dim", "birth", "death", "weight_steps"}
+        assert bar["death"] is None or bar["death"] >= bar["birth"]
+        if bar["dim"] != 0:
+            assert bar["weight_steps"] is None
+    infinite_h0 = [b for b in doc["bars"]
+                   if b["dim"] == 0 and b["death"] is None]
+    assert len(infinite_h0) == 1
+    assert infinite_h0[0]["weight_steps"][-1][1] == 9
+
+
+def test_chain_report_json_shape(trees_yaml):
+    rows = [tuple(line.split(",")) for line in EURO.splitlines()]
+    path = [(0, 0), (0, 1)]
+    report = chain_sweep(rows, load_trees(trees_yaml), path, k=2)
+    doc = json.loads(json.dumps(_chain_json(report)))
+    assert doc["k"] == 2
+    assert [s["levels"] for s in doc["steps"]] == [[0, 0], [0, 1]]
+    # the numeric barcode.json's bar shape, indexed by path position
+    for bar in doc["h0_bars"]:
+        assert set(bar) == {"dim", "birth", "death", "weight_steps"}
+        assert bar["dim"] == 0 and bar["birth"] == 0
+    assert sum(bar["weight_steps"][-1][1] for bar in doc["h0_bars"]
+               if bar["death"] is None) == len(rows)
+
+
+def test_byte_order_mark_is_read_past(sample_csv, tmp_path):
+    # spreadsheet tools write a UTF-8 byte-order mark; it is not part of
+    # the first header cell
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + sample_csv.read_bytes())
+    runs = []
+    for path in (sample_csv, bom):
+        out = tmp_path / path.stem
+        assert run_cli("sweep", "--input", str(path), "--quasi", "Age",
+                       "ZIP", "--k", "2", "3", "--format", "json", "svg",
+                       "--out", str(out)) == EXIT_OK
+        runs.append(written(out))
+    assert runs[0] == runs[1]
+    cfg = tmp_path / "run.yaml"
+    cfg.write_bytes(b"\xef\xbb\xbf" + yaml.safe_dump({
+        "input": str(bom), "quasi": ["Age", "ZIP"], "k": [2, 3],
+        "format": ["json", "svg"], "out": str(tmp_path / "cfg")}).encode())
+    assert run_cli("--config", str(cfg), "sweep") == EXIT_OK
+    assert written(tmp_path / "cfg") == runs[0]
+
+
+@pytest.mark.parametrize("n", [2, 26])
+def test_dim_cap_far_above_the_rows(tmp_path, n):
+    # no simplex has more than n rows, so a cap above n - 1 adds nothing
+    # and must not walk every empty dimension up to it
+    rng = random.Random(n)
+    path = tmp_path / "rows.csv"
+    path.write_text("x,y\n" + "".join(
+        f"{rng.random()!r},{rng.random()!r}\n" for _ in range(n)))
+    runs = []
+    for cap in (str(n), "1000000000"):
+        out = tmp_path / cap
+        proc = subprocess.run(
+            [sys.executable, "-m", "anonytope", "barcode", "--input",
+             str(path), "--quasi", "x", "y", "--dim-cap", cap,
+             "--format", "json", "svg", "--out", str(out)],
+            capture_output=True, text=True, env=package_env(), timeout=60)
+        runs.append((proc.returncode,
+                     proc.stdout.replace(str(out), "OUT"),
+                     proc.stderr.replace(f"dim_cap={cap}", "dim_cap=CAP"),
+                     written(out) if out.exists() else None))
+    assert runs[0] == runs[1]
+    # 26 rows at a cap of 26 hold 2**26 - 27 simplices, over the budget
+    assert runs[0][0] == (EXIT_OK if n == 2 else EXIT_INPUT_ERROR)
 
 
 class TestYamlLoaders:

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from itertools import combinations
@@ -9,7 +8,7 @@ import pytest
 from anonytope.complexes import facet_ranks, simplex_vertices
 from anonytope.errors import ContractViolation
 from anonytope.geometry import min_enclosing_ball
-from anonytope.homology import barcode, barcode_json
+from anonytope.homology import barcode
 
 import oracles
 from oracles import (SimplicialComplex, boundary_matrix, critical_values,
@@ -56,7 +55,7 @@ def test_reduce_two_points_pairs_younger_vertex_with_edge():
 def test_equilateral_h1_bar():
     data = dataset(EQUILATERAL)
     bars = barcode(data, dim_cap=2)
-    h1 = [b for b in bars.bars if b.dim == 1]
+    h1 = [b for b in bars if b.dim == 1]
     assert len(h1) == 1
     assert h1[0].birth == pytest.approx(0.5)
     assert h1[0].death == pytest.approx(1 / math.sqrt(3), rel=1e-9)
@@ -76,7 +75,7 @@ def test_non_acute_triangles_leave_no_h1_bar_to_draw():
             continue
         data = dataset(pts)
         bars = barcode(data, dim_cap=2)
-        assert all(b.dim == 0 for b in bars.bars)
+        assert all(b.dim == 0 for b in bars)
         tested += 1
 
 
@@ -94,15 +93,26 @@ def test_points_in_r_d_leave_no_h_d_bar(seed, n, d, cap, flat):
     if flat:
         pts[:, 2] = (pts[:, 0] + 2 * pts[:, 1]) / 3
     bars = barcode(dataset(pts), dim_cap=cap)
-    assert [b for b in bars.bars if b.dim >= (2 if flat else d)] == []
-    assert any(b.dim == cap - 2 for b in bars.bars)
+    assert [b for b in bars if b.dim >= (2 if flat else d)] == []
+    assert any(b.dim == cap - 2 for b in bars)
 
 
 def test_single_point_infinite_bar():
     data = dataset([(0.1, 0.9)])
     bars = barcode(data, dim_cap=1)
-    assert len(bars.bars) == 1
-    assert bars.bars[0].death is None and bars.bars[0].dim == 0
+    assert len(bars) == 1
+    assert bars[0].death is None and bars[0].dim == 0
+
+
+def test_cap_beyond_the_rows_adds_nothing():
+    # no simplex has more than n rows, so a cap above n - 1 adds nothing
+    rng = random.Random(29)
+    for _ in range(40):
+        n, d = rng.randint(1, 7), rng.randint(1, 3)
+        data = dataset([[rng.randrange(3) / 2 if rng.random() < 0.5
+                         else rng.random() for _ in range(d)]
+                        for _ in range(n)])
+        assert barcode(data, 10**9) == barcode(data, n), (n, d)
 
 
 def test_cap_one_builds_no_pair_distances():
@@ -115,7 +125,7 @@ def test_cap_one_builds_no_pair_distances():
 
 def test_exactly_one_infinite_h0_bar(sample_data):
     bars = barcode(sample_data, dim_cap=2)
-    infinite = [b for b in bars.bars if b.death is None]
+    infinite = [b for b in bars if b.death is None]
     assert [b.dim for b in infinite] == [0]
 
 
@@ -164,7 +174,7 @@ class TestWeightedBarcode:
     def partitions_at_deaths(data, wb):
         """The merge tree's partition at zero and at every H0 death."""
         tree = data.merge_tree
-        for eps in [0.0] + [b.death for b in wb.bars
+        for eps in [0.0] + [b.death for b in wb
                             if b.death is not None]:
             yield eps, [rows for rows, _ in tree.classes(tree.cut(eps))]
 
@@ -193,11 +203,11 @@ def test_h0_weights_are_component_sizes_on_ties():
         data = dataset([[rng.randint(0, 4) / 2 for _ in range(d)]
                         for _ in range(n)])
         bars = h0_barcode(data)
-        for b in bars.bars:
+        for b in bars:
             at = [e for e, _ in b.weight_steps]
             assert len(set(at)) == len(at), (data.points.tolist(), b)
         tree = data.merge_tree
-        for eps in {0.0} | {b.death for b in bars.bars
+        for eps in {0.0} | {b.death for b in bars
                             if b.death is not None}:
             got = sorted(weight_at(b, eps) for b in live_bars(bars, eps))
             want = sorted(len(rows)
@@ -215,7 +225,7 @@ def test_barcode_betti_matches_rank_nullity():
         data = dataset(pts)
         for cap in (1, 2, 3):
             bars = barcode(data, cap)
-            assert all(b.dim < cap for b in bars.bars)
+            assert all(b.dim < cap for b in bars)
             entries = filtration_entries(data, filtration_births(data, cap))
             for eps in critical_values(entries):
                 betti = oracles.betti_at(bars, eps)
@@ -231,7 +241,7 @@ def test_complete_filtration_keeps_top_dimension_bars():
                (0.5, (1, 2)), (0.5, (1, 3)), (0.5, (2, 3))]
     bars = oracles.barcode(reduce_matrix(boundary_matrix(entries)), entries,
                            dim_cap=2)
-    assert [b.dim for b in bars.bars if b.death is None] == [0, 1]
+    assert [b.dim for b in bars if b.death is None] == [0, 1]
     assert homology_dims_at(sublevel(entries, 0.5, dim_cap=2)) == [1, 1]
 
 
@@ -256,12 +266,12 @@ def test_barcode_equals_global_reduction_oracle():
             entries = filtration_entries(data, filtration_births(data, cap))
             want = oracles.barcode(reduce_matrix(boundary_matrix(entries)),
                                    entries, cap)
-            assert [b[:3] for b in bars.bars] == [
-                b[:3] for b in want.bars
+            assert [b[:3] for b in bars] == [
+                b[:3] for b in want
                 if b.dim == 0 or b.death != b.birth], (pts, cap)
             paired = n - 1          # the edge columns pair all but one vertex
             for p in range(1, cap):
-                dim_p = [b for b in want.bars if b.dim == p]
+                dim_p = [b for b in want if b.dim == p]
                 paired = math.comb(n, p + 1) - paired
                 assert len(dim_p) == paired, (pts, cap, p)
                 assert all(b.death is not None for b in dim_p)
@@ -276,7 +286,7 @@ def test_cap3_births_leave_no_ulp_long_bars():
     # min_enclosing_ball radius, only clamped, each tetrahedron leaves
     # bars of float noise
     def above_h0(bars, longer_than):
-        return sorted(b[:3] for b in bars.bars if b.dim > 0
+        return sorted(b[:3] for b in bars if b.dim > 0
                       and b.death - b.birth > longer_than * b.death)
 
     def reduced(data, births, tetrahedra):
@@ -310,26 +320,8 @@ def test_cap3_births_leave_no_ulp_long_bars():
 
 
 def test_determinism(sample_data):
-    one = barcode(sample_data, dim_cap=2)
-    two = barcode(sample_data, dim_cap=2)
-    a = json.dumps(barcode_json(one, sample_data.n_points))
-    b = json.dumps(barcode_json(two, sample_data.n_points))
-    assert a == b
-
-
-def test_barcode_json_schema(sample_data):
-    bars = barcode(sample_data, dim_cap=2)
-    doc = barcode_json(bars, sample_data.n_points)
-    assert doc["n_points"] == 9
-    for bar in doc["bars"]:
-        assert set(bar) == {"dim", "birth", "death", "weight_steps"}
-        assert bar["death"] is None or bar["death"] >= bar["birth"]
-        if bar["dim"] != 0:
-            assert bar["weight_steps"] is None
-    infinite_h0 = [b for b in doc["bars"]
-                   if b["dim"] == 0 and b["death"] is None]
-    assert len(infinite_h0) == 1
-    assert infinite_h0[0]["weight_steps"][-1][1] == 9
+    # the written barcode.json's determinism is tests/test_cli.py's
+    assert barcode(sample_data, dim_cap=2) == barcode(sample_data, dim_cap=2)
 
 
 def test_missing_face_rejected():

@@ -122,3 +122,15 @@ def test_every_package_function_is_read_by_the_package():
                                       for base in cls.__mro__[1:]):
                 unread.append(f"{stem}.{name}")
     assert unread == []
+
+
+def test_only_cli_lays_out_written_files():
+    # cli is the one module that writes files, and the one home of their
+    # JSON shapes; the library layers return plain records
+    shapes = [f"{path.stem}.{node.name}"
+              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
+              for node in ast.walk(ast.parse(path.read_text("utf-8")))
+              if isinstance(node, ast.FunctionDef)
+              and (node.name.endswith("_json")
+                   or node.name == "regime_report")]
+    assert shapes == []
