@@ -12,7 +12,8 @@ _HOMES = {
                   "compute_regimes", "generalize_table", "minimal_epsilon"),
     "categorical": ("GeneralizationTree", "chain_sweep", "generalize_value",
                     "generalized_partition_at", "lattice_search",
-                    "load_trees", "lower_chain", "upper_chain"),
+                    "load_trees", "lower_chain", "trees_from_dict",
+                    "upper_chain"),
     "cli": ("RunConfig", "ingest_csv"),
     "geometry": ("Ball", "NormalizedDataset", "NumericTable",
                  "min_enclosing_ball", "normalize_dataset"),

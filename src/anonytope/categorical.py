@@ -1,5 +1,7 @@
-"""Categorical attributes: generalization trees, the product lattice of
-per-attribute levels, and anonymity sweeps along monotone lattice chains.
+"""Categorical attributes: generalization trees, each the ancestor chains
+of its leaves, checked and built when its definition is read; the product
+lattice of per-attribute levels; and anonymity sweeps along monotone
+lattice chains.
 
 Levels here replace the radius of the numeric case: raising one
 attribute's level coarsens the partition of identical generalized
@@ -12,7 +14,6 @@ sweeps return plain records; ``cli`` writes them as ``lattice_k*.json``.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from itertools import groupby, product
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -25,92 +26,22 @@ if TYPE_CHECKING:
 
 LatticeNode = tuple[int, ...]
 
-# The records below are NamedTuples or plain classes, not dataclasses:
+# The records below are NamedTuples, not dataclasses:
 # ``dataclasses`` imports ``inspect``, which costs a numpy-free
 # ``lattice-sweep`` more than its lattice search.
 
 
-class GeneralizationTree:
-    """Per-attribute hierarchy; level 0 is the leaves, the root sits at
-    level == height, and every leaf is at the same depth.  Immutable,
-    compared by value; a plain class because ``ancestors`` is cached in
-    the instance dict."""
-
-    def __init__(self, attribute: str, root: str, parent: dict[str, str]):
-        # parent: child -> parent, root absent
-        vars(self).update(attribute=attribute, root=root, parent=parent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.attribute, self.root, self.parent)
-                == (other.attribute, other.root, other.parent))
-
-    def __repr__(self):
-        return (f"GeneralizationTree(attribute={self.attribute!r}, "
-                f"root={self.root!r}, parent={self.parent!r})")
-
-    @property
-    def nodes(self) -> set[str]:
-        return set(self.parent) | {self.root}
-
-    @cached_property
-    def ancestors(self) -> dict[str, tuple[str, ...]]:
-        """Per leaf, in sorted leaf order: the leaf, then each ancestor up
-        to the root, so entry ``level`` is the leaf generalized to that
-        level.  Built on first use; ``validate_tree`` reads it only once
-        every parent link is known to reach the root.
-        """
-        inner = set(self.parent.values())
-        leaves = sorted(n for n in self.parent if n not in inner)
-        table = {}
-        for leaf in leaves or [self.root]:
-            chain = [leaf]
-            while chain[-1] != self.root:
-                chain.append(self.parent[chain[-1]])
-            table[leaf] = tuple(chain)
-        return table
-
-    @property
-    def leaves(self) -> list[str]:
-        return list(self.ancestors)
+class GeneralizationTree(NamedTuple):
+    """Per-attribute hierarchy as its leaves' ancestor chains: per leaf,
+    in sorted order, the leaf and each ancestor up to the root, so entry
+    ``level`` is the leaf generalized to that level; every leaf sits at
+    depth ``height``.  ``trees_from_dict`` builds it."""
+    attribute: str
+    ancestors: dict[str, tuple[str, ...]]
 
     @property
     def height(self) -> int:
         return max(map(len, self.ancestors.values())) - 1
-
-
-def validate_tree(tree: GeneralizationTree) -> list[str]:
-    """All invariant violations, empty when the tree is well formed."""
-    problems = []
-    if tree.root in tree.parent:
-        problems.append(f"root {tree.root!r} has a parent")
-    for child, par in tree.parent.items():
-        if par not in tree.nodes:
-            problems.append(f"node {child!r} has unknown parent {par!r}")
-    # reachability: every node must walk up to the root without a cycle
-    for node in tree.parent:
-        seen = {node}
-        cur = node
-        while cur != tree.root:
-            cur = tree.parent.get(cur)
-            if cur is None or cur in seen:
-                problems.append(f"node {node!r} cannot reach the root")
-                break
-            seen.add(cur)
-    if not problems:
-        depths = {len(chain) - 1 for chain in tree.ancestors.values()}
-        if len(depths) > 1:
-            problems.append(
-                f"leaves sit at mixed depths {sorted(depths)}; levels "
-                f"would be ambiguous")
-    return problems
 
 
 def generalize_value(tree: GeneralizationTree, value: str, level: int) -> str:
@@ -137,7 +68,7 @@ def _yaml_name(value, what: str) -> str:
 
 def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
     """Parse the tree-definition document: per attribute a root name and
-    parent -> [children] listing."""
+    parent -> [children] listing.  Every tree is checked."""
     trees = []
     for attr, body in spec.items():
         _yaml_name(attr, "tree name")
@@ -159,13 +90,37 @@ def trees_from_dict(spec: dict) -> list[GeneralizationTree]:
                     raise TreeDefinitionError(
                         f"attribute {attr!r}: {child!r} has two parents")
                 parent[child] = par
-        tree = GeneralizationTree(attribute=attr, root=root, parent=parent)
-        problems = validate_tree(tree)
-        if problems:
-            raise TreeDefinitionError(
-                f"attribute {attr!r}: " + "; ".join(problems))
-        trees.append(tree)
+        trees.append(GeneralizationTree(attr, _chains(attr, root, parent)))
     return trees
+
+
+def _chains(attr, root: str, parent: dict[str, str]) -> dict[str, tuple]:
+    """Each leaf's chain up to the root, in sorted leaf order, from one
+    walk up from every node; any invariant violation raises."""
+    problems = [f"root {root!r} has a parent"] if root in parent else []
+    problems += [f"node {child!r} has unknown parent {par!r}"
+                 for child, par in parent.items()
+                 if par != root and par not in parent]
+    inner, chains = set(parent.values()), {}
+    for node in parent:
+        chain = [node]
+        while chain[-1] != root:
+            up = parent.get(chain[-1])
+            if up is None or up in chain:
+                problems.append(f"node {node!r} cannot reach the root")
+                break
+            chain.append(up)
+        if chain[-1] == root and node not in inner:
+            chains[node] = tuple(chain)
+    depths = sorted({len(chain) - 1 for chain in chains.values()})
+    if len(depths) > 1 and not problems:
+        problems.append(f"leaves sit at mixed depths {depths}; levels "
+                        f"would be ambiguous")
+    if problems:
+        raise TreeDefinitionError(f"attribute {attr!r}: "
+                                  + "; ".join(problems))
+    # a root alone is its one leaf
+    return dict(sorted(chains.items())) or {root: (root,)}
 
 
 # the plain words that YAML 1.1 reads as a boolean or null
@@ -354,6 +309,8 @@ def _is_monotone(path) -> bool:
 def chain_sweep(rows, trees, path, k: int) -> ChainReport:
     """Partitions, verdicts, and the weighted H0 barcode along one
     monotone lattice path."""
+    if k < 1:
+        raise ContractViolation("k must be >= 1")
     path = tuple(tuple(n) for n in path)
     if not path:
         raise ContractViolation("path must be nonempty")
@@ -430,6 +387,8 @@ def lattice_search(rows, trees, k: int,
     after the first sum that has a k-anonymous node: raising a level
     only merges classes, so no later node can lower that sum.
     """
+    if k < 1:
+        raise ContractViolation("k must be >= 1")
     if not trees:
         raise ContractViolation("at least one tree is required")
     if strategy not in (STRATEGY_EXHAUSTIVE, STRATEGY_LOWER_THEN_UPPER):

@@ -25,7 +25,7 @@ import numpy as np
 from anonytope.anonymity import Regime
 from anonytope.categorical import generalized_partition_at
 from anonytope.complexes import simplex_births
-from anonytope.errors import ContractViolation
+from anonytope.errors import ContractViolation, TreeDefinitionError
 from anonytope.geometry import (MergeTree, NormalizedDataset,
                                 min_enclosing_ball)
 from anonytope.homology import Bar
@@ -607,15 +607,106 @@ def barcode(pairs: PersistencePairs, entries,
     return tuple(bars)
 
 
-def ancestor_walk(tree, value: str, level: int) -> str:
+def ancestor_walk(root: str, parent: dict, value: str, level: int) -> str:
     """The value's ancestor ``level`` steps up, by following parent links
     (stopping at the root)."""
     node = value
     for _ in range(level):
-        if node == tree.root:
+        if node == root:
             break
-        node = tree.parent[node]
+        node = parent[node]
     return node
+
+
+def tree_links(tree) -> tuple[str, dict]:
+    """A tree's root and child -> parent links, read off its leaves'
+    chains."""
+    chains = tree.ancestors.values()
+    parent = {child: up for chain in chains
+              for child, up in zip(chain, chain[1:])}
+    return next(iter(chains))[-1], parent
+
+
+class ReferenceTree:
+    """A tree stored as its parent map, with the leaf chains derived from
+    it by a second walk: the package's tree before it became its chains,
+    kept as the reference for ``trees_from_dict``."""
+
+    def __init__(self, attribute: str, root: str, parent: dict[str, str]):
+        # parent: child -> parent, root absent
+        self.attribute, self.root, self.parent = attribute, root, parent
+
+    @property
+    def nodes(self) -> set[str]:
+        return set(self.parent) | {self.root}
+
+    @property
+    def ancestors(self) -> dict[str, tuple[str, ...]]:
+        inner = set(self.parent.values())
+        leaves = sorted(n for n in self.parent if n not in inner)
+        table = {}
+        for leaf in leaves or [self.root]:
+            chain = [leaf]
+            while chain[-1] != self.root:
+                chain.append(self.parent[chain[-1]])
+            table[leaf] = tuple(chain)
+        return table
+
+
+def reference_problems(tree: ReferenceTree) -> list[str]:
+    """All invariant violations, empty when the tree is well formed."""
+    problems = []
+    if tree.root in tree.parent:
+        problems.append(f"root {tree.root!r} has a parent")
+    for child, par in tree.parent.items():
+        if par not in tree.nodes:
+            problems.append(f"node {child!r} has unknown parent {par!r}")
+    # reachability: every node must walk up to the root without a cycle
+    for node in tree.parent:
+        seen = {node}
+        cur = node
+        while cur != tree.root:
+            cur = tree.parent.get(cur)
+            if cur is None or cur in seen:
+                problems.append(f"node {node!r} cannot reach the root")
+                break
+            seen.add(cur)
+    if not problems:
+        depths = {len(chain) - 1 for chain in tree.ancestors.values()}
+        if len(depths) > 1:
+            problems.append(
+                f"leaves sit at mixed depths {sorted(depths)}; levels "
+                f"would be ambiguous")
+    return problems
+
+
+def reference_trees(spec: dict) -> list[ReferenceTree]:
+    """The trees of a definition whose names are all strings, each
+    checked by ``reference_problems``; the errors raised carry the
+    package's text."""
+    trees = []
+    for attr, body in spec.items():
+        if not isinstance(body, dict) or "root" not in body:
+            raise TreeDefinitionError(f"attribute {attr!r}: missing root")
+        parent = {}
+        for par, children in body.items():
+            if par == "root":
+                continue
+            if not isinstance(children, list):
+                raise TreeDefinitionError(
+                    f"attribute {attr!r}: children of {par!r} must be a list")
+            for child in children:
+                if child in parent:
+                    raise TreeDefinitionError(
+                        f"attribute {attr!r}: {child!r} has two parents")
+                parent[child] = par
+        tree = ReferenceTree(attr, body["root"], parent)
+        problems = reference_problems(tree)
+        if problems:
+            raise TreeDefinitionError(
+                f"attribute {attr!r}: " + "; ".join(problems))
+        trees.append(tree)
+    return trees
 
 
 def chain_sweep_elder(rows, trees, path):
@@ -627,12 +718,13 @@ def chain_sweep_elder(rows, trees, path):
     steps.  Returns (partitions, bars) in ``ChainReport.h0_bars`` form:
     H0 ``Bar``s whose birth, death and steps are path positions.
     """
+    links = [tree_links(t) for t in trees]
     partitions = []
     for node in path:
         buckets = {}
         for rid, row in enumerate(rows, start=1):
-            key = tuple(ancestor_walk(t, v, lvl)
-                        for t, v, lvl in zip(trees, row, node))
+            key = tuple(ancestor_walk(*link, v, lvl)
+                        for link, v, lvl in zip(links, row, node))
             buckets.setdefault(key, []).append(rid)
         partitions.append(sorted(tuple(v) for v in buckets.values()))
     rep, members, bar_steps = {}, {}, {}

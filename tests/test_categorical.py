@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,12 @@ from anonytope.categorical import (STRATEGY_EXHAUSTIVE,
                                    generalize_value,
                                    generalized_partition_at, lattice_search,
                                    load_trees, lower_chain, trees_from_dict,
-                                   upper_chain, validate_tree)
+                                   upper_chain)
 from anonytope.errors import ContractViolation, TreeDefinitionError
 
 from conftest import TREES_YAML
 from oracles import (ancestor_walk, chain_sweep_elder, exhaustive_nodes,
-                     weight_at)
+                     reference_trees, weight_at)
 import yaml
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -44,36 +45,46 @@ def country(trees):
 EURO_ROWS = [("Male", "Portugal"), ("Female", "Spain"), ("Male", "Hungary")]
 
 
-def random_tree(rng, name: str, depth: int) -> GeneralizationTree:
-    """Every leaf at ``depth``; each inner node has 1 to 4 children."""
-    parent, level = {}, [name]
+def random_definition(rng, name: str, depth: int) -> dict:
+    """One tree's definition: every leaf at ``depth``; each inner node has
+    1 to 4 children."""
+    body, level = {"root": name}, [name]
     for _ in range(depth):
         nxt = []
         for node in level:
-            for c in range(rng.randint(1, 4)):
-                parent[f"{node}.{c}"] = node
-                nxt.append(f"{node}.{c}")
+            body[node] = [f"{node}.{c}" for c in range(rng.randint(1, 4))]
+            nxt += body[node]
         level = nxt
-    return GeneralizationTree(attribute=name, root=name, parent=parent)
+    return {name: body}
+
+
+def random_tree(rng, name: str, depth: int) -> GeneralizationTree:
+    return trees_from_dict(random_definition(rng, name, depth))[0]
 
 
 class TestTrees:
     def test_gender_tree(self, gender):
-        assert validate_tree(gender) == []
+        assert gender.ancestors == {"Female": ("Female", "Person"),
+                                    "Male": ("Male", "Person")}
         assert gender.height == 1
-        assert sorted(gender.leaves) == ["Female", "Male"]
+        assert list(gender.ancestors) == ["Female", "Male"]
 
     def test_country_tree(self, country):
-        assert validate_tree(country) == []
+        assert list(country.ancestors) == ["Canada", "Hungary", "Portugal",
+                                           "Spain", "USA"]
+        assert country.ancestors["Hungary"] == (
+            "Hungary", "East Europe", "Europe", "World")
         assert country.height == 3
         assert generalize_value(country, "Portugal", 1) == "West Europe"
         assert generalize_value(country, "Portugal", 2) == "Europe"
 
     def test_orphan_node_reported(self):
-        tree = GeneralizationTree(
-            attribute="x", root="R", parent={"a": "R", "b": "ghost"})
-        problems = validate_tree(tree)
-        assert any("b" in p for p in problems)
+        spec = {"x": {"root": "R", "R": ["a"], "ghost": ["b"]}}
+        with pytest.raises(TreeDefinitionError) as info:
+            trees_from_dict(spec)
+        assert str(info.value) == ("attribute 'x': node 'b' has unknown "
+                                   "parent 'ghost'; node 'b' cannot reach "
+                                   "the root")
 
     def test_two_parents_rejected(self):
         spec = {"x": {"root": "R", "R": ["a", "b"], "a": ["c"], "b": ["c"]}}
@@ -104,18 +115,69 @@ class TestGeneralizeValue:
         with pytest.raises(ContractViolation):
             generalize_value(gender, "Male", 2)
 
-    def test_matches_parent_walk_at_every_level(self, trees):
+    def test_matches_parent_walk_at_every_level(self):
         rng = random.Random(11)
-        checked = list(trees)
-        checked += [random_tree(rng, f"r{i}", i % 5) for i in range(12)]
-        for tree in checked:
-            assert validate_tree(tree) == []
-            assert tree.leaves == sorted(
-                tree.nodes - set(tree.parent.values()))
-            for leaf in tree.leaves:
+        specs = [dict([item]) for item in yaml.safe_load(TREES_YAML).items()]
+        specs += [random_definition(rng, f"r{i}", i % 5) for i in range(12)]
+        for spec in specs:
+            [tree] = trees_from_dict(spec)
+            [body] = spec.values()
+            parent = {child: par for par, children in body.items()
+                      if par != "root" for child in children}
+            nodes = set(parent) | {body["root"]}
+            assert list(tree.ancestors) == sorted(
+                nodes - set(parent.values()))
+            for leaf in tree.ancestors:
                 for level in range(tree.height + 1):
                     assert generalize_value(tree, leaf, level) == \
-                        ancestor_walk(tree, leaf, level)
+                        ancestor_walk(body["root"], parent, leaf, level)
+
+    PROBLEMS = ("two parents", "has a parent", "unknown parent",
+                "cannot reach", "mixed depths")
+
+    def test_matches_the_parent_map_reference(self):
+        # random trees over at most 7 nodes, some with links moved to any
+        # name or to an unknown one, or with a child listed twice: each
+        # definition gives the chains, or the error text, of the
+        # parent-map tree checked by its own walk and walked again
+        rng = random.Random(30)
+        kinds = Counter()
+        for _ in range(3000):
+            names = rng.sample([f"n{i}" for i in range(7)], rng.randint(1, 7))
+            parent = {child: rng.choice(names[:i])
+                      for i, child in enumerate(names) if i}
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                parent[rng.choice(names + ["ghost"])] = rng.choice(
+                    names + ["ghost"])
+            body = {"root": names[0]}
+            for child, par in parent.items():
+                body.setdefault(par, []).append(child)
+            if rng.random() < 0.1:
+                body.setdefault(rng.choice(names), []).append(
+                    rng.choice(names))
+            spec = {"x": body}
+            try:
+                expected = reference_trees(spec)
+            except TreeDefinitionError as exc:
+                with pytest.raises(TreeDefinitionError) as info:
+                    trees_from_dict(spec)
+                assert str(info.value) == str(exc)
+                kinds.update(kind for kind in self.PROBLEMS
+                             if kind in str(exc))
+                continue
+            got = trees_from_dict(spec)
+            assert [(t.attribute, list(t.ancestors.items())) for t in got] \
+                == [(t.attribute, list(t.ancestors.items()))
+                    for t in expected]
+            for leaf, chain in got[0].ancestors.items():
+                for level in range(len(chain)):
+                    assert generalize_value(got[0], leaf, level) == \
+                        ancestor_walk(body["root"], expected[0].parent,
+                                      leaf, level)
+            kinds["valid"] += 1
+            kinds["deep"] += got[0].height >= 2
+        assert min(kinds[kind] for kind in ("valid", *self.PROBLEMS)) >= 200
+        assert kinds["deep"] >= 200
 
 
 class TestChains:
@@ -179,6 +241,11 @@ class TestChainSweep:
         report = chain_sweep(rows, trees, [(0, 0)], k=2)
         assert report.first_anonymous_node == (0, 0)
 
+    def test_k_below_one_rejected(self, trees):
+        for k in (0, -3):
+            with pytest.raises(ContractViolation, match="k must be >= 1"):
+                chain_sweep(EURO_ROWS, trees, [(0, 0), (1, 0)], k)
+
     def test_non_monotone_path_rejected(self, trees):
         with pytest.raises(ContractViolation):
             chain_sweep(EURO_ROWS, trees, [(0, 0), (1, 1)], k=2)
@@ -213,7 +280,7 @@ class TestChainSweep:
         for _ in range(320):
             trees = [random_tree(rng, f"t{a}", rng.randint(1, 3))
                      for a in range(rng.randint(1, 3))]
-            rows = [tuple(rng.choice(t.leaves) for t in trees)
+            rows = [tuple(rng.choice(list(t.ancestors)) for t in trees)
                     for _ in range(rng.randint(1, 25))]
             node = [rng.randint(0, t.height) if rng.random() < 0.4 else 0
                     for t in trees]
@@ -246,6 +313,13 @@ class TestLatticeSearch:
         for strategy in (STRATEGY_LOWER_THEN_UPPER, STRATEGY_EXHAUSTIVE):
             result = lattice_search(rows, trees, 2, strategy)
             assert result.nodes[0] == (0, 0)
+
+    def test_k_below_one_rejected(self, trees):
+        for k in (0, -3):
+            for strategy in (STRATEGY_LOWER_THEN_UPPER, STRATEGY_EXHAUSTIVE):
+                with pytest.raises(ContractViolation,
+                                   match="k must be >= 1"):
+                    lattice_search(EURO_ROWS, trees, k, strategy)
 
     def test_exhaustive_minimal_nodes(self, trees):
         result = lattice_search(EURO_ROWS, trees, 3, STRATEGY_EXHAUSTIVE)
@@ -294,7 +368,7 @@ class TestLatticeSearch:
         for _ in range(300):
             trees = [random_tree(rng, f"t{a}", rng.randint(0, 3))
                      for a in range(rng.randint(1, 3))]
-            rows = [tuple(rng.choice(t.leaves) for t in trees)
+            rows = [tuple(rng.choice(list(t.ancestors)) for t in trees)
                     for _ in range(rng.randint(1, 12))]
             k = rng.randint(1, len(rows) + 2)
             result = lattice_search(rows, trees, k,
@@ -331,7 +405,7 @@ class TestLatticeSearch:
         for _ in range(220):
             trees = [random_tree(rng, f"t{a}", rng.randint(0, 3))
                      for a in range(rng.randint(1, 3))]
-            rows = [tuple(rng.choice(t.leaves) for t in trees)
+            rows = [tuple(rng.choice(list(t.ancestors)) for t in trees)
                     for _ in range(rng.randint(1, 20))]
             for k in (1, rng.randint(2, 6), len(rows) + 1):
                 result = lattice_search(rows, trees, k, STRATEGY_EXHAUSTIVE)
@@ -354,7 +428,7 @@ def test_load_trees_from_file(trees_yaml, tmp_path):
     assert load_trees(commented) == trees
     accented = tmp_path / "accented.yaml"
     accented.write_text("city:\n  root: Zürich\n", encoding="utf-8")
-    assert load_trees(accented)[0].root == "Zürich"
+    assert load_trees(accented)[0].ancestors == {"Zürich": ("Zürich",)}
 
 
 def ordered(doc):
@@ -431,10 +505,10 @@ def test_records_compare_by_value_and_are_immutable(trees):
     result = lattice_search(EURO_ROWS, trees, 3)
     assert lattice_search(EURO_ROWS, trees, 3) == result
     report = result.reports[0]
-    for record, name in ((trees[0], "root"), (report.steps[0], "node"),
+    for record, name in ((trees[0], "attribute"), (report.steps[0], "node"),
                          (report, "k"), (result, "note")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     with pytest.raises(AttributeError):
-        del trees[0].parent
-    assert trees[0].height == 1     # the cached ancestor table still builds
+        del trees[0].ancestors
+    assert trees[0].height == 1     # the chains are still there

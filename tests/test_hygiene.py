@@ -134,3 +134,13 @@ def test_only_cli_lays_out_written_files():
               and (node.name.endswith("_json")
                    or node.name == "regime_report")]
     assert shapes == []
+
+
+def test_declared_numpy_bound_covers_vecdot():
+    # np.vecdot came with NumPy 2.0; under 1.x every numeric command
+    # would fail with an AttributeError
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    [major] = re.findall(r'"numpy\s*(?:>=\s*(\d+))?[^"]*"', text)
+    uses = [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "vecdot" in path.read_text(encoding="utf-8")]
+    assert not uses or int(major or 0) >= 2, uses
