@@ -118,10 +118,9 @@ sys.exit(code)
 # same dataset, read as the CLI reads it; prints both and the regime count
 REGIMES = """import sys, time
 from anonytope.anonymity import compute_regimes
-from anonytope.cli import RunConfig, ingest_csv
+from anonytope.cli import ingest_csv
 from anonytope.geometry import normalize_dataset
-data = normalize_dataset(ingest_csv(sys.argv[1],
-                                    RunConfig(quasi=sys.argv[2:])))
+data = normalize_dataset(ingest_csv(sys.argv[1], sys.argv[2:]))
 start = time.perf_counter()
 data.merge_tree
 built = time.perf_counter()
@@ -133,10 +132,9 @@ print(built - start, time.perf_counter() - built, count)
 # both times
 CHECK = """import sys, time
 from anonytope.anonymity import FAIL_NOT_SIMPLEX, check_k_anonymity
-from anonytope.cli import RunConfig, ingest_csv
+from anonytope.cli import ingest_csv
 from anonytope.geometry import normalize_dataset
-data = normalize_dataset(ingest_csv(sys.argv[1],
-                                    RunConfig(quasi=sys.argv[3:])))
+data = normalize_dataset(ingest_csv(sys.argv[1], sys.argv[3:]))
 eps = float(sys.argv[2])
 start = time.perf_counter()
 tree = data.merge_tree
@@ -151,10 +149,9 @@ print(built - start, checked - built)
 # times min_enclosing_ball of every row, read as the CLI reads it;
 # prints the time and the radius
 MEB = """import sys, time
-from anonytope.cli import RunConfig, ingest_csv
+from anonytope.cli import ingest_csv
 from anonytope.geometry import min_enclosing_ball, normalize_dataset
-data = normalize_dataset(ingest_csv(sys.argv[1],
-                                    RunConfig(quasi=sys.argv[2:])))
+data = normalize_dataset(ingest_csv(sys.argv[1], sys.argv[2:]))
 start = time.perf_counter()
 radius = min_enclosing_ball(data.points).radius
 print(time.perf_counter() - start, radius)

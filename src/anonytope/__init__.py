@@ -14,7 +14,7 @@ _HOMES = {
                     "generalized_partition_at", "lattice_search",
                     "load_trees", "lower_chain", "trees_from_dict",
                     "upper_chain"),
-    "cli": ("RunConfig", "ingest_csv"),
+    "cli": ("ingest_csv",),
     "geometry": ("Ball", "NormalizedDataset", "NumericTable",
                  "min_enclosing_ball", "normalize_dataset"),
     "homology": ("barcode",),

@@ -36,62 +36,19 @@ EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
-class RunConfig:
-    """The settings of one run, one field per CLI flag.  A plain class:
-    ``dataclasses`` would import ``inspect``, which costs a numpy-free
-    ``lattice-sweep`` more than its lattice search."""
-
-    def __init__(self, input: str = "", quasi: list[str] | None = None,
-                 identifiers: list[str] | None = None,
-                 sensitive: list[str] | None = None,
-                 k: list[int] | None = None, eps: float | None = None,
-                 dim_cap: int = 2, trees: str | None = None,
-                 strategy: str = STRATEGY_LOWER_THEN_UPPER, out: str = ".",
-                 formats: list[str] | None = None):
-        self.input = input
-        self.quasi = [] if quasi is None else quasi
-        self.identifiers = [] if identifiers is None else identifiers
-        self.sensitive = [] if sensitive is None else sensitive
-        self.k = [2] if k is None else k
-        self.eps = eps
-        self.dim_cap = dim_cap
-        self.trees = trees
-        self.strategy = strategy
-        self.out = out
-        self.formats = ["json"] if formats is None else formats
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return "RunConfig(" + ", ".join(
-            f"{name}={value!r}" for name, value in vars(self).items()) + ")"
-
-    def validate(self):
-        if not self.quasi:
-            raise IngestionError("quasi-identifier column set is empty")
-        for name in self.quasi:
-            if self.quasi.count(name) > 1:
-                raise IngestionError(f"column {name!r} is named twice in "
-                                     f"--quasi")
-        if any(k < 1 for k in self.k):
-            raise IngestionError("k must be >= 1")
-
-    def quasi_columns(self) -> list[str]:
-        """The quasi-identifiers of every subcommand: the --quasi columns
-        that --identifiers and --sensitive leave, in --quasi order."""
-        others = self.identifiers + self.sensitive
-        return [name for name in self.quasi if name not in others]
+def _quasi_columns(quasi, identifiers, sensitive) -> list[str]:
+    """The quasi-identifiers of every subcommand: the --quasi columns
+    that --identifiers and --sensitive leave, in --quasi order."""
+    return [name for name in quasi if name not in (*identifiers, *sensitive)]
 
 
-def ingest_csv(path, config: RunConfig, categorical: bool = False):
+def ingest_csv(path, quasi, identifiers=(), sensitive=(),
+               categorical: bool = False):
     """Parse the CSV into a NumericTable of its quasi-identifier columns
-    (config.quasi_columns()) in header order, or, if categorical, a list
-    of string tuples over them in --quasi order.  Only their cells are
-    read: a column that --identifiers or --sensitive leaves out may
-    hold anything."""
+    (the ``quasi`` names less ``identifiers`` and ``sensitive``) in header
+    order, or, if categorical, a list of string tuples over them in
+    ``quasi`` order.  Every named column must exist, but only the
+    quasi-identifiers' cells are read: the others may hold anything."""
     try:
         with open_utf8(path, newline="") as fh:
             records = [r for r in csv.reader(fh) if r]  # blank lines skipped
@@ -110,12 +67,12 @@ def ingest_csv(path, config: RunConfig, categorical: bool = False):
                                  f"header has {len(header)}")
     if len(records) == 1:
         raise IngestionError(f"{path}: no data rows")
-    for name in config.quasi + config.identifiers + config.sensitive:
+    for name in (*quasi, *identifiers, *sensitive):
         if name not in header:
             raise IngestionError(f"column {name!r} not found in {path}")
     # the quasi-identifier cells of each row, in --quasi order, and
     # where they stand in the header
-    quasi = config.quasi_columns()
+    quasi = _quasi_columns(quasi, identifiers, sensitive)
     if not quasi:
         raise IngestionError("no quasi-identifier columns declared")
     at = [header.index(name) for name in quasi]
@@ -184,22 +141,14 @@ def _chain_json(report) -> dict:
             "h0_bars": [_bar_json(b) for b in report.h0_bars]}
 
 
-def _one_k(config: RunConfig, command: str) -> int:
-    if len(config.k) != 1:
-        raise IngestionError(
-            f"{command} takes one --k value, got "
-            + " ".join(map(str, config.k)))
-    return config.k[0]
-
-
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: argparse.Namespace) -> int:
     from .anonymity import compute_regimes
     from .geometry import normalize_dataset
     from .homology import barcode
     from .svg import render_barcode_svg
 
-    table = ingest_csv(config.input, config)
-    data = normalize_dataset(table)
+    data = normalize_dataset(ingest_csv(
+        config.input, config.quasi, config.identifiers, config.sensitive))
     out_dir = Path(config.out)
 
     # first, so a table over the simplex budget is refused before any
@@ -232,13 +181,13 @@ def cmd_sweep(config: RunConfig) -> int:
     return status
 
 
-def cmd_check(config: RunConfig) -> int:
+def cmd_check(config: argparse.Namespace) -> int:
     from .anonymity import check_k_anonymity
     from .geometry import normalize_dataset
 
-    k = _one_k(config, "check")
-    table = ingest_csv(config.input, config)
-    data = normalize_dataset(table)
+    k = config.k[0]
+    data = normalize_dataset(ingest_csv(
+        config.input, config.quasi, config.identifiers, config.sensitive))
     if config.eps is None:
         raise IngestionError("check requires --eps")
     # first, so a bad eps is an input error even when k exceeds the rows
@@ -259,12 +208,13 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_INFEASIBLE
 
 
-def cmd_anonymize(config: RunConfig) -> int:
+def cmd_anonymize(config: argparse.Namespace) -> int:
     from .anonymity import compute_regimes, generalize_table, minimal_epsilon
     from .geometry import normalize_dataset
 
-    k = _one_k(config, "anonymize")
-    table = ingest_csv(config.input, config)
+    k = config.k[0]
+    table = ingest_csv(config.input, config.quasi, config.identifiers,
+                       config.sensitive)
     data = normalize_dataset(table)
     try:
         regime = minimal_epsilon(data, k)
@@ -287,13 +237,13 @@ def cmd_anonymize(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_barcode(config: RunConfig) -> int:
+def cmd_barcode(config: argparse.Namespace) -> int:
     from .geometry import normalize_dataset
     from .homology import barcode
     from .svg import render_barcode_svg
 
-    table = ingest_csv(config.input, config)
-    data = normalize_dataset(table)
+    data = normalize_dataset(ingest_csv(
+        config.input, config.quasi, config.identifiers, config.sensitive))
     bars = barcode(data, config.dim_cap)
     out_dir = Path(config.out)
     if "json" in config.formats:
@@ -305,23 +255,25 @@ def cmd_barcode(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_lattice_sweep(config: RunConfig) -> int:
+def cmd_lattice_sweep(config: argparse.Namespace) -> int:
     from .categorical import lattice_search, load_trees
 
-    k = _one_k(config, "lattice-sweep")
+    k = config.k[0]
     if not config.trees:
         raise IngestionError("lattice-sweep requires --trees")
     # trees are matched to the quasi-identifiers by name, in --quasi order
     by_name = {str(tree.attribute): tree
                for tree in load_trees(config.trees)}
-    quasi = config.quasi_columns()
+    quasi = _quasi_columns(config.quasi, config.identifiers,
+                           config.sensitive)
     for name in quasi:
         if name not in by_name:
             raise IngestionError(
                 f"no tree for --quasi column {name!r} in {config.trees}; "
                 f"its trees are " + ", ".join(map(repr, by_name)))
     trees = [by_name[name] for name in quasi]
-    rows = ingest_csv(config.input, config, categorical=True)
+    rows = ingest_csv(config.input, config.quasi, config.identifiers,
+                      config.sensitive, categorical=True)
     result = lattice_search(rows, trees, k, config.strategy)
     _write_json(Path(config.out), f"lattice_k{k}.json", {
         "k": k, "strategy": config.strategy, "nodes": result.nodes,
@@ -345,18 +297,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--input", help="input CSV path")
-    sp.add_argument("--quasi", nargs="+",
+    sp.add_argument("--input", default="", help="input CSV path")
+    sp.add_argument("--quasi", nargs="+", default=[],
                     help="quasi-identifier column names")
-    sp.add_argument("--identifiers", nargs="*", default=None)
-    sp.add_argument("--sensitive", nargs="*", default=None)
-    sp.add_argument("--k", nargs="+", type=int)
+    sp.add_argument("--identifiers", nargs="*", default=[])
+    sp.add_argument("--sensitive", nargs="*", default=[])
+    sp.add_argument("--k", nargs="+", type=int, default=[2])
     sp.add_argument("--eps", type=float)
-    sp.add_argument("--dim-cap", type=int, dest="dim_cap")
+    sp.add_argument("--dim-cap", type=int, dest="dim_cap", default=2)
     sp.add_argument("--trees", help="tree definition YAML")
-    sp.add_argument("--strategy",
+    sp.add_argument("--strategy", default=STRATEGY_LOWER_THEN_UPPER,
                     choices=[STRATEGY_LOWER_THEN_UPPER, STRATEGY_EXHAUSTIVE])
-    sp.add_argument("--out", help="output directory")
+    sp.add_argument("--out", default=".", help="output directory")
+    # None: not given, so build_config does not check it
     sp.add_argument("--format", nargs="+", dest="formats",
                     choices=["json", "csv", "svg"])
 
@@ -371,10 +324,10 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_file_args(path) -> dict:
-    """The YAML file's values, each key read as the flag of that name
-    (``dim_cap`` or ``dim-cap``) with the flag's own type, nargs and
-    choices."""
+def _config_file_args(path) -> argparse.Namespace:
+    """The flags the YAML file gives, over every other flag's default:
+    each key is read as the flag of that name (``dim_cap`` or
+    ``dim-cap``), with the flag's own type, nargs and choices."""
     spec = read_yaml(path) or {}
     if not isinstance(spec, dict):
         raise IngestionError(f"{path}: expected a mapping of flags to values")
@@ -385,7 +338,7 @@ def _config_file_args(path) -> dict:
         argv += ["--" + str(key).replace("_", "-"), *map(str, value)]
     parser = _Parser(prog=str(path), add_help=False)
     _add_flags(parser)
-    return vars(parser.parse_args(argv))
+    return parser.parse_args(argv)
 
 
 # each subcommand and the --format values it writes
@@ -398,25 +351,42 @@ _COMMANDS = {
 }
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    file_values = _config_file_args(args.config) if args.config else {}
-    for values in (file_values, vars(args)):    # flags override the file
-        for key, value in values.items():
-            if key not in ("config", "command") and value is not None:
-                setattr(config, key, value)
+def build_config(argv=None) -> argparse.Namespace:
+    """The run's configuration: the flags of argv, over the values of
+    its --config file, over each flag's default.  argparse sets a default
+    only where the namespace it fills has no value yet, so argv parsed
+    into the file's namespace keeps every value that argv does not give."""
+    parser = _parser()
+    config = parser.parse_args(argv)
+    if config.config:
+        config = parser.parse_args(argv, _config_file_args(config.config))
     if not config.input:
         raise IngestionError("no input file given (--input)")
-    config.validate()
-    # only a --format given by flag or file: the default, json, is not
-    # what check or anonymize writes
-    if args.formats is not None or file_values.get("formats") is not None:
-        writes = _COMMANDS[args.command][1]
+    if not config.quasi:
+        raise IngestionError("quasi-identifier column set is empty")
+    for name in config.quasi:
+        if config.quasi.count(name) > 1:
+            raise IngestionError(f"column {name!r} is named twice in "
+                                 f"--quasi")
+    if any(k < 1 for k in config.k):
+        raise IngestionError("k must be >= 1")
+    # the default, json, is not what check or anonymize writes
+    if config.formats is None:
+        config.formats = ["json"]
+    else:
+        writes = _COMMANDS[config.command][1]
         unwritten = " ".join(f for f in config.formats if f not in writes)
         if unwritten:
             what = "--format " + " or ".join(writes) if writes else "no file"
-            raise IngestionError(f"{args.command} writes {what}, "
+            raise IngestionError(f"{config.command} writes {what}, "
                                  f"not {unwritten}")
+    # these commands answer one k; a second one must not be dropped
+    if len(config.k) > 1 and config.command not in ("sweep", "barcode"):
+        raise IngestionError(f"{config.command} takes one --k value, got "
+                             + " ".join(map(str, config.k)))
+    for k in config.k:
+        if config.k.count(k) > 1:
+            raise IngestionError(f"k={k} is named twice in --k")
     return config
 
 
@@ -424,9 +394,8 @@ def main(argv=None) -> int:
     # before numpy loads, or OpenBLAS starts nproc - 1 busy-waiting workers
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
-        args = _parser().parse_args(argv)
-        config = build_config(args)
-        return _COMMANDS[args.command][0](config)
+        config = build_config(argv)
+        return _COMMANDS[config.command][0](config)
     except (IngestionError, ContractViolation, TreeDefinitionError,
             FiltrationSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,27 +14,24 @@ import anonytope
 from anonytope import anonymity
 from anonytope.categorical import chain_sweep, load_trees
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
-                           RunConfig, _chain_json, ingest_csv, main)
+                           _chain_json, build_config, ingest_csv, main)
 from anonytope.errors import IngestionError, read_yaml
 
 
-def config_for(path, **kw):
-    base = dict(input=str(path), quasi=["Age", "ZIP"], sensitive=["Salary"])
-    base.update(kw)
-    return RunConfig(**base)
+def ingest_sample(path, quasi=("Age", "ZIP")):
+    return ingest_csv(path, list(quasi), [], ["Salary"])
 
 
 class TestIngest:
     def test_sample_csv(self, sample_csv):
-        table = ingest_csv(sample_csv, config_for(sample_csv))
+        table = ingest_sample(sample_csv)
         assert table.n_rows == 9
         assert table.quasi_names == ["Age", "ZIP"]
         assert table.rows[0].tolist() == [25.0, 47677.0]
 
     def test_quasi_columns_in_header_order(self, sample_csv):
         # a column --sensitive also names is not a quasi-identifier
-        cfg = config_for(sample_csv, quasi=["ZIP", "Salary", "Age"])
-        table = ingest_csv(sample_csv, cfg)
+        table = ingest_sample(sample_csv, ["ZIP", "Salary", "Age"])
         assert table.quasi_names == ["Age", "ZIP"]
         assert table.rows[0].tolist() == [25.0, 47677.0]
 
@@ -42,42 +39,73 @@ class TestIngest:
         path = tmp_path / "empty.csv"
         path.write_text("Age,ZIP\n")
         with pytest.raises(IngestionError, match="no data rows"):
-            ingest_csv(path, config_for(path))
+            ingest_sample(path)
 
     def test_headerless_empty_file(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("")
         with pytest.raises(IngestionError, match="no header"):
-            ingest_csv(path, config_for(path))
+            ingest_sample(path)
 
     def test_missing_column_named(self, sample_csv):
-        cfg = config_for(sample_csv, quasi=["Age", "Postcode"])
         with pytest.raises(IngestionError, match="Postcode"):
-            ingest_csv(sample_csv, cfg)
+            ingest_sample(sample_csv, ["Age", "Postcode"])
 
     def test_unparsable_cell_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("Age,ZIP\n25,47677\nforty,47602\n")
-        cfg = RunConfig(input=str(path), quasi=["Age", "ZIP"])
         with pytest.raises(IngestionError, match=r"row 2.*Age"):
-            ingest_csv(path, cfg)
-
-    def test_run_config_fields(self):
-        config = RunConfig(quasi=["Age"])
-        assert config == RunConfig(quasi=["Age"]) != RunConfig()
-        assert (config.k, config.formats, config.dim_cap) == ([2], ["json"], 2)
-        assert RunConfig().quasi is not RunConfig().quasi
-        config.k = [3]          # build_config sets flags one by one
-        assert config.k == [3]
-        with pytest.raises(TypeError):
-            RunConfig(mode="categorical")
+            ingest_csv(path, ["Age", "ZIP"])
 
     def test_categorical_mode_returns_tuples(self, tmp_path):
         path = tmp_path / "cat.csv"
         path.write_text("gender,country\nMale,Spain\nFemale,Hungary\n")
-        cfg = RunConfig(input=str(path), quasi=["gender", "country"])
-        rows = ingest_csv(path, cfg, categorical=True)
+        rows = ingest_csv(path, ["gender", "country"], categorical=True)
         assert rows == [("Male", "Spain"), ("Female", "Hungary")]
+
+
+class TestBuildConfig:
+    def test_defaults(self):
+        config = build_config(["sweep", "--input", "a.csv", "--quasi", "x"])
+        assert vars(config) == {
+            "command": "sweep", "config": None, "input": "a.csv",
+            "quasi": ["x"], "identifiers": [], "sensitive": [], "k": [2],
+            "eps": None, "dim_cap": 2, "trees": None,
+            "strategy": "lower_then_upper", "out": ".", "formats": ["json"]}
+
+    @pytest.mark.parametrize("dim_cap_key", ["dim_cap", "dim-cap"])
+    def test_config_file_reads_every_flag_as_the_command_line(
+            self, tmp_path, dim_cap_key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "input": "a.csv", "quasi": ["x", "y"], "identifiers": "id",
+            "sensitive": ["s"], "k": [3, 4], "eps": 0.5, dim_cap_key: 1,
+            "trees": "t.yaml", "strategy": "exhaustive", "out": "o",
+            "format": ["json", "svg"]}))
+        by_flags = build_config([
+            "sweep", "--input", "a.csv", "--quasi", "x", "y", "--identifiers",
+            "id", "--sensitive", "s", "--k", "3", "4", "--eps", "0.5",
+            "--dim-cap", "1", "--trees", "t.yaml", "--strategy", "exhaustive",
+            "--out", "o", "--format", "json", "svg"])
+        # every flag is given a value other than its default
+        defaults = build_config(["sweep", "--input", "b.csv", "--quasi", "z"])
+        assert [name for name, value in vars(by_flags).items()
+                if value == vars(defaults)[name]] == ["command", "config"]
+        by_file = build_config(["sweep", "--config", str(cfg)])
+        assert vars(by_file) == {**vars(by_flags), "config": str(cfg)}
+        # a flag given both ways takes its command-line value
+        both = build_config(["sweep", "--config", str(cfg), "--k", "5",
+                             "--dim-cap", "0", "--identifiers"])
+        assert vars(both) == {**vars(by_file), "k": [5], "dim_cap": 0,
+                              "identifiers": []}
+
+    def test_config_file_leaves_unset_flags_at_their_defaults(self,
+                                                              tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("input: a.csv\nquasi: x\n")
+        assert vars(build_config(["check", "--config", str(cfg)])) == {
+            **vars(build_config(["check", "--input", "a.csv", "--quasi",
+                                 "x"])), "config": str(cfg)}
 
 
 def run_cli(*argv):
@@ -283,7 +311,8 @@ class TestConfigAndFlagErrors:
                              ["check", "anonymize", "lattice-sweep"])
     def test_extra_k_is_input_error(self, sample_csv, tmp_path, trees_yaml,
                                     capsys, command):
-        # these commands answer one k; a second one must not be dropped
+        # these commands answer one k; a second one must not be dropped,
+        # even when it repeats the first
         if command == "lattice-sweep":
             path = tmp_path / "cat.csv"
             path.write_text("gender,country\n" + "Male,Spain\n" * 4)
@@ -293,11 +322,27 @@ class TestConfigAndFlagErrors:
             flags = ["--input", str(sample_csv), "--quasi", "Age", "ZIP",
                      "--eps", "0.8"]
         out = tmp_path / "out"
-        rc = run_cli(command, *flags, "--k", "2", "3", "--out", str(out))
+        for ks in ("2", "3"), ("2", "2"):
+            rc = run_cli(command, *flags, "--k", *ks, "--out", str(out))
+            assert rc == EXIT_INPUT_ERROR
+            assert capsys.readouterr().err == \
+                f"error: {command} takes one --k value, got {' '.join(ks)}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+    def test_repeated_k_is_input_error(self, sample_csv, tmp_path, capsys,
+                                       by_file):
+        # sweep would answer k = 2 twice, writing its files twice
+        ks = {"k": [2, 3, 2]}
+        if by_file:
+            rc = self.sweep_with(sample_csv, tmp_path, ks)
+        else:
+            rc = self.sweep_with(sample_csv, tmp_path, {},
+                                 "--k", "2", "3", "2")
         assert rc == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == \
-            f"error: {command} takes one --k value, got 2 3\n"
-        assert not out.exists()
+        assert capsys.readouterr() == \
+            ("", "error: k=2 is named twice in --k\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "abc"], "argument --k: invalid int value: 'abc'"),
