@@ -1,67 +1,50 @@
-"""Wall time and peak RSS of the merge tree, the regime table, the
-filtration and its reduction at scale, and of the fixed cost that every
-CLI answer pays.
+"""Wall time and peak RSS of the fixed cost that every CLI answer pays,
+and of each layer at scale, for one or more source trees.
 
-Every run is a fresh interpreter on seeded uniform rows in [0, 1]^d
-(``random.Random(N * 10 + d)``), but for the categorical case.  The
-fixed-cost cases, each run ``FIXED_REPEAT`` times:
+Why each group of cases exists:
 
-- the bare interpreter, then ``import numpy`` with OpenBLAS's default
-  thread pool and with ``OPENBLAS_NUM_THREADS=1``, ``import yaml`` and
-  ``import anonytope.cli``;
-- ``sweep --k 2 3 5 --format json svg``, ``check --k 2 --eps 0.1`` and
-  ``barcode --dim-cap 2`` on N = 26 rows in d = 2, the size of a
-  ``perfbench`` sweep;
-- the same sweep in-process, OpenBLAS pinned to one thread: the time of
-  ``import numpy``, of the package's numeric modules after it, and of
-  ``main`` once both are loaded;
-- ``lattice-sweep --k 5`` with ``--strategy exhaustive`` and with the
-  default ``lower_then_upper`` on the 500-row table of three balanced
-  trees that ``perfbench/gen.py``'s ``categorical_table(1, 0, 500)``
-  writes, its trees file in the plain ``--trees`` layout; there the
-  lower chain fails, so ``lower_then_upper`` sweeps both chains and
-  builds both chains' H0 bars.
+- The fixed-cost cases (``FIXED_CASES``, each run ``FIXED_REPEAT``
+  times) split a small answer into what it pays before any package code
+  runs, the interpreter and each import, and whole answers at the size
+  of a ``perfbench`` workload: 26 numeric rows, and the 500-row
+  categorical table of ``perfbench/gen.py``.  Most of such an answer is
+  process start, so they show how much of a gated metric the package
+  can move at all.
+- The cases at scale (``SCALE_CASES``, each run ``--repeat`` times)
+  time each layer where its algorithm dominates: the merge tree alone
+  (``check``, ``anonymize``), every k's regimes with no simplex built
+  (``sweep --dim-cap 1``), every component's radius (``anonymize --k
+  1``), the filtration and its reduction up to the simplex budget
+  (``barcode``), and, in-process after the imports and the read,
+  ``compute_regimes``, a ``check_k_anonymity`` that fails at its first
+  component, and ``min_enclosing_ball`` of every row.
 
-The cases at scale, each run ``--repeat`` times:
+Every run is a fresh interpreter that executes ``PRELUDE`` and then the
+snippet its kind names in ``SNIPPETS``, on seeded uniform rows in
+[0, 1]^d (``random.Random(N * 10 + d)``) but for the categorical cases.
+The in-process snippets read the table with ``csv`` into a
+``NumericTable`` and scale it with ``normalize_dataset``, not with the
+CLI's ``ingest_csv``, whose signature has changed, so that an older
+tree can be measured against a newer one.  Each snippet prints its
+figures as one JSON object on its last stdout line, with its peak RSS
+(VmHWM) in MiB; the wall time, spawn to exit, and the exit code are
+added to them.  A run that exits 2 has given its verdict
+("infeasible") and counts like one that exits 0; one that exits 1 with
+an ``error:`` line refused the input, and that line is recorded instead
+of figures.  Any other run failed: its last stderr line and exit code
+are recorded, the other runs go on, and the script exits 1 once the
+file is written.
 
-- ``check --k 2 --eps 0.01`` and ``anonymize --k 2`` on N = 1,000, 5,000
-  and 20,000 rows in d = 2, which read the merge tree alone;
-- ``sweep --k 2 3 --dim-cap 1`` on N = 1,000, 5,000 and 20,000 rows in
-  d = 2: every k's regimes and the H0 barcode, with no simplex built;
-- ``anonymize --k 1`` on N = 1,000 rows in d = 2 and d = 5, the run that
-  needs the radius of every component the merge tree forms;
-- in-process ``compute_regimes`` for k = 1, 2, 3, 5, classes included,
-  on N = 2,000 rows in d = 2 and N = 1,000 rows in d = 5, read by
-  ``ingest_csv`` and min-max scaled by ``normalize_dataset`` as the CLI
-  does, timed after the merge tree is built (its build time is recorded
-  apart);
-- in-process ``check_k_anonymity`` at k = 1 and eps = 0.013 on the same
-  N = 2,000 rows in d = 2, read and timed the same way: there the first
-  component, of 29 rows, fails the ball test, so the check needs the
-  balls of its 28 merges alone;
-- ``barcode --dim-cap 2`` on N = 100, 200 and 228 rows in d = 2 (the
-  last just under the simplex budget), the H1 reduction;
-- ``barcode --dim-cap 3`` on N = 48 rows in d = 3: 194,580 tetrahedra,
-  each born at its circumradius or with its latest facet, from one
-  batched Gram solve per 65,536 tetrahedra;
-- in-process ``min_enclosing_ball`` of all N = 5,000 rows in d = 5 and
-  of all N = 20,000 rows in d = 2, read and scaled as the CLI does,
-  timed after the imports and the read.
-
-Wall time is spawn to exit; peak RSS is the run's own VmHWM, read by the
-run as it exits.  A command that exits 2 has given its verdict
-("infeasible") and is timed like one that exits 0; one that exits 1
-refused the input, and its ``error:`` line is recorded instead of
-figures.  Each run starts without the caller's ``OPENBLAS_NUM_THREADS``
-and ``PYTHONDONTWRITEBYTECODE``, and each source tree is byte-compiled
+Each run starts without the caller's ``OPENBLAS_NUM_THREADS`` and
+``PYTHONDONTWRITEBYTECODE``, and each source tree is byte-compiled
 before the first run, so neither the shell it is started from nor a
-tree's old ``__pycache__`` can bias it.  Several source trees
-can be measured in one call, their runs interleaved, and the side that
-goes first alternating, so that drift in the machine's speed falls on
-all of them alike; each figure is the median of its case's runs.
+tree's old ``__pycache__`` can bias it.  The sides' runs are
+interleaved, the side that goes first alternating, so that drift in the
+machine's speed falls on all of them alike; each figure is the median
+of its case's runs.
 
-    python3 scripts/bench_regimes.py --side change=src \\
-        --side parent=../parent/src --out BENCH_regimes.json
+    python3 scripts/bench_regimes.py --side parent=../parent/src \\
+        --side change=src --repeat 5 --out BENCH_regimes.json
 
 Writes one JSON object: the python and numpy versions, the BLAS numpy
 was built with, ``nproc``, and per side and case the median and every
@@ -89,125 +72,143 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 # the benchmark's categorical tables
 from gen import categorical_table  # noqa: E402
 
-# leaves the process's peak RSS (VmHWM, in KiB) as the last line of
-# stderr
-PEAK = """import sys
-with open("/proc/self/status") as f:
-    print(next(ln.split()[1] for ln in f if ln.startswith("VmHWM")),
-          file=sys.stderr)
+# the start of every snippet: read(path) reads and scales a table as the
+# CLI does; report() prints the run's figures and its peak RSS (VmHWM)
+# as one JSON object, formatted by hand because importing json would
+# add to every run
+PRELUDE = """import sys, time
+def read(path):
+    import csv
+    from anonytope.geometry import NumericTable, normalize_dataset
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    return normalize_dataset(
+        NumericTable(header, [[float(v) for v in row] for row in rows]))
+def report(**figures):
+    with open("/proc/self/status") as f:
+        kib = next(int(ln.split()[1]) for ln in f if ln.startswith("VmHWM"))
+    figures["peak_rss_mib"] = kib / 1024
+    print("{" + ", ".join(f'"{key}": {value!r}'
+                          for key, value in figures.items()) + "}")
 """
-# runs the CLI as the console script does
-CLI = """from anonytope.cli import main
+# what each kind of run does after PRELUDE with its arguments: the CLI
+# kinds take a subcommand and its flags, the in-process ones the table's
+# path and then the case's arguments
+SNIPPETS = {
+    # imports the named modules
+    "import": """for name in sys.argv[1:]:
+    __import__(name)
+report()
+""",
+    # runs the CLI as the console script does
+    "cli": """from anonytope.cli import main
 code = main()
-""" + PEAK + "sys.exit(code)\n"
-# times import numpy, then the package's numeric modules, then one CLI
-# answer with both loaded; prints the three
-PHASES = """import sys, time
-start = time.perf_counter()
+report()
+sys.exit(code)
+""",
+    # times import numpy, then the package's numeric modules, then one
+    # CLI answer with both loaded
+    "phases": """start = time.perf_counter()
 import numpy
 numpy_s = time.perf_counter()
 import anonytope.anonymity, anonytope.geometry, anonytope.homology
 import anonytope.svg
 from anonytope.cli import main
 package_s = time.perf_counter()
-code = main(sys.argv[1:])
-print(numpy_s - start, package_s - numpy_s, time.perf_counter() - package_s)
+code = main()
+report(import_numpy_s=numpy_s - start, import_package_s=package_s - numpy_s,
+       main_s=time.perf_counter() - package_s)
 sys.exit(code)
-"""
-# times the merge tree's build, then compute_regimes for every k on the
-# same dataset, read as the CLI reads it; prints both and the regime count
-REGIMES = """import sys, time
-from anonytope.anonymity import compute_regimes
-from anonytope.cli import ingest_csv
-from anonytope.geometry import normalize_dataset
-data = normalize_dataset(ingest_csv(sys.argv[1], sys.argv[2:]))
+""",
+    # times the merge tree's build, then compute_regimes for every k on
+    # the same dataset; counts the regimes
+    "regimes": """from anonytope.anonymity import compute_regimes
+data = read(sys.argv[1])
 start = time.perf_counter()
 data.merge_tree
 built = time.perf_counter()
 count = sum(len(compute_regimes(data, k)) for k in (1, 2, 3, 5))
-print(built - start, time.perf_counter() - built, count)
-"""
-# times the merge tree's build, then one check at k = 1 and the given eps
-# on the same dataset, which must fail at its first component; prints
-# both times
-CHECK = """import sys, time
-from anonytope.anonymity import FAIL_NOT_SIMPLEX, check_k_anonymity
-from anonytope.cli import ingest_csv
-from anonytope.geometry import normalize_dataset
-data = normalize_dataset(ingest_csv(sys.argv[1], sys.argv[3:]))
+report(merge_tree_s=built - start,
+       compute_regimes_s=time.perf_counter() - built, regimes=count)
+""",
+    # times the merge tree's build, then one check at k = 1 and the given
+    # eps on the same dataset, which must fail at its first component
+    "in_check": """from anonytope.anonymity import (FAIL_NOT_SIMPLEX,
+                                 check_k_anonymity)
+data = read(sys.argv[1])
 eps = float(sys.argv[2])
 start = time.perf_counter()
-tree = data.merge_tree
+data.merge_tree
 built = time.perf_counter()
 verdict = check_k_anonymity(data, eps, 1)
 checked = time.perf_counter()
 # the first component, by first row, is the one holding row 1
 kind, component = verdict.failure_reason
 assert kind == FAIL_NOT_SIMPLEX and component[0] == 1, verdict
-print(built - start, checked - built)
-"""
-# times min_enclosing_ball of every row, read as the CLI reads it;
-# prints the time and the radius
-MEB = """import sys, time
-from anonytope.cli import ingest_csv
-from anonytope.geometry import min_enclosing_ball, normalize_dataset
-data = normalize_dataset(ingest_csv(sys.argv[1], sys.argv[2:]))
+report(merge_tree_s=built - start, check_s=checked - built)
+""",
+    # times min_enclosing_ball of every row
+    "meb": """from anonytope.geometry import min_enclosing_ball
+data = read(sys.argv[1])
 start = time.perf_counter()
 radius = min_enclosing_ball(data.points).radius
-print(time.perf_counter() - start, radius)
-"""
+report(meb_s=time.perf_counter() - start, radius=float(radius))
+""",
+}
 PINNED = {"OPENBLAS_NUM_THREADS": "1"}
 SWEEP = ["--k", "2", "3", "5", "--format", "json", "svg"]
 # the quartiles of 31 runs of a 0.2-0.3 s answer lie 20-30 ms apart on
 # 2 cores, so a 50 ms shift of the median shows
 FIXED_REPEAT = 31
-# (label, kind, N, d, arguments, environment): kind is a CLI subcommand,
-# "import" (arguments: the modules), "phases" (arguments: the CLI's),
-# None (compute_regimes in-process), "in_check" (check_k_anonymity
-# in-process; arguments: the eps) or "meb" (min_enclosing_ball
-# in-process)
+# (label, kind, N, d, arguments, environment): kind names the snippet,
+# and a CLI kind's arguments start with the subcommand; a table of N
+# rows in d columns is written for every case with N > 0
 FIXED_CASES = (
     ("interpreter", "import", 0, 0, [], {}),
     ("import_numpy_pool", "import", 0, 0, ["numpy"], {}),
     ("import_numpy_pinned", "import", 0, 0, ["numpy"], PINNED),
     ("import_yaml", "import", 0, 0, ["yaml"], {}),
     ("import_anonytope_cli", "import", 0, 0, ["anonytope.cli"], {}),
-    ("sweep_k235_json_svg_n26_d2", "sweep", 26, 2, SWEEP, {}),
-    ("check_k2_n26_d2", "check", 26, 2, ["--k", "2", "--eps", "0.1"], {}),
-    ("barcode_cap2_n26_d2", "barcode", 26, 2, ["--dim-cap", "2"], {}),
+    ("sweep_k235_json_svg_n26_d2", "cli", 26, 2, ["sweep", *SWEEP], {}),
+    ("check_k2_n26_d2", "cli", 26, 2,
+     ["check", "--k", "2", "--eps", "0.1"], {}),
+    ("barcode_cap2_n26_d2", "cli", 26, 2, ["barcode", "--dim-cap", "2"],
+     {}),
     ("sweep_phases_n26_d2_pinned", "phases", 26, 2, ["sweep", *SWEEP],
      PINNED),
     # d counts the trees
-    ("lattice_sweep_exhaustive_n500", "lattice-sweep", 500, 3,
-     ["--k", "5", "--strategy", "exhaustive"], {}),
-    ("lattice_sweep_lower_then_upper_n500", "lattice-sweep", 500, 3,
-     ["--k", "5"], {}),
+    ("lattice_sweep_exhaustive_n500", "cli", 500, 3,
+     ["lattice-sweep", "--k", "5", "--strategy", "exhaustive"], {}),
+    ("lattice_sweep_lower_then_upper_n500", "cli", 500, 3,
+     ["lattice-sweep", "--k", "5"], {}),
 )
 SCALE_CASES = tuple(case + ({},) for case in (
-    *((f"{command}_k2_n{n}_d2", command, n, 2, ["--k", "2", *extra])
+    *((f"{command}_k2_n{n}_d2", "cli", n, 2, [command, "--k", "2", *extra])
       for n in (1000, 5000, 20000)
       for command, extra in (("check", ["--eps", "0.01"]),
                              ("anonymize", []))),
-    *((f"sweep_k23_cap1_n{n}_d2", "sweep", n, 2,
-       ["--k", "2", "3", "--dim-cap", "1"]) for n in (1000, 5000, 20000)),
-    ("anonymize_k1_n1000_d2", "anonymize", 1000, 2, ["--k", "1"]),
-    ("anonymize_k1_n1000_d5", "anonymize", 1000, 5, ["--k", "1"]),
-    ("compute_regimes_k1235_n2000_d2", None, 2000, 2, []),
-    ("compute_regimes_k1235_n1000_d5", None, 1000, 5, []),
+    *((f"sweep_k23_cap1_n{n}_d2", "cli", n, 2,
+       ["sweep", "--k", "2", "3", "--dim-cap", "1"])
+      for n in (1000, 5000, 20000)),
+    ("anonymize_k1_n1000_d2", "cli", 1000, 2, ["anonymize", "--k", "1"]),
+    ("anonymize_k1_n1000_d5", "cli", 1000, 5, ["anonymize", "--k", "1"]),
+    ("compute_regimes_k1235_n2000_d2", "regimes", 2000, 2, []),
+    ("compute_regimes_k1235_n1000_d5", "regimes", 1000, 5, []),
     ("check_in_process_k1_eps0.013_n2000_d2", "in_check", 2000, 2,
      ["0.013"]),
-    *((f"barcode_cap2_n{n}_d2", "barcode", n, 2, ["--dim-cap", "2"])
+    *((f"barcode_cap2_n{n}_d2", "cli", n, 2, ["barcode", "--dim-cap", "2"])
       for n in (100, 200, 228)),
-    ("barcode_cap3_n48_d3", "barcode", 48, 3, ["--dim-cap", "3"]),
+    ("barcode_cap3_n48_d3", "cli", 48, 3, ["barcode", "--dim-cap", "3"]),
     ("meb_n5000_d5", "meb", 5000, 5, []),
     ("meb_n20000_d2", "meb", 20000, 2, []),
 ))
 
 
-def write_rows(path: Path, command: str, n: int, d: int) -> None:
-    """The case's table, and for lattice-sweep its trees file beside it
-    with the suffix .yaml."""
-    if command == "lattice-sweep":
+def write_rows(path: Path, case: tuple) -> None:
+    """The case's table, its header the quasi-identifier columns, and for
+    lattice-sweep its trees file beside it with the suffix .yaml."""
+    _, _, n, d, args, _ = case
+    if args[:1] == ["lattice-sweep"]:
         table = categorical_table(1, 0, n)
         path.write_text(table.csv)
         path.with_suffix(".yaml").write_text(table.trees_yaml)
@@ -219,69 +220,50 @@ def write_rows(path: Path, command: str, n: int, d: int) -> None:
 
 
 def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
-    """The figures of one run of a case."""
-    _, command, _, d, extra, case_env = case
+    """The figures of one run of a case: its wall time, exit code and
+    what its snippet reports; or the error line of a refusal, or the
+    last stderr line of a run that failed."""
+    _, kind, n, _, args, case_env = case
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.update(case_env)
-    quasi = [f"x{j}" for j in range(d)]
-    if command == "lattice-sweep":
-        quasi = [f"c{j + 1}" for j in range(d)]
-        extra = [*extra, "--trees", str(csv.with_suffix(".yaml"))]
-    table = ["--input", str(csv), "--quasi", *quasi]
-    if command is None:
-        argv = [sys.executable, "-c", REGIMES, str(csv), *quasi]
-    elif command == "in_check":
-        argv = [sys.executable, "-c", CHECK, str(csv), *extra, *quasi]
-    elif command == "meb":
-        argv = [sys.executable, "-c", MEB, str(csv), *quasi]
-    elif command == "import":
-        argv = [sys.executable, "-c",
-                "".join(f"import {m}\n" for m in extra) + PEAK]
-    elif command == "phases":
-        argv = [sys.executable, "-c", PHASES, *extra, *table,
+    if kind in ("cli", "phases"):
+        quasi = csv.read_text().partition("\n")[0].split(",")
+        args = [*args, "--input", str(csv), "--quasi", *quasi,
                 "--out", str(out)]
-    else:
-        argv = [sys.executable, "-c", CLI, command, *table, *extra,
-                "--out", str(out)]
+        if csv.with_suffix(".yaml").exists():
+            args += ["--trees", str(csv.with_suffix(".yaml"))]
+    elif n:
+        args = [str(csv), *args]
     start = time.perf_counter()
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          timeout=1800)
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + SNIPPETS[kind], *args],
+        capture_output=True, text=True, env=env, timeout=1800)
     wall = time.perf_counter() - start
     # exit 1 with an error line is a refusal; a traceback also exits 1
     refusal = [ln for ln in proc.stderr.splitlines()
                if ln.startswith("error: ")]
     if proc.returncode == 1 and refusal:
         return {"refused": refusal[0]}
-    if proc.returncode not in (0, 2):
-        raise SystemExit(f"{case[0]} failed:\n{proc.stderr}")
-    if command is None:
-        tree_s, regimes_s, count = proc.stdout.split()
-        return {"merge_tree_s": float(tree_s),
-                "compute_regimes_s": float(regimes_s),
-                "regimes": int(count)}
-    if command == "in_check":
-        tree_s, check_s = proc.stdout.split()
-        return {"merge_tree_s": float(tree_s), "check_s": float(check_s)}
-    if command == "meb":
-        meb_s, radius = proc.stdout.split()
-        return {"meb_s": float(meb_s), "radius": float(radius)}
-    if command == "phases":
-        numpy_s, package_s, main_s = proc.stdout.splitlines()[-1].split()
-        return {"import_numpy_s": float(numpy_s),
-                "import_package_s": float(package_s),
-                "main_s": float(main_s)}
-    return {"wall_s": wall, "exit": proc.returncode,
-            "peak_rss_mib": int(proc.stderr.split()[-1]) / 1024}
+    try:
+        figures = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        figures = None
+    if proc.returncode not in (0, 2) or not isinstance(figures, dict):
+        stderr = proc.stderr.splitlines() or ["no figures on stdout"]
+        return {"failed": stderr[-1], "exit": proc.returncode}
+    return {"wall_s": wall, "exit": proc.returncode, **figures}
 
 
 def summary(by_run: list[dict]) -> dict:
     """The median of each figure over the runs of one case and side, and
-    every run's figures; the error line of a refused case."""
-    refused = [r["refused"] for r in by_run if "refused" in r]
-    if refused:
-        return {"refused": refused[0], "runs": by_run}
+    every run's figures; the first line recorded of a refused or failed
+    case."""
+    for outcome in ("refused", "failed"):
+        lines = [r[outcome] for r in by_run if outcome in r]
+        if lines:
+            return {outcome: lines[0], "runs": by_run}
     rounded = [{key: significant(value) for key, value in r.items()}
                for r in by_run]
     return {**{key: significant(statistics.median(r[key] for r in by_run))
@@ -313,7 +295,7 @@ def main() -> None:
         tmp = Path(tmp)
         for case, _ in cases:
             if case[2]:
-                write_rows(tmp / f"{case[0]}.csv", *case[1:4])
+                write_rows(tmp / f"{case[0]}.csv", case)
         for src in sides.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q",
                             str(Path(src).resolve())], check=True)
@@ -344,6 +326,11 @@ def main() -> None:
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out}")
+    failed = [f"{label} {name}" for label, by_case in runs.items()
+              for name, by_run in by_case.items()
+              if any("failed" in r for r in by_run)]
+    if failed:
+        sys.exit(f"failed: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

@@ -92,24 +92,30 @@ def check_k_anonymity(data: NormalizedDataset, eps: float,
                             failure_reason=None)
 
 
-def compute_regimes(data: NormalizedDataset, k: int) -> list[Regime]:
-    """Every maximal interval on which k-anonymity holds.
+def _regimes(data: NormalizedDataset, k: int):
+    """Each k-anonymous regime in eps order, its classes read off the
+    tree only when it is reached.
 
     Within an interval of constant partition, the verdict flips at most
     once, at the largest component MEB radius, and the partition holds
     for k while its smallest component has k rows; so every k is a
-    filter of the merge tree's one regime table, and the classes are
-    read off the tree only for the intervals kept.
+    filter of the merge tree's one regime table.
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
     if k > data.n_points:
-        return []
+        return
     tree = data.merge_tree
-    return [Regime(eps_lo=start, eps_hi=None if math.isinf(hi) else hi,
-                   classes=tuple(rows for rows, _ in tree.classes(merges)))
-            for lo, hi, merges, smallest, radius in tree.regime_table
-            if smallest >= k and (start := max(lo, radius)) < hi]
+    for lo, hi, merges, smallest, radius in tree.regime_table:
+        if smallest >= k and (start := max(lo, radius)) < hi:
+            yield Regime(eps_lo=start, eps_hi=None if math.isinf(hi) else hi,
+                         classes=tuple(rows for rows, _
+                                       in tree.classes(merges)))
+
+
+def compute_regimes(data: NormalizedDataset, k: int) -> list[Regime]:
+    """Every maximal interval on which k-anonymity holds."""
+    return list(_regimes(data, k))
 
 
 def minimal_epsilon(data: NormalizedDataset, k: int) -> Regime:
@@ -118,13 +124,14 @@ def minimal_epsilon(data: NormalizedDataset, k: int) -> Regime:
 
     A later regime has had at least one more merge, so the earliest
     regime also has the most classes.  Every k <= N has a regime: the
-    last interval is one class of all N rows.
+    last interval is one class of all N rows.  Only that regime's
+    classes are read off the tree.
     """
-    regimes = compute_regimes(data, k)
-    if not regimes:
+    first = next(_regimes(data, k), None)
+    if first is None:
         raise InfeasibleError(f"no generalization radius achieves "
                               f"{k}-anonymity (k exceeds row count)")
-    return regimes[0]
+    return first
 
 
 def generalize_table(table: NumericTable, regime: Regime) -> GeneralizedTable:

@@ -35,8 +35,8 @@ MEB_REL_TOL = 1e-9
 
 class NumericTable:
     """The quasi-identifier columns of a table: their names, and one row
-    of finite reals per table row as an (N, d) float array.  A row's id
-    is its 1-based position."""
+    of finite reals per table row as an (N, d) float array, d the number
+    of names.  A row's id is its 1-based position."""
 
     def __init__(self, quasi_names: list[str], rows):
         self.quasi_names = list(quasi_names)
@@ -46,7 +46,13 @@ class NumericTable:
             raise IngestionError("duplicate column names")
         if not self.quasi_names:
             raise IngestionError("no quasi-identifier columns declared")
-        self.rows = np.asarray(rows, float)
+        shape = f"an (N, {len(self.quasi_names)}) array of numbers"
+        try:
+            self.rows = np.asarray(rows, float)
+        except ValueError:          # ragged rows, or a cell that is no number
+            raise IngestionError(f"rows do not form {shape}") from None
+        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.quasi_names):
+            raise IngestionError(f"rows do not form {shape}")
         bad = np.flatnonzero(~np.isfinite(self.rows))
         if len(bad):
             i, j = divmod(int(bad[0]), self.rows.shape[1])

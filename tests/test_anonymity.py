@@ -279,6 +279,19 @@ class TestMinimalEpsilon:
             for points in tables:
                 self.check_regime_invariants(points)
 
+    def test_reads_the_classes_of_one_regime(self, monkeypatch):
+        rng = random.Random(300)
+        data = dataset([(rng.random(), rng.random()) for _ in range(300)])
+        want = compute_regimes(data, 1)
+        assert len(want) > 1
+        calls = []
+        classes = geometry.MergeTree.classes
+        monkeypatch.setattr(geometry.MergeTree, "classes",
+                            lambda tree, merges: calls.append(merges)
+                            or classes(tree, merges))
+        assert minimal_epsilon(data, 1) == want[0]
+        assert len(calls) == 1
+
     @staticmethod
     def check_regime_invariants(points):
         n, dim = points.shape
@@ -352,6 +365,22 @@ def test_bruteforce_soundness():
         got = check_k_anonymity(data, eps, k).achieved
         want = k_anonymity_bruteforce(pts, eps, k)
         assert not got or want, (pts, eps, k)
+
+
+@pytest.mark.xfail(strict=True, reason="a regime start and a simplex "
+                   "birth round the same radius differently")
+def test_no_higher_bar_alive_at_a_regime_start():
+    # at a k-anonymous eps the complex is disjoint simplices, so no bar
+    # above H0 is alive there; the triangle of rows 1, 2 and 4, scaled
+    # to (1, 0.5), (0.5, 1) and (0, 0), has circumradius 5*sqrt(2)/12,
+    # which component radii round one ulp below the triangle's birth
+    table = NumericTable(["x", "y"], [(0.5, 0.5), (0.25, 0.75), (0.25, 0.75),
+                                      (0, 0.25), (0.25, 0.75)])
+    data = normalize_dataset(table)
+    bars = [b for b in barcode(data, 3) if b.dim > 0]
+    alive = [(r.eps_lo, b) for r in compute_regimes(data, 3) for b in bars
+             if b.birth <= r.eps_lo < b.death]
+    assert alive == []
 
 
 def test_achieved_implies_trivial_homology():

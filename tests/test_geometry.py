@@ -54,6 +54,15 @@ class TestNormalize:
         with pytest.raises(IngestionError):
             make_table([])
 
+    @pytest.mark.parametrize("names, rows", [
+        (["a", "b"], [[1.0], [2.0], [5.0]]),        # one column, two names
+        (["a"], [1.0, 2.0, 4.0]),                    # one value per row
+        (["a", "b"], [[1.0, 2.0], [3.0]]),           # ragged
+    ])
+    def test_rows_must_match_the_names(self, names, rows):
+        with pytest.raises(IngestionError, match="do not form an"):
+            NumericTable(names, rows)
+
 
 class TestMinEnclosingBall:
     def test_single_point(self):
