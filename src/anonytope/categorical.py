@@ -57,12 +57,15 @@ def generalize_value(tree: GeneralizationTree, value: str, level: int) -> str:
 
 
 def _yaml_name(value, what: str) -> str:
-    """A tree or node name as a string; YAML reads some unquoted words as
-    a boolean or null, which name nothing in the CSV."""
+    """A tree or node name as a string, a number or date as its text; a
+    YAML boolean, null or collection names nothing in the CSV."""
     if value is None or isinstance(value, bool):
         raise TreeDefinitionError(
             f"{what} {value!r} is not a string: YAML reads an unquoted "
             f"yes, no, on, off or null as a boolean or null; quote the name")
+    if isinstance(value, (bytes, dict, list, set)):
+        raise TreeDefinitionError(f"{what} {value!r} is a "
+                                  f"{type(value).__name__} value, not a name")
     return str(value)
 
 
@@ -150,47 +153,23 @@ def _plain_name(token: str) -> str | None:
     return None
 
 
-def _plain_names(value: str) -> list[str] | None:
-    """The names of a ``[name, name, ...]`` flow list, or None."""
-    if value[:1] != "[" or value[-1:] != "]":
-        return None
-    inner, at, names = value[1:-1], 0, []
-    while True:
-        if inner[at:at + 1] == "'":
-            end = inner.find("'", at + 1) + 1
-        else:
-            end = inner.find(", ", at)
-        if end <= at:           # no closing quote or no further comma
-            end = len(inner)
-        name = _plain_name(inner[at:end])
-        if name is None:
-            return None
-        names.append(name)
-        if end == len(inner):
-            return names
-        if inner[end:end + 2] != ", ":
-            return None
-        at = end + 2
-
-
 def _plain_trees(text: str) -> dict | None:
     """The document ``yaml.safe_load`` reads from text in the plain trees
     layout, or None for any other text.  In that layout each line is
     either ``name:`` at column 0, or ``name: name`` or ``name: [name,
     name, ...]`` under it at one indent shared by the whole file, and
-    every top-level name has at least one such line."""
-    if not text.isascii():
+    every top-level name has at least one such line.  A line splits at
+    its first ``": "`` and a list at each ``", "``, and none is longer
+    than 1024 characters, YAML's limit on a key."""
+    lines = text.removesuffix("\n").split("\n")
+    if not text.isascii() or max(map(len, lines)) > 1024:
         return None
     doc, body, indent = {}, None, None
-    for line in text.removesuffix("\n").split("\n"):
+    for line in lines:
         rest = line.lstrip(" ")
         if rest == line:
-            if body == {}:
-                return None
-            # YAML limits a key to 1024 characters
-            name = (_plain_name(line[:-1])
-                    if line[-1:] == ":" and len(line) <= 1025 else None)
-            if name is None:
+            name = _plain_name(line[:-1]) if line[-1:] == ":" else None
+            if name is None or body == {}:
                 return None
             doc[name] = body = {}
             continue
@@ -198,14 +177,15 @@ def _plain_trees(text: str) -> dict | None:
         indent = indent or width
         if body is None or width != indent:
             return None
-        sep = rest.find("'", 1) + 1 if rest[:1] == "'" else rest.find(": ")
-        key = _plain_name(rest[:sep]) if 0 < sep <= 1024 else None
-        if key is None or rest[sep:sep + 2] != ": ":
-            return None
-        value = rest[sep + 2:]
-        value = (_plain_names(value) if value[:1] == "[" else
-                 _plain_name(value))
-        if value is None:
+        key, sep, value = rest.partition(": ")
+        if value[:1] == "[" and value[-1:] == "]":
+            value = list(map(_plain_name, value[1:-1].split(", ")))
+            if None in value:
+                return None
+        else:
+            value = _plain_name(value)
+        key = _plain_name(key)
+        if not sep or key is None or value is None:
             return None
         body[key] = value
     return doc if body else None
@@ -238,8 +218,8 @@ def _ancestor_chains(rows, trees) -> list[list[tuple[str, ...]]]:
         for tree, table, column, value in zip(trees, tables, chains, row):
             chain = table.get(str(value))
             if chain is None:
-                raise ContractViolation(f"{str(value)!r} is not a leaf of "
-                                        f"tree {tree.attribute!r}")
+                raise ContractViolation(f"row {rid}: {str(value)!r} is not a "
+                                        f"leaf of tree {tree.attribute!r}")
             column.append(chain)
     return [list(zip(*column)) or [()] * (tree.height + 1)
             for tree, column in zip(trees, chains)]

@@ -1,7 +1,7 @@
 import math
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,8 @@ from anonytope.anonymity import (FAIL_NOT_SIMPLEX, FAIL_TOO_SMALL, Regime,
                                  generalize_table, minimal_epsilon)
 from anonytope import geometry
 from anonytope.errors import ContractViolation, InfeasibleError
-from anonytope.geometry import NumericTable, normalize_dataset
+from anonytope.geometry import (NormalizedDataset, NumericTable,
+                               normalize_dataset)
 from anonytope.homology import barcode
 
 from oracles import (build_anonymity_complex, dataset, dist,
@@ -399,3 +400,56 @@ def test_achieved_implies_trivial_homology():
         dims = homology_dims_at(cx)
         assert dims[0] == len(v.classes)
         assert all(d == 0 for d in dims[1:])
+
+
+def normalized(points) -> NormalizedDataset:
+    names = [f"q{j + 1}" for j in range(np.shape(points)[1])]
+    return normalize_dataset(NumericTable(names, points))
+
+
+class TestMetamorphicRelations:
+    """Answers on related tables relate as the tables do."""
+
+    def test_row_permutation(self):
+        # reordering the rows maps every partition through the order and
+        # moves no regime endpoint by more than rounding
+        rng = np.random.default_rng(43)
+        cases = 0
+        for make, n, d, index in product((clustered_table, uniform_table),
+                                         (26, 40, 60), (2, 3, 5), range(4)):
+            raw = make(1, index, n, d).points
+            # on a 1/4 grid distances tie and rows repeat
+            for points in (raw, np.round(normalized(raw).points * 4) / 4):
+                order = rng.permutation(n)
+                data, moved = normalized(points), normalized(points[order])
+                for k in (1, 2, 3):
+                    want, got = compute_regimes(data, k), compute_regimes(
+                        moved, k)
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert sorted(w.classes) == sorted(
+                            tuple(sorted(int(order[r - 1]) + 1 for r in cls))
+                            for cls in g.classes)
+                        for a, b in ((g.eps_lo, w.eps_lo),
+                                     (g.eps_hi, w.eps_hi)):
+                            assert a == b or math.isclose(
+                                a, b, rel_tol=1e-15, abs_tol=0)
+                    cases += 1
+        assert cases == 432
+
+    def test_integer_scaling_and_shifting(self):
+        # x -> c x + b on integer columns is exact in floats, and so is
+        # the min-max scaling after it: every answer is unchanged
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            n, d = int(rng.integers(20, 61)), int(rng.integers(1, 4))
+            table = rng.integers(0, 100, (n, d))
+            data = normalized(table)
+            regimes = [compute_regimes(data, k) for k in (1, 2, 3)]
+            bars = barcode(data, 2)
+            for c, b in ((3, 0), (7, 100000), (1, -5000), (12, 31)):
+                moved = normalized(c * table + b)
+                assert np.array_equal(moved.points, data.points)
+                assert [compute_regimes(moved, k) for k in (1, 2, 3)] \
+                    == regimes
+                assert barcode(moved, 2) == bars

@@ -96,6 +96,24 @@ class TestTrees:
         with pytest.raises(TreeDefinitionError, match="depth"):
             trees_from_dict(spec)
 
+    @pytest.mark.parametrize("body", [
+        {"root": ["x", "y"]},
+        {"root": "r", "r": [["x", "y"], "z"]},
+        {"root": "r", "r": [{"x": 1}, "z"]},
+        yaml.safe_load("root: r\nr: [!!set {x: null}, z]\n"),
+        yaml.safe_load("root: r\nr: [!!binary eA==, z]\n"),
+    ], ids=["list_root", "list_child", "mapping_child", "set", "binary"])
+    def test_collection_is_not_a_name(self, body):
+        with pytest.raises(TreeDefinitionError, match="not a name"):
+            trees_from_dict({"a": body})
+
+    def test_numbers_and_dates_are_read_as_their_text(self):
+        spec = yaml.safe_load("zip:\n  root: 476**\n"
+                              "  476**: [47677, 2016-01-02]\n")
+        assert trees_from_dict(spec)[0].ancestors == {
+            "2016-01-02": ("2016-01-02", "476**"),
+            "47677": ("47677", "476**")}
+
 
 class TestGeneralizeValue:
     def test_usa_two_levels_up(self, country):
@@ -456,24 +474,37 @@ class TestPlainTreesReader:
             assert ordered(doc) == ordered(yaml.safe_load(text))
 
     def test_accepted_mutants_read_as_yaml_reads_them(self):
-        # one character inserted, deleted or replaced, in small documents
+        # one or two characters inserted, deleted or replaced, in documents
         # with plain and with quoted names
-        docs = [TREES_YAML, self.DOCS[2]]
+        docs = [TREES_YAML, self.DOCS[1], self.DOCS[2]]
         rng = random.Random(24)
         alphabet = "aYyNnOo_.-' :,[]{}#&*!|>\"\\\t\r\n\ufeff0~"
         accepted = 0
         for _ in range(4000):
             text = rng.choice(docs)
-            at = rng.randrange(len(text) + 1)
-            cut = rng.randrange(2)
-            text = text[:at] + rng.choice(["", *alphabet]) + text[at + cut:]
+            for _ in range(rng.randrange(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                cut = rng.randrange(2)
+                text = (text[:at] + rng.choice(["", *alphabet])
+                        + text[at + cut:])
             doc = categorical._plain_trees(text)
             if doc is not None:
                 accepted += 1
                 assert ordered(doc) == ordered(yaml.safe_load(text)), text
         assert accepted >= 1000
 
+    # valid trees the plain reader declines: a quoted name holding the
+    # ": " or ", " it splits at, or a line longer than YAML's
+    # 1024-character key limit
+    SPLIT_BY_YAML = {
+        "comma_in_quoted_item": "a:\n  root: x\n  x: ['y, z', w]\n",
+        "colon_in_quoted_key": "a:\n  root: 'x: y'\n  'x: y': [z]\n",
+        "long_line": "a:\n  root: x\n  x: [%s]\n" % ", ".join(
+            f"y{i}" for i in range(250)),
+    }
+
     @pytest.mark.parametrize("text", [
+        *SPLIT_BY_YAML.values(),
         "# trees\na:\n  root: x\n",
         "a:\n\troot: x\n",
         "a:\r\n  root: x\r\n",
@@ -490,12 +521,19 @@ class TestPlainTreesReader:
         "a:\nb:\n  root: x\n",
         "",
         "a:\n  root: Zürich\n",
-    ], ids=["comment", "tab", "crlf", "bom", "quote_in_quotes",
+    ], ids=[*SPLIT_BY_YAML, "comment", "tab", "crlf", "bom", "quote_in_quotes",
             "double_quotes", "yes", "No", "NULL", "empty_list",
             "no_space_after_comma", "mixed_indents", "top_level_value",
             "key_without_entries", "empty", "not_ascii"])
     def test_other_layouts_are_left_to_yaml(self, text):
         assert categorical._plain_trees(text) is None
+
+    @pytest.mark.parametrize("text", SPLIT_BY_YAML.values(),
+                             ids=SPLIT_BY_YAML)
+    def test_split_layouts_load_as_yaml_reads_them(self, text, tmp_path):
+        path = tmp_path / "trees.yaml"
+        path.write_text(text)
+        assert load_trees(path) == trees_from_dict(yaml.safe_load(text))
 
 
 def test_records_compare_by_value_and_are_immutable(trees):

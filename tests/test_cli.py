@@ -584,7 +584,7 @@ class TestCommands:
                      "--strategy", strategy, "--out", str(tmp_path / "out"))
         assert rc == EXIT_INPUT_ERROR
         assert capsys.readouterr() == \
-            ("", "error: 'Mars' is not a leaf of tree 'country'\n")
+            ("", "error: row 2: 'Mars' is not a leaf of tree 'country'\n")
         assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, sample_csv, tmp_path):
@@ -681,6 +681,20 @@ class TestLatticeTreesByName:
             f"YAML reads an unquoted yes, no, on, off or null as a boolean "
             f"or null; quote the name\n")
         assert not (tmp_path / "out").exists()
+
+    def test_node_name_read_as_list(self, tmp_path, capsys):
+        trees = tmp_path / "list.yaml"
+        trees.write_text("a:\n  root: [x, y]\n")
+        path = tmp_path / "cat.csv"
+        path.write_text("a\n\"['x', 'y']\"\n")
+        out = tmp_path / "out"
+        rc = run_cli("lattice-sweep", "--input", str(path), "--quasi", "a",
+                     "--trees", str(trees), "--k", "1", "--out", str(out))
+        assert rc == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == (
+            "", "error: attribute 'a': node ['x', 'y'] is a list value, "
+                "not a name\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, read_as", [
         ("yes", "True"), ("off", "False"), ("null", "None")])
