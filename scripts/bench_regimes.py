@@ -9,7 +9,9 @@ Why each group of cases exists:
   of a ``perfbench`` workload: 26 numeric rows, and the 500-row
   categorical table of ``perfbench/gen.py``.  Most of such an answer is
   process start, so they show how much of a gated metric the package
-  can move at all.
+  can move at all.  The ``phases`` cases split one answer in-process
+  into its imports, ``main`` and ``exit_s``, the time from the report
+  after ``main`` to the exit the parent sees.
 - The cases at scale (``SCALE_CASES``, each run ``--repeat`` times)
   time each layer where its algorithm dominates: the merge tree alone
   (``check``, ``anonymize``), every k's regimes with no simplex built
@@ -106,18 +108,25 @@ code = main()
 report()
 sys.exit(code)
 """,
-    # times import numpy, then the package's numeric modules, then one
-    # CLI answer with both loaded
-    "phases": """start = time.perf_counter()
-import numpy
+    # times import numpy, which lattice-sweep does not load, then the
+    # package's modules that the subcommand loads, then one CLI answer
+    # with them loaded; stamps time.monotonic() at report() for the
+    # parent's exit_s
+    "phases": """numeric = sys.argv[1] != "lattice-sweep"
+start = time.perf_counter()
+if numeric:
+    import numpy
 numpy_s = time.perf_counter()
-import anonytope.anonymity, anonytope.geometry, anonytope.homology
-import anonytope.svg
+if numeric:
+    import anonytope.anonymity, anonytope.geometry, anonytope.homology
+    import anonytope.svg
+else:
+    import anonytope.categorical
 from anonytope.cli import main
 package_s = time.perf_counter()
 code = main()
 report(import_numpy_s=numpy_s - start, import_package_s=package_s - numpy_s,
-       main_s=time.perf_counter() - package_s)
+       main_s=time.perf_counter() - package_s, reported_at=time.monotonic())
 sys.exit(code)
 """,
     # times the merge tree's build, then compute_regimes for every k on
@@ -157,6 +166,7 @@ report(meb_s=time.perf_counter() - start, radius=float(radius))
 }
 PINNED = {"OPENBLAS_NUM_THREADS": "1"}
 SWEEP = ["--k", "2", "3", "5", "--format", "json", "svg"]
+LATTICE = ["lattice-sweep", "--k", "5", "--strategy", "exhaustive"]
 # the quartiles of 31 runs of a 0.2-0.3 s answer lie 20-30 ms apart on
 # 2 cores, so a 50 ms shift of the median shows
 FIXED_REPEAT = 31
@@ -177,8 +187,8 @@ FIXED_CASES = (
     ("sweep_phases_n26_d2_pinned", "phases", 26, 2, ["sweep", *SWEEP],
      PINNED),
     # d counts the trees
-    ("lattice_sweep_exhaustive_n500", "cli", 500, 3,
-     ["lattice-sweep", "--k", "5", "--strategy", "exhaustive"], {}),
+    ("lattice_sweep_exhaustive_n500", "cli", 500, 3, LATTICE, {}),
+    ("lattice_sweep_phases_exhaustive_n500", "phases", 500, 3, LATTICE, {}),
     ("lattice_sweep_lower_then_upper_n500", "cli", 500, 3,
      ["lattice-sweep", "--k", "5"], {}),
 )
@@ -241,6 +251,7 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
         [sys.executable, "-c", PRELUDE + SNIPPETS[kind], *args],
         capture_output=True, text=True, env=env, timeout=1800)
     wall = time.perf_counter() - start
+    exited = time.monotonic()
     # exit 1 with an error line is a refusal; a traceback also exits 1
     refusal = [ln for ln in proc.stderr.splitlines()
                if ln.startswith("error: ")]
@@ -253,6 +264,9 @@ def run_once(src: Path, case: tuple, csv: Path, out: Path) -> dict:
     if proc.returncode not in (0, 2) or not isinstance(figures, dict):
         stderr = proc.stderr.splitlines() or ["no figures on stdout"]
         return {"failed": stderr[-1], "exit": proc.returncode}
+    if "reported_at" in figures:
+        # the child's time.monotonic() reads the same clock on Linux
+        figures["exit_s"] = exited - figures.pop("reported_at")
     return {"wall_s": wall, "exit": proc.returncode, **figures}
 
 

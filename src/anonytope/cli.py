@@ -20,7 +20,9 @@ file or a ``--trees`` file outside the plain layout of
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import json
 import os
 import sys
@@ -48,10 +50,16 @@ def ingest_csv(path, quasi, identifiers=(), sensitive=(),
     (the ``quasi`` names less ``identifiers`` and ``sensitive``) in header
     order, or, if categorical, a list of string tuples over them in
     ``quasi`` order.  Every named column must exist, but only the
-    quasi-identifiers' cells are read: the others may hold anything."""
+    quasi-identifiers' cells are read: the others may hold anything of
+    at most ``csv.field_size_limit()`` characters, as every cell must."""
     try:
         with open_utf8(path, newline="") as fh:
-            records = [r for r in csv.reader(fh) if r]  # blank lines skipped
+            reader = csv.reader(fh)
+            try:
+                records = [r for r in reader if r]  # blank lines skipped
+            except csv.Error as exc:
+                raise IngestionError(f"{path}: line {reader.line_num}: "
+                                     f"{exc}") from None
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from None
     if not records:
@@ -390,9 +398,21 @@ def build_config(argv=None) -> argparse.Namespace:
     return config
 
 
+# whether main has registered gc.freeze to run at exit; like the exit
+# handlers themselves, it is the process's
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
+    global _freeze_at_exit
     # before numpy loads, or OpenBLAS starts nproc - 1 busy-waiting workers
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # the interpreter's last collections, after the exit handlers, walk
+    # a heap that the OS frees anyway: gc.freeze hides it from them.  It
+    # runs at exit, not here, so an in-process caller keeps its collector
+    if not _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     try:
         config = build_config(argv)
         return _COMMANDS[config.command][0](config)

@@ -50,12 +50,16 @@ def open_utf8(path, newline=None):
 def read_yaml(path):
     """The YAML document in a UTF-8 file, parsed by yaml.safe_load.  A
     YAML error is an IngestionError on one line: path, line, column and
-    problem, where PyYAML's own message spans several lines."""
+    problem, where PyYAML's own message spans several lines; so is a
+    document nested deeper than PyYAML's recursive parser can go."""
     import yaml
 
     with open_utf8(path) as fh:
         try:
             return yaml.safe_load(fh)
+        except RecursionError:
+            raise IngestionError(f"{path}: nested too deeply to "
+                                 f"parse") from None
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             if mark is None:

@@ -32,6 +32,19 @@ def test_in_process_case_yields_every_figure(bench, tmp_path):
     assert got["exit"] == 0 and got["regimes"] > 0
 
 
+@pytest.mark.parametrize("command", ["sweep", "lattice-sweep"])
+def test_phases_case_yields_every_figure(bench, tmp_path, command):
+    case = next(case for case in bench.FIXED_CASES
+                if case[1] == "phases" and case[4][0] == command)
+    got = run(bench, tmp_path, ROOT / "src", case)
+    phases = ("import_numpy_s", "import_package_s", "main_s", "exit_s")
+    assert set(got) == {"wall_s", "exit", "peak_rss_mib", *phases}
+    assert got["exit"] == 0 and got["peak_rss_mib"] > 0
+    # lattice-sweep imports no numpy
+    assert min(got[name] for name in phases) >= 0 and got["exit_s"] > 0
+    assert sum(got[name] for name in phases) < got["wall_s"]
+
+
 def test_cli_case_records_its_verdict(bench, tmp_path):
     case = ("check_n30_d2", "cli", 30, 2,
             ["check", "--k", "2", "--eps", "0.1"], {})

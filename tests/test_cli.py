@@ -1,4 +1,6 @@
+import atexit
 import csv
+import gc
 import json
 import os
 import random
@@ -11,7 +13,7 @@ import pytest
 import yaml
 
 import anonytope
-from anonytope import anonymity
+from anonytope import anonymity, cli
 from anonytope.categorical import chain_sweep, load_trees
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
                            _chain_json, build_config, ingest_csv, main)
@@ -137,6 +139,16 @@ class TestExitPaths:
         assert self.check_on(path, "a", "b") == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == \
             "error: row 1 has 3 fields, header has 2\n"
+
+    def test_long_cell_is_input_error(self, tmp_path, capsys):
+        # one cell over the csv module's field limit, in a column that
+        # --quasi does not name
+        path = tmp_path / "long.csv"
+        path.write_text(f"a,b\n1,2\n3,{'4' * 200_000}\n")
+        assert self.check_on(path, "a") == EXIT_INPUT_ERROR
+        assert capsys.readouterr() == ("", f"error: {path}: line 3: field "
+                                           f"larger than field limit "
+                                           f"(131072)\n")
 
     @pytest.mark.parametrize("command", ["sweep", "anonymize"])
     @pytest.mark.parametrize("cell, value", [("nan", "nan"), ("inf", "inf"),
@@ -294,7 +306,8 @@ class TestConfigAndFlagErrors:
     @pytest.mark.parametrize("last_line, message", [
         ("foo: [1", "{bad}: line 3, column 1: expected ',' or ']'"),
         ("foo: \x07", "unacceptable character #x0007"),
-    ], ids=["syntax", "control_char"])
+        ("foo: " + "[" * 5000 + "]" * 5000, "{bad}: nested too deeply"),
+    ], ids=["syntax", "control_char", "deep_nesting"])
     def test_yaml_error_is_one_line(self, sample_csv, tmp_path, capsys,
                                     flag, last_line, message):
         bad = tmp_path / "bad.yaml"
@@ -972,6 +985,48 @@ def test_library_imports_leave_the_environment_alone(tmp_path):
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+def test_main_leaves_the_callers_collector_alone(sample_csv, tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run_cli("sweep", "--input", str(sample_csv), "--quasi", "Age",
+                   "ZIP", "--k", "3", "--out", str(tmp_path)) == EXIT_OK
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_main_registers_one_exit_freeze(sample_csv, monkeypatch):
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    # as in a process where main has not run yet
+    monkeypatch.setattr(cli, "_freeze_at_exit", False)
+    for _ in range(2):
+        assert run_cli("check", "--input", str(sample_csv), "--quasi",
+                       "Age", "ZIP", "--k", "1", "--eps", "0.1") == EXIT_OK
+    assert registered == [gc.freeze]
+
+
+def test_cli_process_freezes_its_heap_at_exit(sample_csv, tmp_path):
+    # exit handlers run last-registered first, so the probe's check runs
+    # after the handler that main registers
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen',\n"
+             "                              gc.get_freeze_count() > 0))\n"
+             "from anonytope.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    flags = ["sweep", "--input", str(sample_csv), "--quasi", "Age", "ZIP",
+             "--k", "2", "3", "--format", "json", "svg", "--out"]
+    proc = subprocess.run([sys.executable, "-c", probe, *flags,
+                           str(tmp_path / "process")],
+                          capture_output=True, text=True, env=package_env(),
+                          cwd=tmp_path, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
+    assert run_cli(*flags, str(tmp_path / "in_process")) == EXIT_OK
+    files = {where: {path.name: path.read_bytes()
+                     for path in (tmp_path / where).iterdir()}
+             for where in ("process", "in_process")}
+    assert len(files["process"]) == 5
+    assert files["process"] == files["in_process"]
 
 
 def peak_rss_mib(*argv):
