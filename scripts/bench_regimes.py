@@ -10,8 +10,19 @@ Why each group of cases exists:
   categorical table of ``perfbench/gen.py``.  Most of such an answer is
   process start, so they show how much of a gated metric the package
   can move at all.  The ``phases`` cases split one answer in-process
-  into its imports, ``main`` and ``exit_s``, the time from the report
-  after ``main`` to the exit the parent sees.
+  into the package's imports, ``main`` and ``exit_s``, the time from
+  the report after ``main`` to the exit the parent sees, and time the
+  import of numpy apart from them, wherever it happens; it is 0 when
+  the answer does not load numpy.
+- The crossover cases (``CROSSOVER_CASES``, each run
+  ``CROSSOVER_REPEAT`` times) straddle the sizes below which a numeric
+  command computes on Python floats and never imports numpy
+  (``cli.FLOAT_ROWS`` rows, ``cli.FLOAT_CELLS`` cells, and
+  ``cli.FLOAT_SIMPLICES`` simplices for a barcode): ``check``,
+  ``anonymize`` and ``sweep --dim-cap 1`` at 50 to 800 rows in 2D and
+  100 to 300 rows in 8D, and ``barcode --dim-cap 2`` at 50 to 80 rows
+  (with the fixed 26-row and the 100-row case at scale), so that both
+  sides of each crossover are timed.
 - The cases at scale (``SCALE_CASES``, each run ``--repeat`` times)
   time each layer where its algorithm dominates: the merge tree alone
   (``check``, ``anonymize``), every k's regimes with no simplex built
@@ -108,25 +119,35 @@ code = main()
 report()
 sys.exit(code)
 """,
-    # times import numpy, which lattice-sweep does not load, then the
-    # package's modules that the subcommand loads, then one CLI answer
-    # with them loaded; stamps time.monotonic() at report() for the
-    # parent's exit_s
-    "phases": """numeric = sys.argv[1] != "lattice-sweep"
+    # times the package's modules that the subcommand loads, then one CLI
+    # answer with them loaded, and, apart from both, the import of numpy
+    # wherever it happens, or 0 if the answer does not load it; stamps
+    # time.monotonic() at report() for the parent's exit_s
+    "phases": """import builtins
+numpy_s = 0.0
+load = builtins.__import__
+def timed(name, *args, **kwargs):
+    global numpy_s
+    if name.partition(".")[0] != "numpy" or "numpy" in sys.modules:
+        return load(name, *args, **kwargs)
+    start = time.perf_counter()
+    try:
+        return load(name, *args, **kwargs)
+    finally:
+        numpy_s = time.perf_counter() - start
+builtins.__import__ = timed
 start = time.perf_counter()
-if numeric:
-    import numpy
-numpy_s = time.perf_counter()
-if numeric:
+if sys.argv[1] != "lattice-sweep":
     import anonytope.anonymity, anonytope.geometry, anonytope.homology
     import anonytope.svg
 else:
     import anonytope.categorical
 from anonytope.cli import main
-package_s = time.perf_counter()
+package_s, before = time.perf_counter(), numpy_s
 code = main()
-report(import_numpy_s=numpy_s - start, import_package_s=package_s - numpy_s,
-       main_s=time.perf_counter() - package_s, reported_at=time.monotonic())
+report(import_numpy_s=numpy_s, import_package_s=package_s - start - before,
+       main_s=time.perf_counter() - package_s - (numpy_s - before),
+       reported_at=time.monotonic())
 sys.exit(code)
 """,
     # times the merge tree's build, then compute_regimes for every k on
@@ -192,6 +213,22 @@ FIXED_CASES = (
     ("lattice_sweep_lower_then_upper_n500", "cli", 500, 3,
      ["lattice-sweep", "--k", "5"], {}),
 )
+# the cases that straddle the crossovers of cli.FLOAT_ROWS, FLOAT_CELLS
+# and FLOAT_SIMPLICES, each run CROSSOVER_REPEAT times: below them a
+# command computes on Python floats and never imports numpy, above them
+# on numpy, so each side of each crossover is timed
+CROSSOVER_REPEAT = 11
+CROSSOVER_CASES = tuple(case + ({},) for case in (
+    *((f"{label}_n{n}_d{d}", "cli", n, d, args)
+      for n, d in ((50, 2), (100, 2), (200, 2), (400, 2), (600, 2),
+                   (800, 2), (100, 8), (200, 8), (300, 8))
+      for label, args in (
+          ("check_k2", ["check", "--k", "2", "--eps", "0.01"]),
+          ("anonymize_k2", ["anonymize", "--k", "2"]),
+          ("sweep_k23_cap1", ["sweep", "--k", "2", "3", "--dim-cap", "1"]))),
+    *((f"barcode_cap2_n{n}_d2", "cli", n, 2, ["barcode", "--dim-cap", "2"])
+      for n in (50, 60, 70, 80)),
+))
 SCALE_CASES = tuple(case + ({},) for case in (
     *((f"{command}_k2_n{n}_d2", "cli", n, 2, [command, "--k", "2", *extra])
       for n in (1000, 5000, 20000)
@@ -303,6 +340,7 @@ def main() -> None:
     sides = dict(s.split("=", 1) for s in args.side or
                  [f"worktree={ROOT / 'src'}"])
     cases = [(case, FIXED_REPEAT) for case in FIXED_CASES] + [
+        (case, CROSSOVER_REPEAT) for case in CROSSOVER_CASES] + [
         (case, args.repeat) for case in SCALE_CASES]
     runs = {label: {case[0]: [] for case, _ in cases} for label in sides}
     with tempfile.TemporaryDirectory() as tmp:
@@ -333,7 +371,8 @@ def main() -> None:
         "blas": {key: blas.get(key) for key in
                  ("name", "version", "openblas configuration")},
         "nproc": os.cpu_count(),
-        "repeat": {"fixed_cost": FIXED_REPEAT, "at_scale": args.repeat},
+        "repeat": {"fixed_cost": FIXED_REPEAT,
+                   "crossover": CROSSOVER_REPEAT, "at_scale": args.repeat},
         "results": {label: {name: summary(by_run)
                             for name, by_run in by_case.items()}
                     for label, by_case in runs.items()},

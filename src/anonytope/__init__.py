@@ -2,7 +2,8 @@
 
 The public names below are imported from their home modules on first
 access (PEP 562), so ``import anonytope.cli`` loads only what the
-subcommand it runs needs: the categorical side never loads numpy.
+subcommand it runs needs: the categorical side, and a numeric table
+below the crossovers of ``cli``, never load numpy.
 """
 
 import importlib

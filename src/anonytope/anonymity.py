@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ContractViolation, InfeasibleError
 from .geometry import NormalizedDataset, NumericTable
 
@@ -145,12 +143,21 @@ def generalize_table(table: NumericTable, regime: Regime) -> GeneralizedTable:
     for cid, cls in enumerate(regime.classes):
         for rid in cls:
             class_ids[rid - 1] = cid
-    # the rows class by class, so one reduceat gives every class's range
-    block = table.rows[order]
-    starts = np.cumsum([0] + [len(cls) for cls in regime.classes[:-1]])
-    intervals = [tuple(zip(lo, hi)) for lo, hi in zip(
-        np.minimum.reduceat(block, starts).tolist(),
-        np.maximum.reduceat(block, starts).tolist())]
+    if table.plain:
+        intervals = []
+        for cls in regime.classes:
+            cols = list(zip(*(table.rows[rid - 1] for rid in cls)))
+            intervals.append(tuple((min(col), max(col)) for col in cols))
+    else:
+        import numpy as np
+
+        # the rows class by class, so one reduceat gives every class's
+        # range
+        block = table.rows[order]
+        starts = np.cumsum([0] + [len(cls) for cls in regime.classes[:-1]])
+        intervals = [tuple(zip(lo, hi)) for lo, hi in zip(
+            np.minimum.reduceat(block, starts).tolist(),
+            np.maximum.reduceat(block, starts).tolist())]
     return GeneralizedTable(qi_names=tuple(table.quasi_names),
                             rows=tuple(intervals[c] for c in class_ids),
                             class_ids=tuple(class_ids))

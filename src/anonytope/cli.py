@@ -11,10 +11,12 @@ of bars, chain reports), and the commands below lay them out as
 write them beside the SVG that ``svg`` renders and the anonymized CSV.
 
 Each subcommand imports the modules it needs when it runs: the numeric
-ones (and numpy) for sweep, check, anonymize and barcode, the
-categorical one for lattice-sweep, and PyYAML only to read a ``--config``
-file or a ``--trees`` file outside the plain layout of
-``categorical.load_trees``.
+ones for sweep, check, anonymize and barcode, the categorical one for
+lattice-sweep, and PyYAML only to read a ``--config`` file or a
+``--trees`` file outside the plain layout of ``categorical.load_trees``.
+A numeric command imports numpy only for a table above the crossovers
+FLOAT_ROWS, FLOAT_CELLS and FLOAT_SIMPLICES; below them it computes on
+Python floats (the plain form of ``geometry``), to the same bytes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
+#: the most rows, cells (rows times quasi-identifier columns) and
+#: simplices a barcode of them builds (``complexes.simplex_count``) for
+#: which a numeric command computes on Python floats and never imports
+#: numpy: above any of them, numpy's kernels save more than its import
+#: costs, as the crossover cases of BENCH_regimes.json measure.  A
+#: barcode that builds simplices of four or more rows runs on numpy
+#: whatever its size.
+FLOAT_ROWS = 600
+FLOAT_CELLS = 1600
+FLOAT_SIMPLICES = 60_000
+
 
 def _quasi_columns(quasi, identifiers, sensitive) -> list[str]:
     """The quasi-identifiers of every subcommand: the --quasi columns
@@ -44,14 +57,29 @@ def _quasi_columns(quasi, identifiers, sensitive) -> list[str]:
     return [name for name in quasi if name not in (*identifiers, *sensitive)]
 
 
+def _on_floats(n: int, d: int, dim_cap: int) -> bool:
+    """Whether a numeric command on n rows of d columns, whose barcode
+    (if any) is capped at dim_cap (1 for none), computes on Python
+    floats."""
+    from .complexes import simplex_count
+
+    return (n <= FLOAT_ROWS and n * d <= FLOAT_CELLS
+            and min(dim_cap + 1, n) <= 3
+            and simplex_count(n, dim_cap) <= FLOAT_SIMPLICES)
+
+
 def ingest_csv(path, quasi, identifiers=(), sensitive=(),
-               categorical: bool = False):
+               categorical: bool = False, dim_cap: int | None = None):
     """Parse the CSV into a NumericTable of its quasi-identifier columns
     (the ``quasi`` names less ``identifiers`` and ``sensitive``) in header
     order, or, if categorical, a list of string tuples over them in
     ``quasi`` order.  Every named column must exist, but only the
     quasi-identifiers' cells are read: the others may hold anything of
-    at most ``csv.field_size_limit()`` characters, as every cell must."""
+    at most ``csv.field_size_limit()`` characters, as every cell must.
+    The table is a numpy array, unless dim_cap is given, the cap of the
+    barcode a command builds from it (1 for none), and the table is
+    below the crossovers FLOAT_ROWS, FLOAT_CELLS and FLOAT_SIMPLICES:
+    then it is plain, on Python floats."""
     try:
         with open_utf8(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -100,8 +128,10 @@ def ingest_csv(path, quasi, identifiers=(), sensitive=(),
                                      f"parse {v!r} as a number") from None
     # the table keeps its columns in header order
     cols = sorted(range(len(quasi)), key=at.__getitem__)
+    plain = dim_cap is not None and _on_floats(len(values), len(quasi),
+                                                dim_cap)
     return NumericTable([quasi[c] for c in cols],
-                        [[row[c] for c in cols] for row in values])
+                        [[row[c] for c in cols] for row in values], plain)
 
 
 def _fmt_value(v: float) -> str:
@@ -156,7 +186,8 @@ def cmd_sweep(config: argparse.Namespace) -> int:
     from .svg import render_barcode_svg
 
     data = normalize_dataset(ingest_csv(
-        config.input, config.quasi, config.identifiers, config.sensitive))
+        config.input, config.quasi, config.identifiers, config.sensitive,
+        dim_cap=config.dim_cap))
     out_dir = Path(config.out)
 
     # first, so a table over the simplex budget is refused before any
@@ -195,7 +226,8 @@ def cmd_check(config: argparse.Namespace) -> int:
 
     k = config.k[0]
     data = normalize_dataset(ingest_csv(
-        config.input, config.quasi, config.identifiers, config.sensitive))
+        config.input, config.quasi, config.identifiers, config.sensitive,
+        dim_cap=1))
     if config.eps is None:
         raise IngestionError("check requires --eps")
     # first, so a bad eps is an input error even when k exceeds the rows
@@ -222,7 +254,7 @@ def cmd_anonymize(config: argparse.Namespace) -> int:
 
     k = config.k[0]
     table = ingest_csv(config.input, config.quasi, config.identifiers,
-                       config.sensitive)
+                       config.sensitive, dim_cap=1)
     data = normalize_dataset(table)
     try:
         regime = minimal_epsilon(data, k)
@@ -251,7 +283,8 @@ def cmd_barcode(config: argparse.Namespace) -> int:
     from .svg import render_barcode_svg
 
     data = normalize_dataset(ingest_csv(
-        config.input, config.quasi, config.identifiers, config.sensitive))
+        config.input, config.quasi, config.identifiers, config.sensitive,
+        dim_cap=config.dim_cap))
     bars = barcode(data, config.dim_cap)
     out_dir = Path(config.out)
     if "json" in config.formats:
@@ -343,6 +376,12 @@ def _config_file_args(path) -> argparse.Namespace:
     for key, value in spec.items():
         if not isinstance(value, list):
             value = [] if value is None else [value]
+        # checked before any str(): YAML aliases can nest a value whose
+        # text grows tenfold per level
+        if any(isinstance(v, (dict, list, set, tuple)) for v in value):
+            raise IngestionError(f"{path}: {key}: expected a value or a "
+                                 f"list of values, not a nested "
+                                 f"collection")
         argv += ["--" + str(key).replace("_", "-"), *map(str, value)]
     parser = _Parser(prog=str(path), add_help=False)
     _add_flags(parser)

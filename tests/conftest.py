@@ -1,4 +1,6 @@
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,53 @@ def trees_yaml(tmp_path) -> Path:
     path = tmp_path / "trees.yaml"
     path.write_text(TREES_YAML)
     return path
+
+
+def _files(root: Path) -> dict:
+    """Every directory (as None) and file (as its bytes) under root."""
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
+def _restore(root: Path, files: dict) -> None:
+    """Put root back as _files found it: what was added since goes,
+    deepest first, and a file that changed gets its bytes back."""
+    for path in sorted(_files(root), reverse=True):
+        if path not in files:
+            path.unlink() if path.is_file() else path.rmdir()
+        elif files[path] is not None and path.read_bytes() != files[path]:
+            path.write_bytes(files[path])
+
+
+@pytest.fixture
+def both_forms(request, tmp_path, monkeypatch):
+    """Runs each call of the test module's ``main`` twice from the same
+    files under tmp_path: with the crossovers of ``cli`` forced so that a
+    numeric command computes on Python floats, and then so that it
+    computes on numpy.  Both runs must exit alike, print the same and
+    leave the same files; the test then sees the second run's."""
+    from anonytope import cli
+
+    main = request.module.main
+
+    def twice(argv=None):
+        outcomes = []
+        for limit in (sys.maxsize, -1):
+            before = _files(tmp_path)
+            out, err = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as crossovers, \
+                    redirect_stdout(out), redirect_stderr(err):
+                for name in ("FLOAT_ROWS", "FLOAT_CELLS", "FLOAT_SIMPLICES"):
+                    crossovers.setattr(cli, name, limit)
+                code = main(argv)
+            outcomes.append((code, out.getvalue(), err.getvalue(),
+                             _files(tmp_path)))
+            if len(outcomes) == 1:
+                _restore(tmp_path, before)
+        assert outcomes[0] == outcomes[1]
+        code, out, err, _ = outcomes[1]
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        return code
+
+    monkeypatch.setattr(request.module, "main", twice)

@@ -94,7 +94,15 @@ def seeded_points(seed: int, count: int):
 
 
 def dist(p, q) -> float:
-    return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+    """The Euclidean distance by the package's distance rule: the squared
+    per-column differences added in column order, each operation rounded
+    on its own, so that half of it is a merge height's half bit for bit.
+    np.linalg.norm's dot product may fuse a multiply and an add, and then
+    differs in the last bit on some pairs."""
+    total = 0.0
+    for x, y in zip(map(float, p), map(float, q)):
+        total += (x - y) * (x - y)
+    return math.sqrt(total)
 
 
 def circumsphere(pts):

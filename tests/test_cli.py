@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,6 +19,14 @@ from anonytope.categorical import chain_sweep, load_trees
 from anonytope.cli import (EXIT_INFEASIBLE, EXIT_INPUT_ERROR, EXIT_OK,
                            _chain_json, build_config, ingest_csv, main)
 from anonytope.errors import IngestionError, read_yaml
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+# the benchmark's tables
+from gen import clustered_table, uniform_table  # noqa: E402
+
+# every in-process CLI run here runs on both sides of the crossovers,
+# which must write the same bytes
+pytestmark = pytest.mark.usefixtures("both_forms")
 
 
 def ingest_sample(path, quasi=("Age", "ZIP")):
@@ -289,6 +298,33 @@ class TestConfigAndFlagErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @staticmethod
+    def aliases(levels: int) -> str:
+        # each level lists the one below ten times, by YAML aliases
+        text = "&a0 [" + ", ".join(["2"] * 10) + "]"
+        for level in range(1, levels + 1):
+            text = (f"&a{level} [{text}, "
+                    + ", ".join([f"*a{level - 1}"] * 9) + "]")
+        return text
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", aliases.__func__(4)),
+        ("quasi", "[[Age], ZIP]"),
+        ("k", "{a: 1}"),
+        ("k", "!!omap [{a: 1}]"),
+    ], ids=["aliases", "nested_list", "mapping", "pairs"])
+    def test_nested_config_value_is_input_error(self, sample_csv, tmp_path,
+                                                capsys, key, value):
+        # refused before the value is printed: four levels of aliases
+        # once gave a 14 KB error line, each further level ten times it
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"input: {sample_csv}\nquasi: [Age, ZIP]\n"
+                       f"out: {tmp_path / 'out'}\n{key}: {value}\n")
+        assert run_cli("--config", str(cfg), "sweep") == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg}: {key}: expected a value or a list "
+                       f"of values, not a nested collection\n")
 
     def test_scalar_config_value_reads_as_flag(self, sample_csv, tmp_path):
         out = tmp_path / "out"
@@ -939,18 +975,36 @@ def test_each_command_loads_only_what_it_needs(sample_csv, trees_yaml,
                      "run": ["anonytope.categorical"]},
         commented: {"import": [], "rc": EXIT_OK,
                     "run": ["yaml", "anonytope.categorical"]}}
-    sweep = loaded_modules(
-        tmp_path, "sweep", "--input", sample_csv, "--quasi", "Age", "ZIP",
-        "--k", "3", "--out", tmp_path / "sweep")
-    # numpy itself imports inspect
-    assert sweep == {"import": [], "rc": EXIT_OK,
-                     "run": ["numpy", "inspect", "anonytope.homology"]}
+    # below the crossovers a numeric command computes on Python floats
+    given = ["--input", sample_csv, "--quasi", "Age", "ZIP", "--out",
+             tmp_path / "numeric"]
+    runs = {command: loaded_modules(tmp_path, command, *given, *flags)
+            for command, flags in (("sweep", ["--k", "3"]),
+                                   ("check", ["--k", "3", "--eps", "0.8"]),
+                                   ("anonymize", ["--k", "3"]),
+                                   ("barcode", []))}
+    assert runs == {
+        "sweep": {"import": [], "rc": EXIT_OK,
+                  "run": ["anonytope.homology"]},
+        "check": {"import": [], "rc": EXIT_OK, "run": []},
+        "anonymize": {"import": [], "rc": EXIT_OK, "run": []},
+        "barcode": {"import": [], "rc": EXIT_OK,
+                    "run": ["anonytope.homology"]}}
+    # above them it loads numpy, which itself imports inspect
+    big = tmp_path / "big.csv"
+    big.write_text("x\n" + "".join(f"{i}\n"
+                                    for i in range(cli.FLOAT_ROWS + 1)))
+    assert loaded_modules(
+        tmp_path, "sweep", "--input", big, "--quasi", "x", "--k", "3",
+        "--dim-cap", "1", "--out", tmp_path / "big") == {
+        "import": [], "rc": EXIT_OK,
+        "run": ["numpy", "inspect", "anonytope.homology"]}
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the thread count from /proc")
 @pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)])
-def test_cli_starts_no_blas_worker(sample_csv, tmp_path, caller, threads):
+def test_cli_starts_no_blas_worker(tmp_path, caller, threads):
     # OpenBLAS starts one thread per usable CPU unless told otherwise,
     # and a count the caller sets wins over the CLI's own
     if threads > len(os.sched_getaffinity(0)):
@@ -966,9 +1020,14 @@ def test_cli_starts_no_blas_worker(sample_csv, tmp_path, caller, threads):
         "with open('/proc/self/status') as f:\n"
         "    print(rc, next(ln.split()[1] for ln in f\n"
         "                   if ln.startswith('Threads:')))\n")
+    # a table above the crossovers, so that numpy loads
+    big = tmp_path / "big.csv"
+    big.write_text("x\n" + "".join(f"{i}\n"
+                                    for i in range(cli.FLOAT_ROWS + 1)))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "sweep", "--input", str(sample_csv),
-         "--quasi", "Age", "ZIP", "--k", "3", "--out", str(tmp_path)],
+        [sys.executable, "-c", probe, "sweep", "--input", str(big),
+         "--quasi", "x", "--k", "3", "--dim-cap", "1", "--out",
+         str(tmp_path)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} {threads}"
@@ -1122,3 +1181,41 @@ def test_filtration_peak_rss_at_simplex_budget():
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.split()[0] == "1949476"
     assert peak < 350
+
+
+@pytest.mark.parametrize("n", [2, 5, 26, 40, 150])
+def test_seeded_corpus_answers_alike_on_both_sides(tmp_path, capsys, n):
+    # both_forms runs each answer with the crossovers forced to each
+    # side and checks that both write the same files, print the same and
+    # exit alike: on both generators' tables in d 1-8, the same tables on
+    # a 1/4 grid (tied distances, repeated rows), and k from 1 to N + 1
+    ks = sorted({1, 2, 3, 5, n + 1})
+    outcomes = Counter()
+    cap = "2" if n < 100 else "1"
+    for i, d in enumerate((1, 2, 3, 5, 8)):
+        tables = [uniform_table(1, i, n, d).points]
+        if d > 1:
+            tables.append(clustered_table(1, i, n, d).points)
+        tables += [np.round(points * 4) / 4 for points in tables]
+        for t, points in enumerate(tables):
+            path = tmp_path / f"d{d}_{t}.csv"
+            quasi = [f"q{j}" for j in range(d)]
+            path.write_text(",".join(quasi) + "\n" + "".join(
+                ",".join(map(repr, row)) + "\n" for row in points.tolist()))
+            given = ["--input", str(path), "--quasi", *quasi]
+            k = str(ks[t % len(ks)])
+            for argv in (
+                    ["sweep", "--k", *map(str, ks), "--format", "json",
+                     "svg", "--dim-cap", cap],
+                    ["barcode", "--dim-cap", cap, "--format", "json",
+                     "svg"],
+                    ["check", "--k", k, "--eps", "0.05"],
+                    ["anonymize", "--k", k]):
+                out = ["--out", str(tmp_path / f"{argv[0]}_{d}_{t}")] \
+                    if argv[0] != "check" else []
+                outcomes[argv[0], run_cli(*argv, *given, *out)] += 1
+    capsys.readouterr()
+    # every k <= N has a regime, and only check can fail below it
+    assert outcomes["sweep", EXIT_INFEASIBLE] == 18
+    assert outcomes["barcode", EXIT_OK] == 18
+    assert sum(outcomes.values()) == 4 * 18

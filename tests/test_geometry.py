@@ -12,7 +12,7 @@ from anonytope.errors import ContractViolation, IngestionError
 from anonytope.geometry import (MEB_REL_TOL, NumericTable,
                                 min_enclosing_ball, normalize_dataset)
 
-from oracles import (balls_intersect, boundary_matrix, dataset,
+from oracles import (balls_intersect, boundary_matrix, dataset, dist,
                      filtration_births, filtration_entries, kruskal_scan,
                      kruskal_tree, meb_bruteforce, reduce_matrix,
                      seeded_points, triangle_meb_exact, union_find_partition)
@@ -314,3 +314,22 @@ class TestMergeRadii:
                                     for _, j in first.classes(m)]
                                 for m in sorted(cuts)}
             assert tree.regime_table == table
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["numpy", "floats"])
+def test_distances_follow_the_distance_rule(plain):
+    # every pair distance and merge height is a plain-Python sequential
+    # multiply-add, bit for bit, in either form: np.vecdot fused the
+    # multiply and the add on some CPUs and differed from it on 8-16% of
+    # pairs, so the output bits depended on the CPU
+    rng = random.Random(35)
+    for d in range(1, 13):
+        for n in (2, 9, 40):
+            rows = [[rng.random() for _ in range(d)] for _ in range(n)]
+            data = normalize_dataset(NumericTable(
+                [f"c{j}" for j in range(d)], rows, plain=plain))
+            pts = [[float(x) for x in p] for p in data.points]
+            want = [dist(p, q) for p, q in combinations(pts, 2)]
+            assert list(data.pair_distances) == want, (d, n)
+            tree = data.merge_tree
+            assert tree.height == [want[rank] for rank in tree.edge], (d, n)
